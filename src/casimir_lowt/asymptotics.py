@@ -126,12 +126,6 @@ def te_g2_expansion(eps_bar, t, alpha) -> SmallMExpansion:
         higher={"m^5/2": -alpha / 8 * (2 - mpf(eps_bar)) * t ** mpf("2.5")})
 
 
-def _combine(a: SmallMExpansion, b: SmallMExpansion) -> SmallMExpansion:
-    return SmallMExpansion(c0=mpf(a.c0) + mpf(b.c0), c1=mpf(a.c1) + mpf(b.c1),
-                           c_3_2=mpf(a.c_3_2) + mpf(b.c_3_2),
-                           c_2l=mpf(a.c_2l) + mpf(b.c_2l), c2=mpf(a.c2) + mpf(b.c2))
-
-
 def delta_f_tm(sigma_si_over_eps0, a, T) -> AsymptoticResult:
     """Two-term TM thermal correction, terms separated by power of T.
 
@@ -309,13 +303,3 @@ def te_g1_quadrature(mu, eps_bar, nodes=None):
     # analytic tail: ln(1 - B) ~ -B ~ -1/(16 x^4), integral x * that
     total += -1 / (32 * b * b)
     return chi * chi * total
-
-
-def tm_li2_expansion_check(mu, eps_bar):
-    """(Li_2(1 - A_mu), leading expansion 4 mu - 4(eps_bar + 1) mu^2)."""
-    from .dielectric import a_mu
-    mu = mpf(mu)
-    eb = mpf(eps_bar)
-    exact = polylog(2, 1 - a_mu(eb, mu))
-    series = 4 * mu - 4 * (eb + 1) * mu * mu
-    return exact, series

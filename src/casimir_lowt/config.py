@@ -11,7 +11,7 @@ import configparser
 import io
 from dataclasses import dataclass
 
-from .dielectric import DielectricModel, PermittivityMode
+from .dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel, PermittivityMode
 from .precision import DEFAULT_DPS
 
 
@@ -52,18 +52,12 @@ class RunConfig:
 
 PRESETS = {
     # the weakly conducting silicon-like configuration used in the studies
-    "si-paper": RunConfig(
-        material=DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e12),
-        separation_um=1.0, t_min=0.02, t_max=1.0),
+    "si-paper": RunConfig(material=SI_PAPER, separation_um=1.0, t_min=0.02, t_max=1.0),
     # same but with the static dielectric response switched off
-    "si-fig2": RunConfig(
-        material=DielectricModel(eps_bar=1.0, omega0=8e15, four_pi_sigma=1e12),
-        separation_um=1.0, t_min=0.02, t_max=1.0),
+    "si-fig2": RunConfig(material=SI_EPSBAR1, separation_um=1.0, t_min=0.02, t_max=1.0),
     # perfectly reflecting plates; for checking against the ideal result
-    "ideal-metal-check": RunConfig(
-        material=DielectricModel(eps_bar=1.0, omega0=1.0, four_pi_sigma=0.0,
-                                 mode=PermittivityMode.IDEAL_METAL),
-        separation_um=1.0, temperatures=(1.0,)),
+    "ideal-metal-check": RunConfig(material=IDEAL_METAL, separation_um=1.0,
+                                   temperatures=(1.0,)),
 }
 
 
@@ -76,7 +70,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         mat_mode = PermittivityMode(cp.get("material", "model", fallback="full"))
         if mat_mode is PermittivityMode.IDEAL_METAL:
-            material = DielectricModel(1.0, 1.0, 0.0, mode=mat_mode)
+            material = IDEAL_METAL
         else:
             material = DielectricModel(
                 eps_bar=cp.getfloat("material", "eps_bar", fallback=1.0),

@@ -10,7 +10,6 @@ sigma_SI/epsilon_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from mpmath import mpf, pi
@@ -20,46 +19,11 @@ from mpmath import mpf, pi
 _HBAR = "1.054571817e-34"     # J s
 _C = "299792458"              # m/s
 _K_B = "1.380649e-23"         # J/K
-_EPSILON0 = "8.8541878128e-12"  # F/m
-_E_CHARGE = "1.602176634e-19"   # C
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 constants in SI, plus the eV cm conversion factor."""
-
-    hbar: float = float(_HBAR)
-    c: float = float(_C)
-    k_B: float = float(_K_B)
-    epsilon0: float = float(_EPSILON0)
-    hbar_c_ev_cm: float = float(_HBAR) * float(_C) / float(_E_CHARGE) * 100.0
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "c", "k_B", "epsilon0", "hbar_c_ev_cm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constant {name} must be positive")
-
-
-CODATA2018 = PhysicalConstants()
 
 
 def mp_constants() -> SimpleNamespace:
     """Constants as mpf values at the current working precision."""
-    hbar = mpf(_HBAR)
-    c = mpf(_C)
-    k_B = mpf(_K_B)
-    return SimpleNamespace(hbar=hbar, c=c, k_B=k_B, epsilon0=mpf(_EPSILON0))
-
-
-def sigma_si_to_reduced(sigma_si_over_eps0):
-    """Gaussian 4*pi*sigma from sigma_SI/epsilon_0 (both in 1/s).
-
-    The two are numerically identical; this function exists to make the
-    unit-system crossing explicit and to validate the domain.
-    """
-    if sigma_si_over_eps0 < 0:
-        raise ValueError("conductivity must be nonnegative")
-    return sigma_si_over_eps0
+    return SimpleNamespace(hbar=mpf(_HBAR), c=mpf(_C), k_B=mpf(_K_B))
 
 
 def reduced_temperature(temperature_k, four_pi_sigma):

@@ -83,8 +83,9 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     out = []
     for T in ts:
         system = replace(template, temperature_T=float(T), polarization=polarization)
-        df_num = delta_f_direct(system)[pol]
-        f_num = free_energy(system).per_mode[pol]
+        res = free_energy(system)
+        df_num = res.delta_f(pol)
+        f_num = res.per_mode[pol]
         th = theory_correction(system, pol)
         df_th = th.evaluate(T)
         r = None if df_th == 0 else (df_th - df_num) / df_th
@@ -108,6 +109,10 @@ def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
     recs = list(records)
     if len(recs) < 6:
         raise FitError("need at least 6 records")
+    n_params = 2 + len(extra_powers)
+    if len(recs) <= n_params:
+        raise FitError(f"{len(recs)} records for {n_params} fitted parameters; "
+                       "need more records than parameters")
     T = np.array([float(r.T) for r in recs])
     y = np.array([float(r.dF_num) for r in recs])
     if T.max() / T.min() < 8.0:
@@ -188,7 +193,3 @@ def log_grid(t_min, t_max, points_per_decade: int = 25) -> list:
         raise ValueError("need 0 < t_min < t_max")
     n = max(2, int(round(np.log10(t_max / t_min) * points_per_decade)) + 1)
     return list(np.logspace(np.log10(t_min), np.log10(t_max), n))
-
-
-DEFAULT_TM_GRID = (0.02, 1.0)
-DEFAULT_TE_GRID = (0.1, 2.0)

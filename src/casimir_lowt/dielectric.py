@@ -12,7 +12,7 @@ analytically, never by evaluating eps there.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
@@ -41,28 +41,12 @@ class DielectricModel:
         if self.four_pi_sigma < 0:
             raise ValueError("4 pi sigma must be nonnegative")
 
-    @property
-    def conducting(self) -> bool:
-        return self.mode is PermittivityMode.IDEAL_METAL or self.four_pi_sigma > 0
-
-    def with_sigma(self, four_pi_sigma: float) -> "DielectricModel":
-        return replace(self, four_pi_sigma=four_pi_sigma)
-
 
 # Si-like parameters used throughout the numerical studies.
 SI_PAPER = DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e12)
 SI_EPSBAR1 = DielectricModel(eps_bar=1.0, omega0=8e15, four_pi_sigma=1e12)
 IDEAL_METAL = DielectricModel(eps_bar=1.0, omega0=1.0, four_pi_sigma=0.0,
                               mode=PermittivityMode.IDEAL_METAL)
-
-
-@dataclass(frozen=True)
-class ReflectionPair:
-    r_te: object  # in [-1, 0] for eps >= 1
-    r_tm: object  # in [0, 1]
-
-    def squared(self, pol: str):
-        return self.r_te ** 2 if pol == "te" else self.r_tm ** 2
 
 
 def permittivity(model: DielectricModel, zeta):
@@ -82,35 +66,20 @@ def permittivity(model: DielectricModel, zeta):
             + mpf(model.four_pi_sigma) / zeta)
 
 
-def reflection_coeffs(eps, kappa, zeta) -> ReflectionPair:
-    """TE and TM reflection coefficients at imaginary frequency.
+def reflection(eps, z, pol: str):
+    """r_TE or r_TM of one halfspace at imaginary frequency.
 
-    kappa^2 = k_perp^2 + zeta^2 requires kappa >= zeta.  The square root is
-    factored as kappa*sqrt(1 + (zeta/kappa)^2 (eps-1)) so that huge eps
-    (conductivity pole near zeta = 0) cannot overflow.
+    z = (zeta/kappa)^2 (eps - 1) >= 0, so that s/kappa = sqrt(1 + z) with
+    s^2 = kappa^2 + zeta^2 (eps - 1); factoring out kappa keeps the huge eps
+    of the conductivity pole near zeta = 0 from overflowing.  r_TE is taken
+    as -z/(1 + sqrt(1+z))^2, which equals (1 - sqrt(1+z))/(1 + sqrt(1+z))
+    without its cancellation at small z.  r_TE lies in [-1, 0], r_TM in
+    [0, 1] for eps >= 1 and kappa >= zeta.
     """
-    eps = mpf(eps)
-    kappa = mpf(kappa)
-    zeta = mpf(zeta)
-    if kappa < zeta:
-        raise ValueError("kappa must be >= zeta")
-    if eps < 1:
-        raise ValueError("eps must be >= 1 on the imaginary axis")
-    if kappa == 0:
-        return ReflectionPair(mpf(0), (eps - 1) / (eps + 1))
-    ratio = mpmath.sqrt(1 + (zeta / kappa) ** 2 * (eps - 1))  # s / kappa
-    r_te = (1 - ratio) / (1 + ratio)
-    r_tm = (eps - ratio) / (eps + ratio)
-    return ReflectionPair(r_te, r_tm)
-
-
-def one_minus_r_tm_sq(eps, kappa, zeta):
-    """1 - r_TM^2 without cancellation, for eps >> 1 diagnostics."""
-    eps = mpf(eps)
-    kappa = mpf(kappa)
-    zeta = mpf(zeta)
-    ratio = mpmath.sqrt(1 + (zeta / kappa) ** 2 * (eps - 1))
-    return 4 * eps * ratio / (eps + ratio) ** 2
+    s = mpmath.sqrt(1 + z)
+    if pol == "tm":
+        return (eps - s) / (eps + s)
+    return -z / (1 + s) ** 2
 
 
 def reflection_limits_zero_frequency(model: DielectricModel):
@@ -141,41 +110,3 @@ def a_mu(eps_bar, mu):
     if eps_bar < 1:
         raise ValueError("eps_bar must be >= 1")
     return ((1 + (eps_bar - 1) * mu) / (1 + (eps_bar + 1) * mu)) ** 2
-
-
-def b_coefficient(x):
-    """Squared TE coefficient in rescaled-wavenumber form: (x - sqrt(x^2+1))^4.
-
-    Evaluated as (x + sqrt(x^2+1))^-4 to stay accurate at large x.
-    """
-    x = mpf(x)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return (x + mpmath.sqrt(x * x + 1)) ** -4
-
-
-def load_material(path) -> DielectricModel:
-    """Material parameters from a flat key-value file.
-
-    Recognized keys: eps_bar, omega0, sigma_over_eps0, model (full|lowfreq|ideal).
-    Lines starting with '#' are comments.
-    """
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad material line: {raw.strip()!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
-    mode = PermittivityMode(values.get("model", "full"))
-    if mode is PermittivityMode.IDEAL_METAL:
-        return IDEAL_METAL
-    return DielectricModel(
-        eps_bar=float(values.get("eps_bar", 1.0)),
-        omega0=float(values.get("omega0", SI_PAPER.omega0)),
-        four_pi_sigma=float(values.get("sigma_over_eps0", 0.0)),
-        mode=mode,
-    )

@@ -11,10 +11,14 @@ the diagnostics is the sum-minus-integral difference
 
     delta Gamma = [sum'_m g(m)] - integral_0^inf dm g(m),
 
-which cancels ~10 leading digits at 20 mK, so the sum and the integral are
+which cancels leading digits: the benchmark measures 4.7 for TM at 15 mK
+and 7.5 for TE at 12.5 mK on si-paper, and up to 7.9 near 1 K, where the
+correction is a small part of F.  So the sum and the integral are
 evaluated from the *same* g values in one scan at extended precision, with
 the sum tail beyond a cutoff M handled by endpoint derivative corrections
-(Euler-Maclaurin with 7-point finite-difference derivatives at M).
+(Euler-Maclaurin with 7-point finite-difference derivatives at M); F and
+dF come from that one scan.  One x-panel layout serves every g, and one
+m-panel layout serves both the scan's m-integral and the y-integral of F(0).
 
 Quadrature is non-adaptive by design: fixed Gauss-Legendre panels whose
 layout is matched to the known shape of the integrands (logarithmic panels
@@ -35,9 +39,10 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
-from .constants import mp_constants
-from .dielectric import DielectricModel, PermittivityMode, permittivity
-from .special import polylog, riemann_zeta
+from .constants import alpha_param, mp_constants, reduced_temperature
+from .dielectric import (DielectricModel, PermittivityMode, permittivity, reflection,
+                         reflection_limits_zero_frequency)
+from .special import polylog
 
 X_CUT = 256  # x ln(1-A e^-x) < 1e-108 beyond; negligible for dps <= ~100
 
@@ -59,8 +64,8 @@ class Polarization(enum.Enum):
 class QuadratureSpec:
     """Gauss-Legendre panel orders for the x- and m-integrals."""
     nx: int = 16        # per x-panel
-    nm_unit: int = 48   # m in [0, 1] after m = v^2 substitution
-    nm_geo: int = 24    # per geometric m-panel on [1, M] and the tail
+    nm_unit: int = 48   # first m-panel [0, s] after m = v^2 substitution
+    nm_geo: int = 24    # per geometric m-panel beyond s, and the tail
 
     def refined(self) -> "QuadratureSpec":
         return QuadratureSpec(2 * self.nx, 2 * self.nm_unit, 2 * self.nm_geo)
@@ -83,18 +88,29 @@ class PlateSystem:
 
 
 @dataclass
-class ModeSummand:
-    m_index: object          # nonnegative real (integers in the physical sum)
-    g_value: object          # dimensionless, <= 0
-    quadrature_error: object
-
-
-@dataclass
 class FreeEnergyResult:
     total: object                 # J/m^2
     per_mode: dict                # {"tm": ..., "te": ...} J/m^2
     m_truncation: int
     est_error: object             # J/m^2
+    prefactor: object             # k_B T / (8 pi a^2), J/m^2 per unit of g
+    scans: dict                   # {"tm": ModeScan, ...} behind per_mode
+
+    def delta_f(self, pol: str):
+        """Thermal correction of one polarization, J/m^2: the sum-minus-integral
+        piece of the same scan that gave per_mode[pol].
+
+        Raises PrecisionError when cancellation leaves fewer than ~3
+        trustworthy digits at the current precision.
+        """
+        scan = self.scans[pol]
+        dg = scan.delta_gamma
+        guard = scan.cancellation_guard
+        if dg != 0 and guard * mpf(10) ** (3 - mp.dps) > abs(dg) * mpf("1e-3"):
+            raise PrecisionError(
+                f"{pol}: ~{mpmath.nstr(guard / abs(dg), 3)}x cancellation at "
+                f"{mp.dps} digits; raise the working precision")
+        return self.prefactor * dg
 
 
 def gauss_legendre(n: int):
@@ -133,32 +149,23 @@ def gl_panel(f, a, b, nodes):
     return h * mpmath.fsum(w * f(mid + h * x) for x, w in nodes)
 
 
-def constant_a_integral(a_sq, xmin=0, nodes=None):
-    """integral_{xmin}^inf dx x ln(1 - a_sq e^{-x}) for constant a_sq.
+def _x_integral(f, xmin, nodes):
+    """integral_{xmin}^{X_CUT} dx f(x) on the kernel's fixed panel layout.
 
-    For xmin = 0 this equals -Li_3(a_sq); kept as an independent quadrature
-    route so the analytic m = 0 values can be cross-checked.
+    Below x = 1 (when xmin < 0.5) the panels are uniform in u = ln x, which
+    resolves the scale xmin of the reflection coefficient and the x ln x
+    slope singularity of the ideal metal alike.  Above, a panel starting at
+    b <= 2 has width 2 and later panels double, up to X_CUT.
     """
-    a_sq = mpf(a_sq)
-    xmin = mpf(xmin)
-    if not 0 <= a_sq <= 1:
-        raise ValueError("a_sq must lie in [0, 1]")
-    nodes = nodes or gauss_legendre(24)
-    f = lambda x: x * mpmath.log(1 - a_sq * mpmath.exp(-x))
     total = mpf(0)
     if xmin < mpf("0.5"):
-        # x ln(1 - a e^-x) varies on the scale 1 - a near the origin (and is
-        # log-singular in slope when a = 1); logarithmic panels from e^-40
-        # resolve every case uniformly.
-        lo_edge = mpmath.exp(mpf(-40)) if xmin == 0 else xmin
-        u0 = mpmath.log(lo_edge)
-        u1 = mpmath.log(mpf("0.5"))
-        npan = max(1, int(mp.ceil((u1 - u0) / 2)))
-        du = (u1 - u0) / npan
+        u0 = mpmath.log(xmin)
+        npan = max(1, int(mp.ceil(-u0 / 2)))
+        du = -u0 / npan
         g2 = lambda u: (lambda xx: xx * f(xx))(mpmath.exp(u))
         for i in range(npan):
             total += gl_panel(g2, u0 + i * du, u0 + (i + 1) * du, nodes)
-        lo = mpf("0.5")
+        lo = mpf(1)
     else:
         lo = xmin
     b = lo
@@ -169,19 +176,25 @@ def constant_a_integral(a_sq, xmin=0, nodes=None):
     return total
 
 
+def constant_a_integral(a_sq):
+    """integral_0^inf dx x ln(1 - a_sq e^{-x}) for constant a_sq in [0, 1].
+
+    This equals -Li_3(a_sq); evaluated on the kernel's own x layout (from
+    x = e^-40, below which the integrand contributes < 1e-32), it checks
+    that layout against the analytic m = 0 values.
+    """
+    a_sq = mpf(a_sq)
+    if not 0 <= a_sq <= 1:
+        raise ValueError("a_sq must lie in [0, 1]")
+    f = lambda x: x * mpmath.log(1 - a_sq * mpmath.exp(-x))
+    return _x_integral(f, mpmath.exp(mpf(-40)), gauss_legendre(QuadratureSpec().nx))
+
+
 def _g_zero(system: PlateSystem, pol: str):
-    """Analytic m = 0 summand from the zeta -> 0 reflection limits."""
-    mat = system.material
-    if mat.mode is PermittivityMode.IDEAL_METAL:
-        return -riemann_zeta(3)
-    if pol == "te":
-        return mpf(0)  # r_TE -> 0 at zero frequency for any finite material
-    if mat.four_pi_sigma > 0:
-        return -riemann_zeta(3)  # conductivity drives r_TM^2 -> 1
-    a0 = ((mpf(mat.eps_bar) - 1) / (mpf(mat.eps_bar) + 1)) ** 2
-    if a0 == 0:
-        return mpf(0)
-    return -polylog(3, a0)
+    """Analytic m = 0 summand, -Li_3(r0^2), from the zeta -> 0 reflection limits."""
+    r_te, r_tm = reflection_limits_zero_frequency(system.material)
+    r0 = r_te if pol == "te" else r_tm
+    return -polylog(3, r0 * r0)
 
 
 def g_of_m(system: PlateSystem, m, pol: str):
@@ -194,19 +207,6 @@ def g_of_m(system: PlateSystem, m, pol: str):
     k = mp_constants()
     zeta_m = 2 * mpmath.pi * m * k.k_B * mpf(system.temperature_T) / k.hbar
     return _g_at_frequency(system, zeta_m, pol)
-
-
-def mode_integral(system: PlateSystem, m, pol: str | None = None) -> ModeSummand:
-    """Single Matsubara summand with a doubled-order error estimate."""
-    if pol is None:
-        if system.polarization is Polarization.BOTH:
-            raise ValueError("pick one polarization for a single mode")
-        pol = system.polarization.value
-    g = g_of_m(system, m, pol)
-    fine = PlateSystem(system.separation_a, system.temperature_T, system.material,
-                       system.polarization, system.quadrature.refined())
-    g_fine = g_of_m(fine, m, pol)
-    return ModeSummand(m_index=m, g_value=g_fine, quadrature_error=abs(g_fine - g))
 
 
 @dataclass
@@ -248,10 +248,27 @@ def _truncation_m(system: PlateSystem) -> int:
     # for a conductor that means m t >~ 5 (past the knee of the pole term)
     mat = system.material
     if mat.mode is not PermittivityMode.IDEAL_METAL and mat.four_pi_sigma > 0:
-        k = mp_constants()
-        t = 2 * mpmath.pi * k.k_B * mpf(system.temperature_T) / (k.hbar * mpf(mat.four_pi_sigma))
+        t = reduced_temperature(system.temperature_T, mat.four_pi_sigma)
         return max(30, int(mp.ceil(5 / t)))
     return 30
+
+
+def _m_integral(f, s, end, spec: QuadratureSpec):
+    """integral_0^end f(m) dm on the m layout shared by the scan and F(0).
+
+    On [0, s] the substitution m = v^2 turns the m^{3/2} and m^2 ln m
+    endpoint terms into v^3 and v^4 ln v, mild enough for one high-order
+    panel; from s on, geometric panels double up to `end`.
+    """
+    total = gl_panel(lambda v: 2 * v * f(v * v), mpf(0), mpmath.sqrt(s),
+                     gauss_legendre(spec.nm_unit))
+    geo = gauss_legendre(spec.nm_geo)
+    b = mpf(s)
+    while b < end:
+        nb = min(2 * b, mpf(end))
+        total += gl_panel(f, b, nb, geo)
+        b = nb
+    return total
 
 
 def mode_scan(system: PlateSystem, pol: str) -> ModeScan:
@@ -261,21 +278,12 @@ def mode_scan(system: PlateSystem, pol: str) -> ModeScan:
     g = lambda m: g_of_m(system, m, pol)
     gv = [g(m) for m in range(M + 4)]
     sum_part = gv[0] / 2 + mpmath.fsum(gv[1:M]) + gv[M] / 2
-
-    # integral over [0,1] with m = v^2: the m^{3/2} and m^2 ln m endpoint
-    # terms become v^3 and v^4 ln v -- mild enough for a single high-order panel
-    integ = gl_panel(lambda v: 2 * v * g(v * v), mpf(0), mpf(1),
-                     gauss_legendre(system.quadrature.nm_unit))
-    geo = gauss_legendre(system.quadrature.nm_geo)
-    b = mpf(1)
-    while b < M:
-        nb = min(2 * b, mpf(M))
-        integ += gl_panel(g, b, nb, geo)
-        b = nb
+    integ = _m_integral(g, 1, M, system.quadrature)
 
     # tail integral_M^inf: g decays like e^{-x_min(m)}; stop once x_min > 60
     k = mp_constants()
     xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
+    geo = gauss_legendre(system.quadrature.nm_geo)
     tail = mpf(0)
     b = mpf(M)
     while xm1 * b < 60:
@@ -292,42 +300,24 @@ def mode_scan(system: PlateSystem, pol: str) -> ModeScan:
                     integral_tail=tail, d1=d1, d3=d3, d5=d5)
 
 
-_SCAN_CACHE: dict = {}
-_SCAN_CACHE_MAX = 512
-
-
-def _scan_cached(system: PlateSystem, pol: str) -> ModeScan:
-    key = (system, pol, mp.dps)
-    hit = _SCAN_CACHE.get(key)
-    if hit is None:
-        if len(_SCAN_CACHE) >= _SCAN_CACHE_MAX:
-            _SCAN_CACHE.clear()
-        hit = _SCAN_CACHE[key] = mode_scan(system, pol)
-    return hit
-
-
-def _prefactor(system: PlateSystem):
-    """k_B T / (8 pi a^2), J/m^2 per unit of g."""
-    k = mp_constants()
-    return k.k_B * mpf(system.temperature_T) / (8 * mpmath.pi * mpf(system.separation_a) ** 2)
-
-
 def free_energy(system: PlateSystem) -> FreeEnergyResult:
-    """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m)."""
+    """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m).
+
+    One mode scan per polarization; the scans stay on the result, whose
+    delta_f(pol) gives the thermal correction without scanning again.
+    """
     if system.temperature_T <= 0:
         raise ValueError("free_energy requires T > 0; use zero_temperature_energy")
-    pref = _prefactor(system)
-    per_mode = {}
-    est = mpf(0)
-    m_trunc = 0
-    for pol in system.polarization.modes():
-        scan = _scan_cached(system, pol)
-        per_mode[pol] = pref * scan.sum_total
-        est += pref * abs(scan.d5) / 30240
-        m_trunc = max(m_trunc, scan.M)
-    total = mpmath.fsum(per_mode.values())
-    return FreeEnergyResult(total=total, per_mode=per_mode,
-                            m_truncation=m_trunc, est_error=est)
+    k = mp_constants()
+    a = mpf(system.separation_a)
+    pref = k.k_B * mpf(system.temperature_T) / (8 * mpmath.pi * a * a)
+    scans = {pol: mode_scan(system, pol) for pol in system.polarization.modes()}
+    per_mode = {pol: pref * scan.sum_total for pol, scan in scans.items()}
+    return FreeEnergyResult(
+        total=mpmath.fsum(per_mode.values()), per_mode=per_mode,
+        m_truncation=max(scan.M for scan in scans.values()),
+        est_error=mpmath.fsum(pref * abs(scan.d5) / 30240 for scan in scans.values()),
+        prefactor=pref, scans=scans)
 
 
 def delta_f_direct(system: PlateSystem) -> dict:
@@ -338,40 +328,28 @@ def delta_f_direct(system: PlateSystem) -> dict:
     """
     if system.temperature_T <= 0:
         raise ValueError("delta_f_direct requires T > 0")
-    pref = _prefactor(system)
-    out = {}
-    for pol in system.polarization.modes():
-        scan = _scan_cached(system, pol)
-        dg = scan.delta_gamma
-        guard = scan.cancellation_guard
-        if dg != 0 and guard * mpf(10) ** (3 - mp.dps) > abs(dg) * mpf("1e-3"):
-            raise PrecisionError(
-                f"{pol}: ~{mpmath.nstr(guard / abs(dg), 3)}x cancellation at "
-                f"{mp.dps} digits; raise the working precision")
-        out[pol] = pref * dg
-    return out
+    res = free_energy(system)
+    return {pol: res.delta_f(pol) for pol in res.scans}
 
 
 def zero_temperature_energy(system: PlateSystem):
     """T = 0 limit: the Matsubara sum becomes a frequency integral.
 
     With y = 2 a zeta / c,  F(0) = hbar c / (32 pi^2 a^3) integral_0^inf g(y) dy.
+    The first m-layout panel ends at the conductivity knee y = alpha =
+    2 a (4 pi sigma) / c (at y = 1 without conductivity or above alpha = 1),
+    where the TM reflection coefficient falls from 1 to its dielectric value.
     """
     k = mp_constants()
     a = mpf(system.separation_a)
+    mat = system.material
+    knee = mpf(1)
+    if mat.mode is not PermittivityMode.IDEAL_METAL and mat.four_pi_sigma > 0:
+        knee = min(alpha_param(a, mat.four_pi_sigma), knee)
     total = mpf(0)
-    geo = gauss_legendre(system.quadrature.nm_geo)
     for pol in system.polarization.modes():
         f = lambda y: _g_at_frequency(system, y * k.c / (2 * a), pol)
-        # y = v^2 on [0,1] softens the y^2 ln y / y^{3/2} endpoint behaviour
-        part = gl_panel(lambda v: 2 * v * f(v * v), mpf(0), mpf(1),
-                        gauss_legendre(system.quadrature.nm_unit))
-        b = mpf(1)
-        while b < 60:
-            nb = min(2 * b, mpf(60))
-            part += gl_panel(f, b, nb, geo)
-            b = nb
-        total += part
+        total += _m_integral(f, knee, 60, system.quadrature)
     return k.hbar * k.c / (32 * mpmath.pi ** 2 * a ** 3) * total
 
 
@@ -391,30 +369,8 @@ def _g_at_frequency(system: PlateSystem, zeta_v, pol: str = "tm"):
     else:
         ep = permittivity(mat, zeta_v)
         zfac = xmin * xmin * (ep - 1)
-        if pol == "tm":
-            def f(x):
-                s = mpmath.sqrt(1 + zfac / (x * x))
-                r = (ep - s) / (ep + s)
-                return x * mpmath.log(1 - r * r * mpmath.exp(-x))
-        else:
-            def f(x):
-                s = mpmath.sqrt(1 + zfac / (x * x))
-                r = (1 - s) / (1 + s)
-                return x * mpmath.log(1 - r * r * mpmath.exp(-x))
-    total = mpf(0)
-    if xmin < mpf("0.5"):
-        u0 = mpmath.log(xmin)
-        npan = max(1, int(mp.ceil(-u0 / 2)))
-        du = -u0 / npan
-        g2 = lambda u: (lambda xx: xx * f(xx))(mpmath.exp(u))
-        for i in range(npan):
-            total += gl_panel(g2, u0 + i * du, u0 + (i + 1) * du, nodes)
-        lo = mpf(1)
-    else:
-        lo = xmin
-    b = lo
-    while b < X_CUT:
-        nb = min(b * 2 if b > 2 else b + 2, mpf(X_CUT))
-        total += gl_panel(f, b, nb, nodes)
-        b = nb
-    return total
+
+        def f(x):
+            r = reflection(ep, zfac / (x * x), pol)
+            return x * mpmath.log(1 - r * r * mpmath.exp(-x))
+    return _x_integral(f, xmin, nodes)

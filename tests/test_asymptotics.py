@@ -20,10 +20,9 @@ from casimir_lowt.asymptotics import (SmallMExpansion, ValidityWarning,
                                       te_closed_form_g2, te_g1_expansion,
                                       te_g1_quadrature, te_g2_expansion,
                                       tm_correction_ratio,
-                                      tm_li2_expansion_check,
                                       tm_small_m_expansion)
 from casimir_lowt.constants import alpha_param, mp_constants, reduced_temperature
-from casimir_lowt.dielectric import SI_PAPER
+from casimir_lowt.dielectric import SI_PAPER, a_mu
 from casimir_lowt.lifshitz import PlateSystem, Polarization, g_of_m
 from casimir_lowt.precision import set_precision
 from casimir_lowt.special import phi_constant, polylog, psi_constant, riemann_zeta
@@ -233,6 +232,15 @@ def test_te_closed_form_matches_quadrature(mu):
 def test_te_closed_forms_at_zero():
     assert te_closed_form_g1(0, 11.67) == 0
     assert te_closed_form_g2(0, 11.67, 0.01) == 0
+
+
+def tm_li2_expansion_check(mu, eps_bar):
+    """(Li_2(1 - A_mu), leading expansion 4 mu - 4(eps_bar + 1) mu^2)."""
+    mu = mpf(mu)
+    eb = mpf(eps_bar)
+    exact = polylog(2, 1 - a_mu(eb, mu))
+    series = 4 * mu - 4 * (eb + 1) * mu * mu
+    return exact, series
 
 
 @pytest.mark.parametrize("mu,tol", [("1e-5", 1e-7), ("1e-4", 1e-5)])

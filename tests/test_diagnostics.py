@@ -95,6 +95,13 @@ def test_fit_error_paths():
         fit_expansion(flip)
 
 
+def test_fit_needs_more_records_than_parameters():
+    # the default basis fits D, D1 and four extra powers: six parameters
+    with pytest.raises(FitError, match="6 records for 6 fitted parameters"):
+        fit_expansion(synthetic_records(n=6))
+    fit_expansion(synthetic_records(n=7))
+
+
 # --- slope -------------------------------------------------------------------
 
 def test_r_slope_recovers_linear_coefficient():

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from casimir_lowt.dielectric import (IDEAL_METAL, SI_PAPER, DielectricModel,
-                                     PermittivityMode, a_mu, b_coefficient,
-                                     load_material, one_minus_r_tm_sq, permittivity,
-                                     reflection_coeffs,
+                                     PermittivityMode, a_mu, permittivity, reflection,
                                      reflection_limits_zero_frequency)
 from casimir_lowt.precision import set_precision
 
@@ -47,23 +45,24 @@ def test_model_validation():
         DielectricModel(eps_bar=2.0, omega0=1.0, four_pi_sigma=-1.0)
 
 
+def _z(eps, kappa, zeta):
+    """The reflection argument z = (zeta/kappa)^2 (eps - 1)."""
+    return (mpf(zeta) / mpf(kappa)) ** 2 * (mpf(eps) - 1)
+
+
 def test_reflection_vacuum():
-    rc = reflection_coeffs(1.0, 2.0, 1.0)
-    assert rc.r_te == 0
-    assert rc.r_tm == 0
+    z = _z(1.0, 2.0, 1.0)
+    assert reflection(mpf(1), z, "te") == 0
+    assert reflection(mpf(1), z, "tm") == 0
 
 
 def test_reflection_grazing_limit():
     # kappa = zeta (normal incidence in these variables): r_te = -r_tm
     eps = mpf("4.0")
-    rc = reflection_coeffs(eps, 1.0, 1.0)
-    assert abs(rc.r_te + rc.r_tm) < 1e-30
-    assert abs(rc.r_tm - mpf(1) / 3) < 1e-30  # (2-1)/(2+1) for sqrt(eps)=2
-
-
-def test_reflection_requires_kappa_ge_zeta():
-    with pytest.raises(ValueError):
-        reflection_coeffs(2.0, 0.5, 1.0)
+    z = _z(eps, 1.0, 1.0)
+    r_te, r_tm = reflection(eps, z, "te"), reflection(eps, z, "tm")
+    assert abs(r_te + r_tm) < 1e-30
+    assert abs(r_tm - mpf(1) / 3) < 1e-30  # (2-1)/(2+1) for sqrt(eps)=2
 
 
 @given(st.floats(min_value=1.0, max_value=1e8),
@@ -73,20 +72,9 @@ def test_reflection_requires_kappa_ge_zeta():
 def test_reflection_bounds(eps, kappa, frac):
     # |r| <= 1 with r_te <= 0 <= r_tm everywhere on the imaginary axis
     zeta = kappa * frac
-    rc = reflection_coeffs(eps, kappa, zeta)
-    assert -1 <= rc.r_te <= 0
-    assert 0 <= rc.r_tm <= 1
-
-
-@given(st.floats(min_value=1.0, max_value=1e12),
-       st.floats(min_value=1e-3, max_value=1e3))
-@settings(max_examples=50, deadline=None)
-def test_one_minus_r_tm_sq_consistent(eps, kappa):
-    zeta = kappa / 2
-    rc = reflection_coeffs(eps, kappa, zeta)
-    direct = 1 - rc.r_tm ** 2
-    stable = one_minus_r_tm_sq(eps, kappa, zeta)
-    assert abs(direct - stable) <= 1e-20 * abs(stable)
+    z = _z(eps, kappa, zeta)
+    assert -1 <= reflection(mpf(eps), z, "te") <= 0
+    assert 0 <= reflection(mpf(eps), z, "tm") <= 1
 
 
 def test_zero_frequency_limits():
@@ -112,21 +100,3 @@ def test_a_mu_endpoints():
 def test_a_mu_monotone_decreasing(eps_bar, mu):
     assert a_mu(eps_bar, mu + 0.1) <= a_mu(eps_bar, mu) + mpf("1e-30")
 
-
-def test_b_coefficient_small_and_large_x():
-    # B(0) = 1; B ~ 1/(2x)^4 at large x
-    assert b_coefficient(0) == 1
-    assert abs(b_coefficient(1e6) * (2e6) ** 4 - 1) < 1e-5
-
-
-def test_load_material(tmp_path):
-    p = tmp_path / "mat.txt"
-    p.write_text("# silicon-like\neps_bar = 11.67\nomega0 = 8e15\n"
-                 "sigma_over_eps0 = 1e12\nmodel = full\n")
-    mat = load_material(p)
-    assert mat == SI_PAPER
-    p.write_text("model = ideal\n")
-    assert load_material(p) == IDEAL_METAL
-    p.write_text("nonsense line\n")
-    with pytest.raises(ValueError):
-        load_material(p)

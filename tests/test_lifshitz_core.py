@@ -7,8 +7,7 @@ from mpmath import mp, mpf
 
 from casimir_lowt import (IDEAL_METAL, SI_PAPER, DielectricModel, PlateSystem,
                           Polarization, PrecisionError, QuadratureSpec,
-                          delta_f_direct, free_energy, mode_integral,
-                          zero_temperature_energy)
+                          delta_f_direct, free_energy, zero_temperature_energy)
 from casimir_lowt.lifshitz import (ModeScan, constant_a_integral, g_of_m,
                                    mode_scan)
 from casimir_lowt.precision import set_precision
@@ -66,15 +65,12 @@ def test_m0_tm_dielectric_polylog_dual_route():
 
 def test_mode_summand_negative_and_small_error():
     sys_ = PlateSystem(1e-6, 0.5, SI_PAPER, Polarization.TM)
-    s = mode_integral(sys_, 3)
-    assert s.g_value < 0
-    assert s.quadrature_error < 1e-20 * abs(s.g_value)
-
-
-def test_mode_integral_needs_single_polarization():
-    sys_ = PlateSystem(1e-6, 0.5, SI_PAPER, Polarization.BOTH)
-    with pytest.raises(ValueError):
-        mode_integral(sys_, 1)
+    fine = PlateSystem(1e-6, 0.5, SI_PAPER, Polarization.TM,
+                       quadrature=QuadratureSpec().refined())
+    g = g_of_m(sys_, 3, "tm")
+    g_fine = g_of_m(fine, 3, "tm")
+    assert g_fine < 0
+    assert abs(g_fine - g) < 1e-20 * abs(g_fine)
 
 
 def test_g_decreasing_magnitude_in_m():
@@ -132,6 +128,17 @@ def test_sigma0_has_no_linear_thermal_term():
     assert abs(f - f0) < linear_scale / 100
 
 
+def test_zero_t_energy_matches_scan_at_conductivity_knee():
+    # F(0) = F(T) - dF(T) holds exactly in the continuum; the scan's own
+    # m-integral is accurate to ~1e-18 here, so F(0)'s y-layout must
+    # resolve the conductivity knee at y = alpha = 6.7e-3 just as well
+    sys_ = PlateSystem(1e-6, 0.015, SI_PAPER, Polarization.TM)
+    res = free_energy(sys_)
+    via_scan = res.per_mode["tm"] - res.delta_f("tm")
+    f0 = zero_temperature_energy(sys_)
+    assert abs(f0 / via_scan - 1) < 1e-13
+
+
 def test_static_term_dominates_zero_t_energy():
     # switching sigma on top of eps_bar barely moves F(0): the static
     # dielectric response carries ~99.7% of it
@@ -171,7 +178,7 @@ def test_precision_guard_raises(monkeypatch):
     # fabricate a scan whose difference is ~1e-20 of its parts: at 15 digits
     # nothing trustworthy survives
     starved.sum_part = mpf("-250") + mpf("1e-18")
-    monkeypatch.setattr(lif, "_scan_cached", lambda s, p: starved)
+    monkeypatch.setattr(lif, "mode_scan", lambda s, p: starved)
     mp.dps = 15
     try:
         with pytest.raises(PrecisionError):
