@@ -88,7 +88,7 @@ def _resolve_config(args) -> RunConfig:
         updates["out"] = args.out
     if args.format:
         updates["format"] = args.format
-    if args.precision:
+    if args.precision is not None:
         updates["precision"] = args.precision
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
@@ -277,14 +277,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify-constants":
-            set_precision(args.precision or default_dps())
+            set_precision(args.precision)
             out = Output(args.out, timestamp=not args.no_timestamp)
             code = cmd_verify_constants(out)
             out.close()
             return code
         cfg = _resolve_config(args)
         # precedence: --precision, then CASIMIR_PRECISION, then the config file
-        if args.precision:
+        if args.precision is not None:
             set_precision(args.precision)
         elif os.environ.get("CASIMIR_PRECISION"):
             set_precision(default_dps())

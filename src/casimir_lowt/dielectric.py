@@ -14,8 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub,
+                          round_nearest)
 
 
 class PermittivityMode(enum.Enum):
@@ -66,20 +67,29 @@ def permittivity(model: DielectricModel, zeta):
             + mpf(model.four_pi_sigma) / zeta)
 
 
-def reflection(eps, z, pol: str):
-    """r_TE or r_TM of one halfspace at imaginary frequency.
+def mpf_reflection(eps, z, pol: str, prec: int):
+    """r_TE or r_TM of one halfspace at imaginary frequency, on raw mpf tuples.
 
-    z = (zeta/kappa)^2 (eps - 1) >= 0, so that s/kappa = sqrt(1 + z) with
-    s^2 = kappa^2 + zeta^2 (eps - 1); factoring out kappa keeps the huge eps
-    of the conductivity pole near zeta = 0 from overflowing.  r_TE is taken
-    as -z/(1 + sqrt(1+z))^2, which equals (1 - sqrt(1+z))/(1 + sqrt(1+z))
-    without its cancellation at small z.  r_TE lies in [-1, 0], r_TM in
-    [0, 1] for eps >= 1 and kappa >= zeta.
+    This is the form the kernel calls per node: mpmath.libmp arithmetic at
+    `prec` bits, round-nearest.  z = (zeta/kappa)^2 (eps - 1) >= 0, so that
+    s/kappa = sqrt(1 + z) with s^2 = kappa^2 + zeta^2 (eps - 1); factoring
+    out kappa keeps the huge eps of the conductivity pole near zeta = 0 from
+    overflowing.  r_TE is taken as -z/(1 + sqrt(1+z))^2, which equals
+    (1 - sqrt(1+z))/(1 + sqrt(1+z)) without its cancellation at small z.
+    r_TE lies in [-1, 0], r_TM in [0, 1] for eps >= 1 and kappa >= zeta.
     """
-    s = mpmath.sqrt(1 + z)
+    s = mpf_sqrt(mpf_add(z, fone, prec, round_nearest), prec, round_nearest)
     if pol == "tm":
-        return (eps - s) / (eps + s)
-    return -z / (1 + s) ** 2
+        return mpf_div(mpf_sub(eps, s, prec, round_nearest),
+                       mpf_add(eps, s, prec, round_nearest), prec, round_nearest)
+    s1 = mpf_add(s, fone, prec, round_nearest)
+    return mpf_div(mpf_neg(z, prec, round_nearest),
+                   mpf_mul(s1, s1, prec, round_nearest), prec, round_nearest)
+
+
+def reflection(eps, z, pol: str):
+    """r_TE or r_TM at the working precision: `mpf_reflection` on mpf values."""
+    return mp.make_mpf(mpf_reflection(mpf(eps)._mpf_, mpf(z)._mpf_, pol, mp.prec))
 
 
 def reflection_limits_zero_frequency(model: DielectricModel):

@@ -20,6 +20,13 @@ the sum tail beyond a cutoff M handled by endpoint derivative corrections
 dF come from that one scan.  One x-panel layout serves every g, and one
 m-panel layout serves both the scan's m-integral and the y-integral of F(0).
 
+The x-panel loop behind every g runs on mpmath's raw arithmetic
+(mpmath.libmp on mpf tuples at mp.prec, round-nearest), skipping the
+per-operation wrapper of mpf objects, and takes the nodes, weights and
+e^{-x} of the m-independent panels above x = 1 from a table built once per
+(panel order, precision).  Its operations and their order are those of
+`gl_panel` on mpf values, so every g is bit-identical to that form.
+
 Quadrature is non-adaptive by design: fixed Gauss-Legendre panels whose
 layout is matched to the known shape of the integrands (logarithmic panels
 near the x lower limit, an m = v^2 substitution that turns the m^{3/2} and
@@ -38,13 +45,17 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
+                          mpf_neg, mpf_sub, mpf_sum, round_nearest)
 
 from .constants import alpha_param, mp_constants, reduced_temperature
-from .dielectric import (DielectricModel, PermittivityMode, permittivity, reflection,
+from .dielectric import (DielectricModel, PermittivityMode, mpf_reflection, permittivity,
                          reflection_limits_zero_frequency)
 from .special import polylog
 
-X_CUT = 256  # x ln(1-A e^-x) < 1e-108 beyond; negligible for dps <= ~100
+# x ln(1-A e^-x) < 1e-108 beyond; negligible for dps <= ~100.  The panels
+# [1, 3], [3, 6], ..., [192, X_CUT] are fixed, so their nodes sit in a table.
+X_CUT = 256
 
 
 class PrecisionError(ArithmeticError):
@@ -117,13 +128,14 @@ def gauss_legendre(n: int):
     """Gauss-Legendre nodes/weights on [-1, 1] at the current precision.
 
     numpy's double-precision nodes seed a few Newton steps on the Legendre
-    recurrence; cached per (n, dps).
+    recurrence; cached per (n, prec), since several binary precisions share
+    one decimal one.
     """
-    return _gauss_legendre_cached(n, mp.dps)
+    return _gauss_legendre_cached(n, mp.prec)
 
 
 @lru_cache(maxsize=64)
-def _gauss_legendre_cached(n: int, dps: int):
+def _gauss_legendre_cached(n: int, prec: int):
     xs, _ = np.polynomial.legendre.leggauss(n)
     nodes = []
     for x0 in xs:
@@ -149,31 +161,87 @@ def gl_panel(f, a, b, nodes):
     return h * mpmath.fsum(w * f(mid + h * x) for x, w in nodes)
 
 
-def _x_integral(f, xmin, nodes):
-    """integral_{xmin}^{X_CUT} dx f(x) on the kernel's fixed panel layout.
-
-    Below x = 1 (when xmin < 0.5) the panels are uniform in u = ln x, which
-    resolves the scale xmin of the reflection coefficient and the x ln x
-    slope singularity of the ideal metal alike.  Above, a panel starting at
-    b <= 2 has width 2 and later panels double, up to X_CUT.
+def _x_panels(lo, nodes, prec: int):
+    """The x-panels from lo to X_CUT: a panel starting at b <= 2 has width 2,
+    later panels double.  Yields per panel its half-width h and the
+    (x, w, e^-x) of each node, as raw mpf tuples at prec bits.
     """
-    total = mpf(0)
+    b = mpf(lo)
+    while b < X_CUT:
+        nb = min(b * 2 if b > 2 else b + 2, mpf(X_CUT))
+        h, mid = ((nb - b) / 2)._mpf_, ((nb + b) / 2)._mpf_
+        pts = []
+        for t, w in nodes:
+            x = mpf_add(mid, mpf_mul(h, t, prec, round_nearest), prec, round_nearest)
+            pts.append((x, w, mpf_exp(mpf_neg(x), prec, round_nearest)))
+        yield h, tuple(pts)
+        b = nb
+
+
+@lru_cache(maxsize=16)
+def _x_panel_table(nx: int, prec: int):
+    """(raw Gauss-Legendre nodes, the fixed x-panels from 1 to X_CUT) for
+    one panel order at one precision; quadrature constants only.  Built
+    under mp.prec == prec."""
+    nodes = tuple((t._mpf_, w._mpf_) for t, w in gauss_legendre(nx))
+    return nodes, tuple(_x_panels(1, nodes, prec))
+
+
+def _x_integral(f, xmin, nx: int):
+    """integral_{xmin}^{X_CUT} dx f on the kernel's fixed panel layout.
+
+    f maps the raw mpf tuples (x, e^-x) to the raw integrand; the result is
+    a raw mpf tuple.  Below x = 1 (when xmin < 0.5) the panels are uniform in
+    u = ln x, which resolves the scale xmin of the reflection coefficient
+    and the x ln x slope singularity of the ideal metal alike.  Above, a
+    panel starting at b <= 2 has width 2 and later panels double, up to
+    X_CUT (`_x_panels`); from x = 1 on these come from `_x_panel_table`.
+
+    The arithmetic is mpmath.libmp at mp.prec, round-nearest, with
+    gl_panel's operations in gl_panel's order: each panel is h times the
+    mpf_sum (what mpmath.fsum calls) of w f, added to the total in turn.
+    """
+    prec = mp.prec
+    nodes, fixed = _x_panel_table(nx, prec)
+    total = fzero
     if xmin < mpf("0.5"):
         u0 = mpmath.log(xmin)
         npan = max(1, int(mp.ceil(-u0 / 2)))
         du = -u0 / npan
-        g2 = lambda u: (lambda xx: xx * f(xx))(mpmath.exp(u))
         for i in range(npan):
-            total += gl_panel(g2, u0 + i * du, u0 + (i + 1) * du, nodes)
-        lo = mpf(1)
+            a, b = u0 + i * du, u0 + (i + 1) * du
+            h, mid = ((b - a) / 2)._mpf_, ((b + a) / 2)._mpf_
+            terms = []
+            for t, w in nodes:
+                x = mpf_exp(mpf_add(mid, mpf_mul(h, t, prec, round_nearest),
+                                    prec, round_nearest), prec, round_nearest)
+                fx = f(x, mpf_exp(mpf_neg(x), prec, round_nearest))
+                terms.append(mpf_mul(w, mpf_mul(x, fx, prec, round_nearest),
+                                     prec, round_nearest))
+            total = mpf_add(total, mpf_mul(h, mpf_sum(terms, prec, round_nearest),
+                                           prec, round_nearest), prec, round_nearest)
+        panels = fixed
     else:
-        lo = xmin
-    b = lo
-    while b < X_CUT:
-        nb = min(b * 2 if b > 2 else b + 2, mpf(X_CUT))
-        total += gl_panel(f, b, nb, nodes)
-        b = nb
+        panels = _x_panels(xmin, nodes, prec)
+    for h, pts in panels:
+        terms = [mpf_mul(w, f(x, ex), prec, round_nearest) for x, w, ex in pts]
+        total = mpf_add(total, mpf_mul(h, mpf_sum(terms, prec, round_nearest),
+                                       prec, round_nearest), prec, round_nearest)
     return total
+
+
+def _ideal_metal_integrand(x, prec: int):
+    """x ln(1 - e^-x) on a raw x; libmp has no expm1, so this keeps mpmath's."""
+    em1 = mpmath.expm1(mp.make_mpf(mpf_neg(x)))._mpf_
+    return mpf_mul(x, mpf_log(mpf_neg(em1), prec, round_nearest), prec, round_nearest)
+
+
+@lru_cache(maxsize=16)
+def _ideal_metal_fixed(nx: int, prec: int):
+    """{x: ideal-metal integrand} at the nodes of `_x_panel_table`, where it
+    does not depend on m.  Built under mp.prec == prec."""
+    _, fixed = _x_panel_table(nx, prec)
+    return {x: _ideal_metal_integrand(x, prec) for _, pts in fixed for x, _, _ in pts}
 
 
 def constant_a_integral(a_sq):
@@ -186,8 +254,12 @@ def constant_a_integral(a_sq):
     a_sq = mpf(a_sq)
     if not 0 <= a_sq <= 1:
         raise ValueError("a_sq must lie in [0, 1]")
-    f = lambda x: x * mpmath.log(1 - a_sq * mpmath.exp(-x))
-    return _x_integral(f, mpmath.exp(mpf(-40)), gauss_legendre(QuadratureSpec().nx))
+    a, prec = a_sq._mpf_, mp.prec
+
+    def f(x, ex):
+        one_minus = mpf_sub(fone, mpf_mul(a, ex, prec, round_nearest), prec, round_nearest)
+        return mpf_mul(x, mpf_log(one_minus, prec, round_nearest), prec, round_nearest)
+    return mp.make_mpf(_x_integral(f, mpmath.exp(mpf(-40)), QuadratureSpec().nx))
 
 
 def _g_zero(system: PlateSystem, pol: str):
@@ -362,15 +434,23 @@ def _g_at_frequency(system: PlateSystem, zeta_v, pol: str = "tm"):
         return mpf(0)
     if xmin <= 0:
         raise ValueError("zeta must be positive")
-    nodes = gauss_legendre(system.quadrature.nx)
+    prec = mp.prec
     mat = system.material
     if mat.mode is PermittivityMode.IDEAL_METAL:
-        f = lambda x: x * mpmath.log(-mpmath.expm1(-x))
+        known = _ideal_metal_fixed(system.quadrature.nx, prec)
+
+        def f(x, ex):
+            v = known.get(x)
+            return _ideal_metal_integrand(x, prec) if v is None else v
     else:
         ep = permittivity(mat, zeta_v)
-        zfac = xmin * xmin * (ep - 1)
+        zfac = (xmin * xmin * (ep - 1))._mpf_
+        ep = ep._mpf_
 
-        def f(x):
-            r = reflection(ep, zfac / (x * x), pol)
-            return x * mpmath.log(1 - r * r * mpmath.exp(-x))
-    return _x_integral(f, xmin, nodes)
+        def f(x, ex):
+            z = mpf_div(zfac, mpf_mul(x, x, prec, round_nearest), prec, round_nearest)
+            r = mpf_reflection(ep, z, pol, prec)
+            r2e = mpf_mul(mpf_mul(r, r, prec, round_nearest), ex, prec, round_nearest)
+            return mpf_mul(x, mpf_log(mpf_sub(fone, r2e, prec, round_nearest),
+                                      prec, round_nearest), prec, round_nearest)
+    return mp.make_mpf(_x_integral(f, xmin, system.quadrature.nx))

@@ -177,6 +177,15 @@ def test_asymptotics_sigma_zero_is_config_error(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["asymptotics", "verify-constants"])
+def test_precision_zero_rejected(command, capsys):
+    argv = [command, "--precision", "0"]
+    if command != "verify-constants":
+        argv += ["--preset", "si-paper"]
+    assert main(argv) == EXIT_CONFIG
+    assert "working precision must be >= 15 digits" in capsys.readouterr().err
+
+
 def test_anomaly_rejects_ideal_metal(capsys):
     assert main(["anomaly", "--preset", "ideal-metal-check"]) == EXIT_CONFIG
 

@@ -1,15 +1,20 @@
 """Core free-energy numerics: mode integrals, Matsubara summation, the
 sum-minus-integral correction, and their limiting cases."""
 
+from functools import lru_cache
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from casimir_lowt import (IDEAL_METAL, SI_PAPER, DielectricModel, PlateSystem,
-                          Polarization, PrecisionError, QuadratureSpec,
+from casimir_lowt import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
+                          PlateSystem, Polarization, PrecisionError, QuadratureSpec,
                           delta_f_direct, free_energy, zero_temperature_energy)
-from casimir_lowt.lifshitz import (ModeScan, constant_a_integral, g_of_m,
-                                   mode_scan)
+from casimir_lowt import lifshitz
+from casimir_lowt.constants import mp_constants
+from casimir_lowt.dielectric import PermittivityMode, permittivity
+from casimir_lowt.lifshitz import (X_CUT, ModeScan, constant_a_integral, g_of_m,
+                                   gl_panel, mode_scan)
 from casimir_lowt.precision import set_precision
 from casimir_lowt.special import polylog, riemann_zeta
 
@@ -196,3 +201,121 @@ def test_shared_kernel_consistency():
     f = free_energy(sys_).per_mode["tm"]
     pref = f / scan.sum_total
     assert abs(df - pref * scan.delta_gamma) < 1e-25 * abs(df)
+
+
+# --- bit-identity of the raw x-panel loop -------------------------------------
+#
+# lifshitz._x_integral runs on mpmath.libmp tuples over a per-precision node
+# table.  The reference below is the same layout and integrand written with
+# mpf objects and gl_panel; the kernel must reproduce it bit for bit.
+
+# uncached Gauss-Legendre nodes behind their own cache, so that a kernel table
+# kept at the wrong precision cannot hide behind a shared one
+_reference_nodes = lru_cache(lifshitz._gauss_legendre_cached.__wrapped__)
+
+
+def _reference_x_integral(f, xmin, nodes):
+    total = mpf(0)
+    if xmin < mpf("0.5"):
+        u0 = mpmath.log(xmin)
+        npan = max(1, int(mp.ceil(-u0 / 2)))
+        du = -u0 / npan
+        g2 = lambda u: (lambda xx: xx * f(xx))(mpmath.exp(u))
+        for i in range(npan):
+            total += gl_panel(g2, u0 + i * du, u0 + (i + 1) * du, nodes)
+        lo = mpf(1)
+    else:
+        lo = xmin
+    b = lo
+    while b < X_CUT:
+        nb = min(b * 2 if b > 2 else b + 2, mpf(X_CUT))
+        total += gl_panel(f, b, nb, nodes)
+        b = nb
+    return total
+
+
+def _reference_g_at_frequency(system, zeta, pol):
+    k = mp_constants()
+    xmin = 2 * mpf(system.separation_a) * mpf(zeta) / k.c
+    if xmin >= X_CUT:
+        return mpf(0)
+    mat = system.material
+    if mat.mode is PermittivityMode.IDEAL_METAL:
+        f = lambda x: x * mpmath.log(-mpmath.expm1(-x))
+    else:
+        ep = permittivity(mat, zeta)
+        zfac = xmin * xmin * (ep - 1)
+
+        def f(x):
+            z = zfac / (x * x)
+            s = mpmath.sqrt(1 + z)
+            r = (ep - s) / (ep + s) if pol == "tm" else -z / (1 + s) ** 2
+            return x * mpmath.log(1 - r * r * mpmath.exp(-x))
+    return _reference_x_integral(f, xmin, _reference_nodes(system.quadrature.nx, mp.prec))
+
+
+def _reference_g(system, m, pol):
+    k = mp_constants()
+    zeta = 2 * mpmath.pi * mpf(m) * k.k_B * mpf(system.temperature_T) / k.hbar
+    return _reference_g_at_frequency(system, zeta, pol)
+
+
+def _xmin_per_m(system):
+    k = mp_constants()
+    return (4 * mpmath.pi * mpf(system.separation_a) * k.k_B
+            * mpf(system.temperature_T) / (k.hbar * k.c))
+
+
+@pytest.mark.parametrize("pol", ["tm", "te"])
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1, IDEAL_METAL],
+                         ids=["si-paper", "si-fig2", "ideal-metal-check"])
+def test_g_bit_identical_to_reference(material, pol):
+    # integer m on the log-panel branch (x_min ~ 8e-5 m at 15 mK), then
+    # non-integer m with x_min from 0.6 to past X_CUT on the other branch
+    sys_ = PlateSystem(1e-6, 0.015, material)
+    xm1 = _xmin_per_m(sys_)
+    ms = list(range(1, 41)) + [c / xm1 for c in (0.6, 1.93, 2.5, 3.37, 47.1, 200.5, 300)]
+    for m in ms:
+        assert g_of_m(sys_, m, pol) == _reference_g(sys_, m, pol), m
+
+
+def test_zero_temperature_g_bit_identical_to_reference(monkeypatch):
+    sys_ = PlateSystem(1e-6, 0.0, SI_PAPER)
+    calls = []
+    kernel = lifshitz._g_at_frequency
+
+    def spy(system, zeta, pol="tm"):
+        g = kernel(system, zeta, pol)
+        calls.append((zeta, pol, g))
+        return g
+    monkeypatch.setattr(lifshitz, "_g_at_frequency", spy)
+    zero_temperature_energy(sys_)
+    assert len(calls) == 768
+    for zeta, pol, g in calls[::6]:
+        assert g == _reference_g_at_frequency(sys_, zeta, pol), (zeta, pol)
+
+
+@pytest.mark.parametrize("a_sq", ["0.5", "1"])
+def test_constant_a_integral_bit_identical_to_reference(a_sq):
+    a = mpf(a_sq)
+    f = lambda x: x * mpmath.log(1 - a * mpmath.exp(-x))
+    ref = _reference_x_integral(f, mpmath.exp(mpf(-40)),
+                                _reference_nodes(QuadratureSpec().nx, mp.prec))
+    assert constant_a_integral(a) == ref
+
+
+def test_precision_change_rebuilds_node_tables():
+    # prec 112 and 113 both read as 33 digits: a table keyed on digits, or on
+    # the panel order alone, would serve nodes of another precision
+    si = PlateSystem(1e-6, 0.015, SI_PAPER)
+    ideal = PlateSystem(1e-6, 0.015, IDEAL_METAL)
+    xm1 = _xmin_per_m(si)
+    try:
+        for attr, value in (("dps", 33), ("dps", 50), ("dps", 20), ("dps", 33),
+                            ("prec", 112)):
+            setattr(mp, attr, value)
+            for sys_, m, pol in ((si, 3, "tm"), (si, 3, "te"), (ideal, 3, "tm"),
+                                 (si, mpf("1.7") / xm1, "tm")):
+                assert g_of_m(sys_, m, pol) == _reference_g(sys_, m, pol), (attr, value)
+    finally:
+        set_precision(33)
