@@ -2,11 +2,11 @@
 
 Subcommands:
     energy            free energy at each configured temperature
-    sweep             full sweep records (free energy + corrections)
+    sweep             sweep records (F, dF, R) on stdout, fit summary on stderr
+    rdiag             the same sweep; --assert gates TM R(T_min) and dR/dT
     asymptotics       closed-form correction terms and values
     verify-constants  cross-check the endpoint-series constants three ways
     anomaly           sigma = 0 linear term and residual entropy
-    rdiag             R diagnostic curve; --assert enforces thresholds
 
 Exit codes: 0 success, 1 assertion/tolerance failure, 2 usage or config
 error, 3 numerical failure.  Output is reproducible: identical config ->
@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import datetime
 import json
-import os
 import sys
 
 import mpmath
@@ -32,7 +31,7 @@ from .constants import alpha_param
 from .dielectric import PermittivityMode
 from .lifshitz import (PlateSystem, Polarization, PrecisionError, free_energy,
                        zero_temperature_energy)
-from .precision import default_dps, set_precision
+from .precision import set_precision
 from .special import (half_power_series_terms, levin_u_sum, log_power_series_terms,
                       phi_constant, psi_constant, psi_from_borel)
 
@@ -116,15 +115,6 @@ def cmd_energy(cfg: RunConfig, out: Output) -> int:
         for r in rows:
             out.emit(",".join([fmt(r["T_K"])] + [fmt(r[f"F_{p}"]) for p in pols]
                               + [fmt(r["F_total"]), str(r["m_truncation"])]))
-    return EXIT_OK
-
-
-def cmd_sweep(cfg: RunConfig, out: Output) -> int:
-    records = []
-    for pol in Polarization(cfg.polarization).modes():
-        template = _system(cfg, 1.0)
-        records.extend(diagnostics.r_curve(template, cfg.grid(), pol))
-    _emit_records(records, cfg, out)
     return EXIT_OK
 
 
@@ -219,7 +209,10 @@ def cmd_anomaly(cfg: RunConfig, out: Output) -> int:
     return EXIT_OK
 
 
-def cmd_rdiag(cfg: RunConfig, out: Output, check: bool) -> int:
+def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
+    """`sweep` and `rdiag`: the records on stdout and a summary per
+    polarization on stderr; with check (`rdiag --assert`), exit 1 unless
+    the TM |R(T_min)| < 0.05 and |dR/dT| < 0.5 /K."""
     records = []
     failures = []
     for pol in Polarization(cfg.polarization).modes():
@@ -230,12 +223,13 @@ def cmd_rdiag(cfg: RunConfig, out: Output, check: bool) -> int:
                 print("warning: TE R-diagnostic unfeasible at small alpha "
                       "(correction terms nearly degenerate); data emitted anyway",
                       file=sys.stderr)
-        template = _system(cfg, 1.0)
-        curve = diagnostics.r_curve(template, cfg.grid(), pol)
+        curve = diagnostics.r_curve(_system(cfg, 1.0), cfg.grid(), pol)
         records.extend(curve)
+        slope = _summary(cfg, curve, pol)
         if check and pol == "tm":
+            if slope is None:
+                raise ValueError("--assert needs dR/dT at T_min, which this grid does not give")
             r0 = curve[0].R
-            slope = diagnostics.r_slope(curve)
             if abs(r0) >= mpf("0.05"):
                 failures.append(f"tm: |R({fmt(curve[0].T)})| = {mpmath.nstr(abs(r0), 4)} >= 0.05")
             if abs(slope) >= mpf("0.5"):
@@ -246,6 +240,54 @@ def cmd_rdiag(cfg: RunConfig, out: Output, check: bool) -> int:
             print(f"assertion failed: {f}", file=sys.stderr)
         return EXIT_ASSERT
     return EXIT_OK
+
+
+def _summary(cfg: RunConfig, curve, pol: str):
+    """Write one polarization's summary of its sweep records to stderr: for
+    TM R(T_min), dR/dT and the fitted D, D1, D2; for TE the residual vs T^3
+    comparison and the fitted C2; each against the closed form.  A grid too
+    short for the slope or the fit ends it with one `skipped:` line.
+
+    Returns the TM dR/dT at T_min, or None when it was not computed.
+    """
+    system = _system(cfg, 0.0)
+    th = diagnostics.theory_correction(system, pol)
+    slope = None
+    try:
+        if pol == "tm":
+            slope = diagnostics.r_slope(curve)
+            _note(f"tm: R({_short(curve[0].T)} K) = {_short(curve[0].R)}, "
+                  f"dR/dT = {_short(slope)} /K")
+            fit = diagnostics.fit_expansion(curve)
+            d = -th.coefficient(2)
+            _note(f"tm fit: {_vs_theory('D', fit.D, d)}")
+            _note(f"tm fit: {_vs_theory('D1', fit.D1, th.coefficient(3) / d)}")
+            _note(f"tm fit: D2 = {_short(fit.D2)}")
+        else:
+            rows = diagnostics.te_cube_comparison(system, curve)
+            ratios = [row["ratio"] for row in rows]
+            _note(f"te: residual/|C3 T^3| has the sign of C3 at "
+                  f"{sum(row['same_sign'] for row in rows)}/{len(rows)} points, "
+                  f"ratio in [{_short(min(ratios))}, {_short(max(ratios))}]")
+            fit = diagnostics.fit_expansion(curve, diagnostics.TE_FIT_POWERS)
+            _note(f"te fit: {_vs_theory('C2', fit.D, th.coefficient(2))}")
+    except (diagnostics.FitError, ValueError) as exc:
+        _note(f"{pol}: skipped: {exc}")
+    return slope
+
+
+def _short(x) -> str:
+    """6 significant digits, for the stderr summary."""
+    return mpmath.nstr(mpf(x), 6)
+
+
+def _vs_theory(name: str, fitted, theory) -> str:
+    rel = "" if theory == 0 else f", rel {_short(mpf(fitted) / theory - 1)}"
+    return f"{name} = {_short(fitted)} (theory {_short(theory)}{rel})"
+
+
+def _note(line: str) -> None:
+    print(f"# {line}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,25 +324,17 @@ def main(argv=None) -> int:
             code = cmd_verify_constants(out)
             out.close()
             return code
-        cfg = _resolve_config(args)
-        # precedence: --precision, then CASIMIR_PRECISION, then the config file
-        if args.precision is not None:
-            set_precision(args.precision)
-        elif os.environ.get("CASIMIR_PRECISION"):
-            set_precision(default_dps())
-        else:
-            set_precision(cfg.precision)
+        cfg = _resolve_config(args)    # --precision overrides the config's precision
+        set_precision(cfg.precision)
         out = Output(args.out or cfg.out, timestamp=not args.no_timestamp)
         if args.command == "energy":
             code = cmd_energy(cfg, out)
-        elif args.command == "sweep":
-            code = cmd_sweep(cfg, out)
+        elif args.command in ("sweep", "rdiag"):
+            code = cmd_sweep(cfg, out, check=getattr(args, "check", False))
         elif args.command == "asymptotics":
             code = cmd_asymptotics(cfg, out)
         elif args.command == "anomaly":
             code = cmd_anomaly(cfg, out)
-        elif args.command == "rdiag":
-            code = cmd_rdiag(cfg, out, check=getattr(args, "check", False))
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command!r}")
         out.close()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel, PermittivityMode
@@ -42,11 +43,16 @@ class RunConfig:
         from .diagnostics import log_grid
         if self.temperatures:
             ts = sorted(float(T) for T in self.temperatures)
+            if not all(math.isfinite(T) for T in ts):
+                raise ConfigError(f"temperatures must be finite, got {ts}")
             if any(T <= 0 for T in ts):
                 raise ConfigError("temperatures must be positive")
             return ts
         if self.t_min is None or self.t_max is None:
             raise ConfigError("config needs either temperatures or t_min/t_max")
+        for name in ("t_min", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         return log_grid(self.t_min, self.t_max, self.points_per_decade)
 
 
@@ -96,8 +102,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"polarization must be tm/te/both, got {cfg.polarization!r}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.separation_um <= 0:
-        raise ConfigError("separation must be positive")
+    if not math.isfinite(cfg.separation_um) or cfg.separation_um <= 0:
+        raise ConfigError(f"separation_um must be positive and finite, got {cfg.separation_um}")
     if cfg.precision < 15:
         raise ConfigError("precision must be >= 15 digits")
     return cfg

@@ -23,7 +23,8 @@ from scipy.optimize import curve_fit
 
 from . import asymptotics
 from .dielectric import PermittivityMode
-from .lifshitz import PlateSystem, Polarization, delta_f_direct, free_energy, zero_temperature_energy
+# delta_f_direct is imported for the benchmark's span wrappers (bench/spans.py)
+from .lifshitz import PlateSystem, Polarization, delta_f_direct, free_energy, zero_temperature_energy  # noqa: F401
 
 
 class FitError(RuntimeError):
@@ -163,8 +164,9 @@ def r_slope(records, index: int = 0):
     return (r[1] * h2 * h2 - r[2] * h1 * h1 - r[0] * (h2 * h2 - h1 * h1)) / (h1 * h2 * (h2 - h1))
 
 
-def te_cube_comparison(template: PlateSystem, t_grid) -> list:
-    """(dF_num - C2 T^2 residual) vs the magnitude of the T^3 TE term.
+def te_cube_comparison(template: PlateSystem, records) -> list:
+    """(dF_num - C2 T^2 residual) vs the magnitude of the T^3 TE term, read
+    from the TE SweepRecords of `r_curve` (no scan is repeated).
 
     The residual mixes the T^{5/2} and T^3 corrections; the comparison is
     an order-of-magnitude statement, not a digit-level one.
@@ -175,11 +177,9 @@ def te_cube_comparison(template: PlateSystem, t_grid) -> list:
     c2 = th.coefficient(2)
     c3 = th.coefficient(3)
     rows = []
-    for T in t_grid:
-        T = mpf(T)
-        system = replace(template, temperature_T=float(T), polarization=Polarization.TE)
-        df_num = delta_f_direct(system)["te"]
-        residual = df_num - c2 * T * T
+    for rec in records:
+        T = mpf(rec.T)
+        residual = rec.dF_num - c2 * T * T
         t3 = abs(c3) * T ** 3
         rows.append({"T": T, "residual": residual, "t3_term": t3,
                      "ratio": None if t3 == 0 else abs(residual) / t3,

@@ -12,6 +12,7 @@ analytically, never by evaluating eps there.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -33,6 +34,9 @@ class DielectricModel:
     mode: PermittivityMode = PermittivityMode.FULL_OSCILLATOR
 
     def __post_init__(self) -> None:
+        for name in ("eps_bar", "omega0", "four_pi_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mode is PermittivityMode.IDEAL_METAL:
             return
         if self.eps_bar < 1:

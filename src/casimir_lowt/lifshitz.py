@@ -25,7 +25,10 @@ The x-panel loop behind every g runs on mpmath's raw arithmetic
 per-operation wrapper of mpf objects, and takes the nodes, weights and
 e^{-x} of the m-independent panels above x = 1 from a table built once per
 (panel order, precision).  Its operations and their order are those of
-`gl_panel` on mpf values, so every g is bit-identical to that form.
+`gl_panel` on mpf values, so every g is bit-identical to that form.  The
+panels stop at the precision horizon x = (prec + 1) ln 2 (79.0 at 33
+digits), past which 1 - r^2 e^{-x} rounds to 1 and every integrand value
+is exactly 0, so no cut-off error is made there.
 
 Quadrature is non-adaptive by design: fixed Gauss-Legendre panels whose
 layout is matched to the known shape of the integrands (logarithmic panels
@@ -39,6 +42,7 @@ while being orders of magnitude faster.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,9 +57,11 @@ from .dielectric import (DielectricModel, PermittivityMode, mpf_reflection, perm
                          reflection_limits_zero_frequency)
 from .special import polylog
 
-# x ln(1-A e^-x) < 1e-108 beyond; negligible for dps <= ~100.  The panels
-# [1, 3], [3, 6], ..., [192, X_CUT] are fixed, so their nodes sit in a table.
-X_CUT = 256
+
+def _x_horizon(prec: int) -> float:
+    """(prec + 1) ln 2: beyond it r^2 e^-x < 2^-(prec+1) for |r| <= 1, so
+    1 - r^2 e^-x rounds to 1 at prec bits and every integrand is exactly 0."""
+    return (prec + 1) * math.log(2)
 
 
 class PrecisionError(ArithmeticError):
@@ -92,6 +98,9 @@ class PlateSystem:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self) -> None:
+        for name in ("separation_a", "temperature_T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.separation_a <= 0:
             raise ValueError("separation must be positive")
         if self.temperature_T < 0:
@@ -162,13 +171,15 @@ def gl_panel(f, a, b, nodes):
 
 
 def _x_panels(lo, nodes, prec: int):
-    """The x-panels from lo to X_CUT: a panel starting at b <= 2 has width 2,
-    later panels double.  Yields per panel its half-width h and the
+    """The x-panels from lo on: a panel starting at b <= 2 has width 2,
+    later panels double (none is clipped), and no panel starts beyond
+    `_x_horizon(prec)`.  Yields per panel its half-width h and the
     (x, w, e^-x) of each node, as raw mpf tuples at prec bits.
     """
     b = mpf(lo)
-    while b < X_CUT:
-        nb = min(b * 2 if b > 2 else b + 2, mpf(X_CUT))
+    horizon = _x_horizon(prec)
+    while b <= horizon:
+        nb = b * 2 if b > 2 else b + 2
         h, mid = ((nb - b) / 2)._mpf_, ((nb + b) / 2)._mpf_
         pts = []
         for t, w in nodes:
@@ -180,22 +191,23 @@ def _x_panels(lo, nodes, prec: int):
 
 @lru_cache(maxsize=16)
 def _x_panel_table(nx: int, prec: int):
-    """(raw Gauss-Legendre nodes, the fixed x-panels from 1 to X_CUT) for
-    one panel order at one precision; quadrature constants only.  Built
+    """(raw Gauss-Legendre nodes, the fixed x-panels from 1 to the horizon)
+    for one panel order at one precision; quadrature constants only.  Built
     under mp.prec == prec."""
     nodes = tuple((t._mpf_, w._mpf_) for t, w in gauss_legendre(nx))
     return nodes, tuple(_x_panels(1, nodes, prec))
 
 
 def _x_integral(f, xmin, nx: int):
-    """integral_{xmin}^{X_CUT} dx f on the kernel's fixed panel layout.
+    """integral_{xmin}^{inf} dx f on the kernel's fixed panel layout.
 
     f maps the raw mpf tuples (x, e^-x) to the raw integrand; the result is
     a raw mpf tuple.  Below x = 1 (when xmin < 0.5) the panels are uniform in
     u = ln x, which resolves the scale xmin of the reflection coefficient
     and the x ln x slope singularity of the ideal metal alike.  Above, a
-    panel starting at b <= 2 has width 2 and later panels double, up to
-    X_CUT (`_x_panels`); from x = 1 on these come from `_x_panel_table`.
+    panel starting at b <= 2 has width 2 and later panels double, up to the
+    precision horizon (`_x_panels`), past which f is exactly 0; from x = 1
+    on these come from `_x_panel_table`.
 
     The arithmetic is mpmath.libmp at mp.prec, round-nearest, with
     gl_panel's operations in gl_panel's order: each panel is h times the
@@ -430,7 +442,7 @@ def _g_at_frequency(system: PlateSystem, zeta_v, pol: str = "tm"):
     k = mp_constants()
     a = mpf(system.separation_a)
     xmin = 2 * a * mpf(zeta_v) / k.c
-    if xmin >= X_CUT:
+    if xmin > _x_horizon(mp.prec):
         return mpf(0)
     if xmin <= 0:
         raise ValueError("zeta must be positive")

@@ -152,7 +152,7 @@ def test_criterion_5_te_quadratic_and_cubic(te_records):
     fit = fit_expansion(te_records, extra_powers=TE_FIT_POWERS)
     rc2 = abs(fit.D / c2_th - 1)
     template = PlateSystem(A_M, 1.0, SI_PAPER, Polarization.TE)
-    rows = te_cube_comparison(template, [float(r.T) for r in te_records])
+    rows = te_cube_comparison(template, te_records)
     signs_ok = all(row["same_sign"] for row in rows)
     ratios = [row["ratio"] for row in rows]
     ratios_ok = all(mpf("0.2") <= r <= 5 for r in ratios)

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import pytest
 
 from casimir_lowt.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, fmt, main)
@@ -124,6 +125,38 @@ def test_rdiag_assert_fails_on_steep_slope(tmp_path, capsys):
     assert "assertion failed" in captured.err
 
 
+def test_sweep_and_rdiag_write_the_same_records(tm_config, capsys):
+    assert main(["sweep", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
+    sweep = capsys.readouterr()
+    assert main(["rdiag", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
+    rdiag = capsys.readouterr()
+    assert sweep.out.encode() == rdiag.out.encode()
+
+
+def test_sweep_summary_skipped_on_short_grid(tm_config, capsys):
+    # two points: too few for dR/dT (3) and for the fit (6)
+    assert main(["sweep", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
+    summary = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("# ")]
+    assert summary == ["# tm: skipped: need at least 3 records"]
+
+
+def test_sweep_prints_tm_fit_summary(tmp_path, capsys):
+    # 7 points on 0.1-1 K: one more record than the default basis has parameters
+    p = tmp_path / "fit.ini"
+    p.write_text(CHEAP_TM.replace("temperatures = 0.5 0.7",
+                                  "t_min = 0.1\nt_max = 1.0\npoints_per_decade = 6"))
+    code = main(["sweep", "--config", str(p), "--precision", "20", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert len(captured.out.splitlines()) == 8
+    summary = [line for line in captured.err.splitlines() if line.startswith("# ")]
+    assert [line.split(" = ")[0] for line in summary] == [
+        "# tm: R(0.1 K)", "# tm fit: D", "# tm fit: D1", "# tm fit: D2"]
+    assert "dR/dT = " in summary[0]
+    assert all("(theory " in line for line in summary[1:3])
+
+
 def test_output_file_and_reproducibility(tm_config, tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "--config", tm_config, "--no-timestamp",
@@ -186,6 +219,30 @@ def test_precision_zero_rejected(command, capsys):
     assert "working precision must be >= 15 digits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, value", [("temperatures = 0.5 0.7", "inf"),
+                                         ("temperatures = 0.5 0.7", "nan"),
+                                         ("separation_um = 1.0", "nan")])
+def test_non_finite_input_is_config_error(tmp_path, capsys, line, value):
+    p = tmp_path / "nf.ini"
+    p.write_text(CHEAP_TM.replace(line, line.split("=")[0] + "= " + value))
+    assert main(["energy", "--config", str(p), "--no-timestamp"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err and "finite" in captured.err
+
+
+def test_precision_comes_from_config_not_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("CASIMIR_PRECISION", "20")
+    assert set_precision() == 33
+    p = tmp_path / "p.ini"
+    p.write_text(CHEAP_TM + "precision = 25\n")
+    try:
+        assert main(["asymptotics", "--config", str(p), "--no-timestamp"]) == EXIT_OK
+        assert mpmath.mp.dps == 25
+    finally:
+        set_precision(33)
+
+
 def test_anomaly_rejects_ideal_metal(capsys):
     assert main(["anomaly", "--preset", "ideal-metal-check"]) == EXIT_CONFIG
 
@@ -207,6 +264,17 @@ def test_parse_validation():
         parse_config("[run]\nformat = yaml\n")
     with pytest.raises(ConfigError):
         parse_config("not an ini file at all [")
+
+
+@pytest.mark.parametrize("field, value", [("temperatures", (0.5, float("nan"))),
+                                          ("temperatures", (float("inf"),)),
+                                          ("t_min", float("nan")),
+                                          ("t_max", float("inf"))])
+def test_grid_rejects_non_finite(field, value):
+    fields = {"t_min": 0.1, "t_max": 1.0, field: value}
+    cfg = RunConfig(material=PRESETS["si-paper"].material, **fields)
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        cfg.grid()
 
 
 def test_grid_requires_range_or_list():

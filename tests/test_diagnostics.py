@@ -5,6 +5,7 @@ import pytest
 from mpmath import mpf
 
 from casimir_lowt import diagnostics
+from casimir_lowt.asymptotics import delta_f_te
 from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion,
                                       log_grid, r_curve, r_slope,
                                       te_cube_comparison)
@@ -168,12 +169,23 @@ def test_theory_correction_rejects_ideal_metal():
 
 
 def test_te_cube_comparison_rows():
+    # hand-made records: dF_num = 0, C2 T^2 and 2 C2 T^2 leave the residuals
+    # -C2 T^2, 0 and C2 T^2 exactly; C2 > 0 > C3 on si-paper
+    th = delta_f_te(SI_PAPER.four_pi_sigma, 1e-6, 0.0, eps_bar=SI_PAPER.eps_bar)
+    c2, c3 = th.coefficient(2), th.coefficient(3)
+    assert c2 > 0 > c3
+    T = mpf(0.05)
+    q = c2 * T * T
+    records = [SweepRecord(T=0.05, F_num=None, F_asym=None, dF_num=df, dF_th=None,
+                           R=None, pol="te") for df in (mpf(0), q, 2 * q)]
     template = PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TE)
-    rows = te_cube_comparison(template, [0.4, 0.6])
-    for row in rows:
-        assert row["t3_term"] > 0
-        assert row["ratio"] is not None and row["ratio"] > 0
-        assert isinstance(row["same_sign"], bool)
+    rows = te_cube_comparison(template, records)
+    t3 = abs(c3) * T ** 3
+    assert [row["T"] for row in rows] == [T] * 3
+    assert [row["t3_term"] for row in rows] == [t3] * 3
+    assert [row["residual"] for row in rows] == [-q, 0, q]
+    assert [row["ratio"] for row in rows] == [q / t3, 0, q / t3]
+    assert [row["same_sign"] for row in rows] == [True, False, False]
 
 
 # --- grids -------------------------------------------------------------------

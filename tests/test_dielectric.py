@@ -45,6 +45,14 @@ def test_model_validation():
         DielectricModel(eps_bar=2.0, omega0=1.0, four_pi_sigma=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["eps_bar", "omega0", "four_pi_sigma"])
+def test_model_rejects_non_finite(name, value):
+    fields = {"eps_bar": 2.0, "omega0": 8e15, "four_pi_sigma": 1e12, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DielectricModel(**fields)
+
+
 def _z(eps, kappa, zeta):
     """The reflection argument z = (zeta/kappa)^2 (eps - 1)."""
     return (mpf(zeta) / mpf(kappa)) ** 2 * (mpf(eps) - 1)

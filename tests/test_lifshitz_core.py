@@ -13,8 +13,8 @@ from casimir_lowt import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
 from casimir_lowt import lifshitz
 from casimir_lowt.constants import mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
-from casimir_lowt.lifshitz import (X_CUT, ModeScan, constant_a_integral, g_of_m,
-                                   gl_panel, mode_scan)
+from casimir_lowt.lifshitz import (ModeScan, constant_a_integral, g_of_m, gl_panel,
+                                   mode_scan)
 from casimir_lowt.precision import set_precision
 from casimir_lowt.special import polylog, riemann_zeta
 
@@ -170,6 +170,14 @@ def test_delta_f_scales_like_t2():
     assert 3.3 < ratio < 4.5  # ~4 with a modest T^3 enhancement
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["separation_a", "temperature_T"])
+def test_plate_system_rejects_non_finite(name, value):
+    fields = {"separation_a": 1e-6, "temperature_T": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PlateSystem(material=SI_PAPER, **fields)
+
+
 def test_delta_f_requires_positive_t():
     with pytest.raises(ValueError):
         delta_f_direct(PlateSystem(1e-6, 0.0, SI_PAPER, Polarization.TM))
@@ -208,6 +216,11 @@ def test_shared_kernel_consistency():
 # lifshitz._x_integral runs on mpmath.libmp tuples over a per-precision node
 # table.  The reference below is the same layout and integrand written with
 # mpf objects and gl_panel; the kernel must reproduce it bit for bit.
+
+# The reference keeps the fixed cut-off x = 256 of the original layout; the
+# kernel stops at its precision horizon instead, since every panel beyond it
+# adds exact zeros.
+X_CUT = 256
 
 # uncached Gauss-Legendre nodes behind their own cache, so that a kernel table
 # kept at the wrong precision cannot hide behind a shared one
