@@ -4,30 +4,34 @@ The sum-minus-integral difference for a summand with small-m behaviour
 
     g(m) ~ c0 + c1 m + c_{3/2} m^{3/2} + c_{2l} m^2 ln m + c2 m^2
 
-is  Gamma = -c1/12 + Psi c_{2l} + Phi c_{3/2} + ...,  where the c0 and c2
+is  Gamma = -c1/12 + Phi c_{3/2} + Psi c_{2l} + ...,  where the c0 and c2
 contributions cancel exactly between the half-weighted sum and the
-integral.  Everything SI-facing below is produced by feeding the
-polarization-specific coefficients through this one formula, so the
-published-style SI coefficients are derived, not hard-coded.
+integral, Psi = zeta(3)/(4 pi^2) and Phi = zeta(-3/2).  `em_weights` holds
+these weights once; `em_gamma` is their sum, and `delta_f_tm` and
+`delta_f_te` build their SI coefficients by applying them to the
+polarization-specific coefficients, so no SI coefficient is hard-coded.
 
 With t = 2 pi k_B T / (hbar 4 pi sigma) and alpha = 2 a (4 pi sigma) / c:
 
     TM: c1 = 2 pi^2 t / 3,        c_{2l} = 8 t^2
     TE: c1 = -t (2 ln 2 - 1)/4,   c_{2l} = -t^2/4,  c_{3/2} = alpha t^{3/2}/12
         (TE summand carries an overall alpha^2)
+
+Taken at t per kelvin and times the prefactor k_B T / (8 pi a^2), c1 (~t)
+gives the T^2 coefficient, c_{3/2} (~t^{3/2}) the T^{5/2} one and c_{2l}
+(~t^2) the T^3 one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 
-from .constants import mp_constants, alpha_param
-from .special import phi_constant, polylog, psi_constant, riemann_zeta
+from .constants import alpha_param, mp_constants, reduced_temperature
 
 
 class ValidityWarning(UserWarning):
@@ -42,7 +46,6 @@ class SmallMExpansion:
     c_3_2: object = 0
     c_2l: object = 0
     c2: object = 0
-    higher: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,41 @@ class AsymptoticResult:
                  "source": t.source} for t in self.terms]
 
 
+def psi_constant():
+    """Psi = zeta(3) / (4 pi^2), the weight of the m^2 ln m coefficient."""
+    return mpmath.zeta(3) / (4 * mpmath.pi ** 2)
+
+
+def phi_constant():
+    """Phi = zeta(-3/2), the weight of the m^{3/2} coefficient."""
+    return mpmath.zeta(mpf(-3) / 2)
+
+
+def em_weights(exp: SmallMExpansion) -> dict:
+    """Sum-minus-integral contribution of each small-m coefficient, keyed by
+    the power of T it carries once t is taken per kelvin: c1 -> T^2,
+    c_{3/2} -> T^{5/2}, c_{2l} -> T^3.  c0 and c2 cancel."""
+    return {Fraction(2): -mpf(exp.c1) / 12,
+            Fraction(5, 2): phi_constant() * mpf(exp.c_3_2),
+            Fraction(3): psi_constant() * mpf(exp.c_2l)}
+
+
 def em_gamma(exp: SmallMExpansion):
-    """Sum-minus-integral value of a small-m expansion (c0, c2 cancel)."""
-    return (-mpf(exp.c1) / 12 + psi_constant() * mpf(exp.c_2l)
-            + phi_constant() * mpf(exp.c_3_2))
+    """Sum-minus-integral value of a small-m expansion: the sum of its weights."""
+    return mpmath.fsum(em_weights(exp).values())
+
+
+def _em_terms(prefactor, *parts) -> AsymptoticResult:
+    """prefactor times the em weights of each (expansion at t per kelvin,
+    source) part, one term per nonzero weight, in ascending power of T."""
+    terms = [AsymptoticTerm(power, prefactor * w, source)
+             for exp, source in parts for power, w in em_weights(exp).items() if w != 0]
+    return AsymptoticResult(tuple(sorted(terms, key=lambda term: term.power_of_T)))
+
+
+def _prefactor_per_kelvin(a):
+    """k_B / (8 pi a^2): the prefactor k_B T / (8 pi a^2) of Gamma, per kelvin."""
+    return mp_constants().k_B / (8 * mpmath.pi * mpf(a) ** 2)
 
 
 def _guard(t=None, alpha=None) -> None:
@@ -87,14 +121,13 @@ def _guard(t=None, alpha=None) -> None:
 
 
 def tm_small_m_expansion(eps_bar, t) -> SmallMExpansion:
-    """TM summand coefficients; eps_bar enters only the (unused) c2."""
+    """TM summand coefficients; eps_bar enters only the (cancelling) c2."""
     t = mpf(t)
     eb = mpf(eps_bar)
     if t <= 0:
         raise ValueError("t must be positive")
     if eb < 1:
         raise ValueError("eps_bar must be >= 1")
-    _guard(t=t)
     c2 = 8 * t * t * mpmath.log(4 * t) - 2 * t * t * (eb * mpmath.pi ** 2 / 3 + 4) - 4 * t * t
     return SmallMExpansion(c1=2 * mpmath.pi ** 2 * t / 3, c_2l=8 * t * t, c2=c2)
 
@@ -105,31 +138,29 @@ def te_g1_expansion(eps_bar, t) -> SmallMExpansion:
     eb = mpf(eps_bar)
     if t <= 0:
         raise ValueError("t must be positive")
-    _guard(t=t)
     l2 = 2 * mpmath.log(2) - 1
     c2 = -(t * t / 4) * (mpmath.log(4 * t) + eb * l2)
-    return SmallMExpansion(c1=-t * l2 / 4, c_2l=-t * t / 4, c2=c2,
-                           higher={"m^5/2": mpf(2) / 3 * t ** mpf("2.5")})
+    return SmallMExpansion(c1=-t * l2 / 4, c_2l=-t * t / 4, c2=c2)
 
 
 def te_g2_expansion(eps_bar, t, alpha) -> SmallMExpansion:
-    """First conductivity correction to the TE summand: the m^{3/2} term."""
+    """First conductivity correction to the TE summand: the m^{3/2} term.
+
+    eps_bar enters only from the m^{5/2} term on, which is not kept."""
     t = mpf(t)
     alpha = mpf(alpha)
     if t <= 0:
         raise ValueError("t must be positive")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    _guard(t=t, alpha=alpha)
-    return SmallMExpansion(
-        c_3_2=alpha * t ** mpf("1.5") / 12,
-        higher={"m^5/2": -alpha / 8 * (2 - mpf(eps_bar)) * t ** mpf("2.5")})
+    return SmallMExpansion(c_3_2=alpha * t ** mpf("1.5") / 12)
 
 
 def delta_f_tm(sigma_si_over_eps0, a, T) -> AsymptoticResult:
     """Two-term TM thermal correction, terms separated by power of T.
 
-    Leading T^2 piece from c1, next-order T^3 piece from c_{2l}; evaluate()
+    The em weights of `tm_small_m_expansion` at t per kelvin: the leading
+    T^2 piece from c1, the next-order T^3 piece from c_{2l}; evaluate()
     returns J/m^2 at temperature T.
 
     The pair is asymptotic only where the next term is small against the
@@ -146,16 +177,11 @@ def delta_f_tm(sigma_si_over_eps0, a, T) -> AsymptoticResult:
         raise ValueError("separation must be positive")
     if T < 0:
         raise ValueError("temperature must be nonnegative")
-    k = mp_constants()
-    tau = 2 * mpmath.pi * k.k_B / (k.hbar * mpf(sigma_si_over_eps0))  # t per kelvin
+    tau = reduced_temperature(1, sigma_si_over_eps0)  # t per kelvin
     if T > 0:
         _guard(t=tau * mpf(T))
-    pref1 = k.k_B / (8 * mpmath.pi * mpf(a) ** 2)  # prefactor per kelvin
-    terms = (
-        AsymptoticTerm(Fraction(2), pref1 * (-(2 * mpmath.pi ** 2 * tau / 3) / 12), "TM_I"),
-        AsymptoticTerm(Fraction(3), pref1 * psi_constant() * 8 * tau * tau, "TM_I"),
-    )
-    return AsymptoticResult(terms)
+    # eps_bar enters only the cancelling c2, so any admissible value will do
+    return _em_terms(_prefactor_per_kelvin(a), (tm_small_m_expansion(1, tau), "TM_I"))
 
 
 def delta_f_tm_correction(T) -> AsymptoticResult:
@@ -168,7 +194,7 @@ def delta_f_tm_correction(T) -> AsymptoticResult:
     if T < 0:
         raise ValueError("temperature must be nonnegative")
     k = mp_constants()
-    coeff = riemann_zeta(3) * k.k_B ** 3 / (4 * mpmath.pi * k.hbar ** 2 * k.c ** 2)
+    coeff = mpmath.zeta(3) * k.k_B ** 3 / (4 * mpmath.pi * k.hbar ** 2 * k.c ** 2)
     return AsymptoticResult((AsymptoticTerm(Fraction(3), coeff, "TM_delta"),))
 
 
@@ -181,9 +207,9 @@ def tm_correction_ratio(sigma_si_over_eps0, a):
 def delta_f_te(sigma_si_over_eps0, a, T, eps_bar=1.0) -> AsymptoticResult:
     """TE thermal correction: +T^2, -T^{5/2} and -T^3 terms.
 
-    All three coefficients flow from em_gamma weights applied to the TE
-    small-m coefficients; the T^2 and T^{5/2} pieces vanish with sigma,
-    leaving the metal-like T^3 term.
+    The em weights of `te_g1_expansion` (T^2, T^3) and `te_g2_expansion`
+    (T^{5/2}) at t per kelvin, times alpha^2; the T^2 and T^{5/2} pieces
+    vanish with sigma, leaving the metal-like T^3 term.
     """
     if a <= 0:
         raise ValueError("separation must be positive")
@@ -191,29 +217,19 @@ def delta_f_te(sigma_si_over_eps0, a, T, eps_bar=1.0) -> AsymptoticResult:
         raise ValueError("temperature must be nonnegative")
     if sigma_si_over_eps0 < 0:
         raise ValueError("conductivity must be nonnegative")
-    k = mp_constants()
-    sr = mpf(sigma_si_over_eps0)
-    tau = 2 * mpmath.pi * k.k_B / k.hbar  # t per kelvin, sigma factored out below
-    pref1 = k.k_B / (8 * mpmath.pi * mpf(a) ** 2)
-    l2 = 2 * mpmath.log(2) - 1
-    if sr > 0:
-        alpha = alpha_param(a, sr)
-        tau_s = tau / sr
-        if T > 0:
-            _guard(t=tau_s * mpf(T), alpha=alpha)
-        a2p = pref1 * alpha ** 2
-        terms = (
-            AsymptoticTerm(Fraction(2), a2p * (tau_s * l2 / 4) / 12, "TE_I"),
-            AsymptoticTerm(Fraction(5, 2),
-                           a2p * phi_constant() * alpha * tau_s ** mpf("1.5") / 12, "TE_II"),
-            AsymptoticTerm(Fraction(3), a2p * psi_constant() * (-tau_s ** 2 / 4), "TE_I"),
-        )
-    else:
+    if sigma_si_over_eps0 == 0:
         # sigma -> 0: alpha^2 t^2 and alpha^3 t^{3/2} both vanish; the T^3
         # term is sigma-free (alpha^2 t^2 / sigma-cancellation):
-        coeff3 = -riemann_zeta(3) * k.k_B ** 3 / (8 * mpmath.pi * k.hbar ** 2 * k.c ** 2)
-        terms = (AsymptoticTerm(Fraction(3), coeff3, "TE_I"),)
-    return AsymptoticResult(terms)
+        k = mp_constants()
+        coeff3 = -mpmath.zeta(3) * k.k_B ** 3 / (8 * mpmath.pi * k.hbar ** 2 * k.c ** 2)
+        return AsymptoticResult((AsymptoticTerm(Fraction(3), coeff3, "TE_I"),))
+    alpha = alpha_param(a, sigma_si_over_eps0)
+    tau = reduced_temperature(1, sigma_si_over_eps0)  # t per kelvin
+    if T > 0:
+        _guard(t=tau * mpf(T), alpha=alpha)
+    return _em_terms(_prefactor_per_kelvin(a) * alpha ** 2,
+                     (te_g1_expansion(eps_bar, tau), "TE_I"),
+                     (te_g2_expansion(eps_bar, tau, alpha), "TE_II"))
 
 
 def linear_anomaly(eps_bar, a, T) -> dict:
@@ -231,75 +247,10 @@ def linear_anomaly(eps_bar, a, T) -> dict:
         raise ValueError("separation must be positive")
     k = mp_constants()
     a0 = ((eb - 1) / (eb + 1)) ** 2
-    li3 = riemann_zeta(3) if a0 == 1 else polylog(3, a0)
-    bracket = li3 - riemann_zeta(3)
+    bracket = mpmath.polylog(3, a0) - mpmath.zeta(3)
     denom = 16 * mpmath.pi * mpf(a) ** 2
     return {
         "free_energy": k.k_B * mpf(T) * bracket / denom,
         "entropy": -k.k_B * bracket / denom,
         "a0": a0,
     }
-
-
-def te_closed_form_g1(mu, eps_bar):
-    """Exact leading TE summand (alpha^2 scaled out), any mu >= 0.
-
-    chi^2 = mu + (eps_bar - 1) mu^2,  y0 = (sqrt(eps_bar mu + 1) - sqrt(mu))
-    / (sqrt(eps_bar mu + 1) + sqrt(mu)):
-    g = -(chi^2/8) [(1/y0 + y0) ln(1 - y0^2) - 2 y0 + 2 ln((1+y0)/(1-y0))].
-    """
-    mu = mpf(mu)
-    eb = mpf(eps_bar)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if mu == 0:
-        return mpf(0)
-    chi2 = mu + (eb - 1) * mu * mu
-    root = mpmath.sqrt(eb * mu + 1)
-    y0 = (root - mpmath.sqrt(mu)) / (root + mpmath.sqrt(mu))
-    return -(chi2 / 8) * ((1 / y0 + y0) * mpmath.log(1 - y0 * y0) - 2 * y0
-                          + 2 * mpmath.log((1 + y0) / (1 - y0)))
-
-
-def te_closed_form_g2(mu, eps_bar, alpha):
-    """Exact first conductivity correction to the TE summand.
-
-    g = (alpha chi^3 / 8)(z0 - z0^3/3) with z0 = sqrt(y0).
-    """
-    mu = mpf(mu)
-    eb = mpf(eps_bar)
-    alpha = mpf(alpha)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if mu == 0:
-        return mpf(0)
-    chi3 = (mu + (eb - 1) * mu * mu) ** mpf("1.5")
-    root = mpmath.sqrt(eb * mu + 1)
-    z0 = mpmath.sqrt((root - mpmath.sqrt(mu)) / (root + mpmath.sqrt(mu)))
-    return alpha * chi3 / 8 * (z0 - z0 ** 3 / 3)
-
-
-def te_g1_quadrature(mu, eps_bar, nodes=None):
-    """Direct quadrature of the leading TE summand, oracle for the closed form.
-
-    chi^2 integral_{mu/chi}^inf dx x ln(1 - (x - sqrt(x^2+1))^4).
-    """
-    from .lifshitz import gauss_legendre, gl_panel  # local import: avoid cycle
-    mu = mpf(mu)
-    eb = mpf(eps_bar)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    chi = mpmath.sqrt(mu + (eb - 1) * mu * mu)
-    x0 = mu / chi
-    nodes = nodes or gauss_legendre(48)
-    f = lambda x: x * mpmath.log(1 - (x + mpmath.sqrt(x * x + 1)) ** -4)
-    total = mpf(0)
-    b = x0
-    # integrand ~ x^{-6} ln at large x: geometric panels to a far cutoff
-    while b < mpf("1e9"):
-        nb = b * 4
-        total += gl_panel(f, b, nb, nodes)
-        b = nb
-    # analytic tail: ln(1 - B) ~ -B ~ -1/(16 x^4), integral x * that
-    total += -1 / (32 * b * b)
-    return chi * chi * total

@@ -5,7 +5,6 @@ Subcommands:
     sweep             sweep records (F, dF, R) on stdout, fit summary on stderr
     rdiag             the same sweep; --assert gates TM R(T_min) and dR/dT
     asymptotics       closed-form correction terms and values
-    verify-constants  cross-check the endpoint-series constants three ways
     anomaly           sigma = 0 linear term and residual entropy
 
 Exit codes: 0 success, 1 assertion/tolerance failure, 2 usage or config
@@ -32,8 +31,6 @@ from .dielectric import PermittivityMode
 from .lifshitz import (PlateSystem, Polarization, PrecisionError, free_energy,
                        zero_temperature_energy)
 from .precision import set_precision
-from .special import (half_power_series_terms, levin_u_sum, log_power_series_terms,
-                      phi_constant, psi_constant, psi_from_borel)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -167,32 +164,6 @@ def cmd_asymptotics(cfg: RunConfig, out: Output) -> int:
     return EXIT_OK
 
 
-def cmd_verify_constants(out: Output) -> int:
-    psi_closed = psi_constant()
-    psi_levin = levin_u_sum(log_power_series_terms(16)).value
-    psi_borel = psi_from_borel()
-    phi_closed = phi_constant()
-    phi_levin = levin_u_sum(half_power_series_terms(16)).value
-    pairs = [
-        ("Psi closed-form", psi_closed, "Psi Levin", psi_levin),
-        ("Psi closed-form", psi_closed, "Psi Borel", psi_borel),
-        ("Psi Levin", psi_levin, "Psi Borel", psi_borel),
-        ("Phi closed-form", phi_closed, "Phi Levin", phi_levin),
-    ]
-    ok = True
-    out.emit(f"Psi closed-form : {fmt(psi_closed)}")
-    out.emit(f"Psi Levin       : {fmt(psi_levin)}")
-    out.emit(f"Psi Borel       : {fmt(psi_borel)}")
-    out.emit(f"Phi closed-form : {fmt(phi_closed)}")
-    out.emit(f"Phi Levin       : {fmt(phi_levin)}")
-    for na, a, nb, b in pairs:
-        diff = abs(a - b)
-        ok = ok and diff < mpf("1e-9")
-        out.emit(f"|{na} - {nb}| = {mpmath.nstr(diff, 3)}")
-    out.emit("status: " + ("OK" if ok else "FAIL (tolerance 1e-9)"))
-    return EXIT_OK if ok else EXIT_ASSERT
-
-
 def cmd_anomaly(cfg: RunConfig, out: Output) -> int:
     mat = cfg.material
     if mat.mode is PermittivityMode.IDEAL_METAL:
@@ -298,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_ in [("energy", "free energy at configured temperatures"),
                         ("sweep", "full sweep: F, corrections, R"),
                         ("asymptotics", "closed-form correction coefficients"),
-                        ("verify-constants", "cross-check endpoint-series constants"),
                         ("anomaly", "sigma=0 linear term and residual entropy"),
                         ("rdiag", "R diagnostic curve")]:
         sp = sub.add_parser(name, help=help_)
@@ -318,12 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify-constants":
-            set_precision(args.precision)
-            out = Output(args.out, timestamp=not args.no_timestamp)
-            code = cmd_verify_constants(out)
-            out.close()
-            return code
         cfg = _resolve_config(args)    # --precision overrides the config's precision
         set_precision(cfg.precision)
         out = Output(args.out or cfg.out, timestamp=not args.no_timestamp)

@@ -104,6 +104,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if not math.isfinite(cfg.separation_um) or cfg.separation_um <= 0:
         raise ConfigError(f"separation_um must be positive and finite, got {cfg.separation_um}")
+    if cfg.points_per_decade < 1:
+        raise ConfigError(f"points_per_decade must be >= 1, got {cfg.points_per_decade}")
     if cfg.precision < 15:
         raise ConfigError("precision must be >= 15 digits")
     return cfg

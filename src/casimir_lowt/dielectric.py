@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mpf
 from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub,
                           round_nearest)
 
@@ -91,11 +91,6 @@ def mpf_reflection(eps, z, pol: str, prec: int):
                    mpf_mul(s1, s1, prec, round_nearest), prec, round_nearest)
 
 
-def reflection(eps, z, pol: str):
-    """r_TE or r_TM at the working precision: `mpf_reflection` on mpf values."""
-    return mp.make_mpf(mpf_reflection(mpf(eps)._mpf_, mpf(z)._mpf_, pol, mp.prec))
-
-
 def reflection_limits_zero_frequency(model: DielectricModel):
     """(r_te, r_tm) in the zeta -> 0 limit at fixed kappa > 0.
 
@@ -109,18 +104,3 @@ def reflection_limits_zero_frequency(model: DielectricModel):
         return mpf(0), mpf(1)
     eb = mpf(model.eps_bar)
     return mpf(0), (eb - 1) / (eb + 1)
-
-
-def a_mu(eps_bar, mu):
-    """Squared zero-frequency-limit TM coefficient at reduced frequency mu.
-
-    A_mu = [(1 + (eps_bar-1) mu) / (1 + (eps_bar+1) mu)]^2; equals 1 at
-    mu = 0 and decreases to ((eps_bar-1)/(eps_bar+1))^2 as mu -> infinity.
-    """
-    eps_bar = mpf(eps_bar)
-    mu = mpf(mu)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if eps_bar < 1:
-        raise ValueError("eps_bar must be >= 1")
-    return ((1 + (eps_bar - 1) * mu) / (1 + (eps_bar + 1) * mu)) ** 2

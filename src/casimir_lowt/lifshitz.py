@@ -34,9 +34,10 @@ Quadrature is non-adaptive by design: fixed Gauss-Legendre panels whose
 layout is matched to the known shape of the integrands (logarithmic panels
 near the x lower limit, an m = v^2 substitution that turns the m^{3/2} and
 m^2 ln m endpoint behaviour into polynomials times ln v, geometric panels
-on the exponential tails).  Against adaptive reference quadrature this
-layout is accurate to ~1e-21 relative at the default 33-digit precision
-while being orders of magnitude faster.
+on the exponential tails).  Against the same layout at doubled panel
+orders (`QuadratureSpec().refined()`, 40 digits), the benchmark's traced
+runs measure at the default 33 digits a relative error of 2.0e-18 in dF
+and 3.4e-18 in F on the TM 15-120 mK sweep, and 2.6e-16 in F near 1 K.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_m
 from .constants import alpha_param, mp_constants, reduced_temperature
 from .dielectric import (DielectricModel, PermittivityMode, mpf_reflection, permittivity,
                          reflection_limits_zero_frequency)
-from .special import polylog
 
 
 def _x_horizon(prec: int) -> float:
@@ -112,7 +112,7 @@ class FreeEnergyResult:
     total: object                 # J/m^2
     per_mode: dict                # {"tm": ..., "te": ...} J/m^2
     m_truncation: int
-    est_error: object             # J/m^2
+    est_error: object             # J/m^2: the Euler-Maclaurin d5 term only, not a bound
     prefactor: object             # k_B T / (8 pi a^2), J/m^2 per unit of g
     scans: dict                   # {"tm": ModeScan, ...} behind per_mode
 
@@ -256,29 +256,11 @@ def _ideal_metal_fixed(nx: int, prec: int):
     return {x: _ideal_metal_integrand(x, prec) for _, pts in fixed for x, _, _ in pts}
 
 
-def constant_a_integral(a_sq):
-    """integral_0^inf dx x ln(1 - a_sq e^{-x}) for constant a_sq in [0, 1].
-
-    This equals -Li_3(a_sq); evaluated on the kernel's own x layout (from
-    x = e^-40, below which the integrand contributes < 1e-32), it checks
-    that layout against the analytic m = 0 values.
-    """
-    a_sq = mpf(a_sq)
-    if not 0 <= a_sq <= 1:
-        raise ValueError("a_sq must lie in [0, 1]")
-    a, prec = a_sq._mpf_, mp.prec
-
-    def f(x, ex):
-        one_minus = mpf_sub(fone, mpf_mul(a, ex, prec, round_nearest), prec, round_nearest)
-        return mpf_mul(x, mpf_log(one_minus, prec, round_nearest), prec, round_nearest)
-    return mp.make_mpf(_x_integral(f, mpmath.exp(mpf(-40)), QuadratureSpec().nx))
-
-
 def _g_zero(system: PlateSystem, pol: str):
     """Analytic m = 0 summand, -Li_3(r0^2), from the zeta -> 0 reflection limits."""
     r_te, r_tm = reflection_limits_zero_frequency(system.material)
     r0 = r_te if pol == "te" else r_tm
-    return -polylog(3, r0 * r0)
+    return -mpmath.polylog(3, r0 * r0)
 
 
 def g_of_m(system: PlateSystem, m, pol: str):

@@ -1,16 +1,18 @@
-"""Polylogarithms, Riemann zeta, Bernoulli numbers, and summation of the
-divergent endpoint series produced by the Euler-Maclaurin machinery.
+"""Reference routes that the package itself does not run, kept as oracles
+for the tests.
 
-The sum-minus-integral analysis generates two formally divergent
-Bernoulli-weighted series, one from the m^2 ln m endpoint behaviour and one
-from the m^(3/2) behaviour.  Their assigned values
+* The endpoint-series constants by two routes independent of their closed
+  forms (`asymptotics.psi_constant`, `asymptotics.phi_constant`): a Levin
+  u-transform of the raw divergent Bernoulli-weighted terms, and (for the
+  log-power series) a Borel integral.
+* The exact leading TE summand and its first conductivity correction in
+  closed form, and a direct quadrature of the former.
+* `reflection` on mpf values, over the kernel's own `mpf_reflection`, and
+  the squared zero-frequency TM coefficient `a_mu`.
+* `constant_a_integral`, the kernel's x-panel loop on a constant
+  reflection, against the analytic -Li_3 of the m = 0 mode.
 
-    psi_constant() = zeta(3) / (4 pi^2)   ~  0.0304484570584
-    phi_constant() = zeta(-3/2)           ~ -0.0254852018898
-
-are cross-checked here by two independent routes: a Levin u-transform of
-the raw divergent terms and (for the log-power case) a Borel integral.
-All routines work at the current mpmath precision; see precision.py.
+All routines work at the current mpmath precision.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
-from mpmath import mp, mpf, pi
+from mpmath import mp, mpf
+from mpmath.libmp import fone, mpf_log, mpf_mul, mpf_sub, round_nearest
 
+from casimir_lowt import lifshitz
+from casimir_lowt.dielectric import mpf_reflection
+from casimir_lowt.lifshitz import QuadratureSpec, gauss_legendre, gl_panel
+
+
+# --- endpoint-series constants: Bernoulli tables, Levin and Borel ------------
 
 class SummationError(ValueError):
     """Raised for invalid input to a series summation routine."""
@@ -80,30 +89,6 @@ def half_power_series_terms(count: int = 15) -> list:
 def _b2n_mpf(n: int):
     b = bernoulli_b2n(n)
     return mpf(b.numerator) / b.denominator
-
-
-def polylog(n: int, x):
-    """Real polylogarithm Li_n(x) for integer n and |x| <= 1.
-
-    Li_1 and below have elementary closed forms; for n <= 1 the point
-    x = 1 is a pole and is rejected.
-    """
-    x = mpf(x)
-    if abs(x) > 1:
-        raise ValueError("polylog argument must satisfy |x| <= 1")
-    if n <= 1 and x == 1:
-        raise ValueError(f"Li_{n}(1) diverges")
-    if x == 0:
-        return mpf(0)
-    return mpmath.polylog(n, x)
-
-
-def riemann_zeta(s):
-    """Riemann zeta for real s != 1, including the analytic continuation."""
-    s = mpf(s)
-    if s == 1:
-        raise ValueError("zeta has a pole at s = 1")
-    return mpmath.zeta(s)
 
 
 @dataclass
@@ -194,11 +179,106 @@ def psi_from_borel():
     return mpf(1) / 36 - 2 * borel_sum_psi_tilde()
 
 
-def psi_constant():
-    """Closed form zeta(3) / (4 pi^2) of the log-power series."""
-    return mpmath.zeta(3) / (4 * pi ** 2)
+# --- TE summand in closed form and by quadrature ---------------------------
+
+def te_closed_form_g1(mu, eps_bar):
+    """Exact leading TE summand (alpha^2 scaled out), any mu >= 0.
+
+    chi^2 = mu + (eps_bar - 1) mu^2,  y0 = (sqrt(eps_bar mu + 1) - sqrt(mu))
+    / (sqrt(eps_bar mu + 1) + sqrt(mu)):
+    g = -(chi^2/8) [(1/y0 + y0) ln(1 - y0^2) - 2 y0 + 2 ln((1+y0)/(1-y0))].
+    """
+    mu = mpf(mu)
+    eb = mpf(eps_bar)
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if mu == 0:
+        return mpf(0)
+    chi2 = mu + (eb - 1) * mu * mu
+    root = mpmath.sqrt(eb * mu + 1)
+    y0 = (root - mpmath.sqrt(mu)) / (root + mpmath.sqrt(mu))
+    return -(chi2 / 8) * ((1 / y0 + y0) * mpmath.log(1 - y0 * y0) - 2 * y0
+                          + 2 * mpmath.log((1 + y0) / (1 - y0)))
 
 
-def phi_constant():
-    """Closed form zeta(-3/2) of the half-power series."""
-    return mpmath.zeta(mpf(-3) / 2)
+def te_closed_form_g2(mu, eps_bar, alpha):
+    """Exact first conductivity correction to the TE summand.
+
+    g = (alpha chi^3 / 8)(z0 - z0^3/3) with z0 = sqrt(y0).
+    """
+    mu = mpf(mu)
+    eb = mpf(eps_bar)
+    alpha = mpf(alpha)
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if mu == 0:
+        return mpf(0)
+    chi3 = (mu + (eb - 1) * mu * mu) ** mpf("1.5")
+    root = mpmath.sqrt(eb * mu + 1)
+    z0 = mpmath.sqrt((root - mpmath.sqrt(mu)) / (root + mpmath.sqrt(mu)))
+    return alpha * chi3 / 8 * (z0 - z0 ** 3 / 3)
+
+
+def te_g1_quadrature(mu, eps_bar, nodes=None):
+    """Direct quadrature of the leading TE summand, oracle for the closed form.
+
+    chi^2 integral_{mu/chi}^inf dx x ln(1 - (x - sqrt(x^2+1))^4).
+    """
+    mu = mpf(mu)
+    eb = mpf(eps_bar)
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    chi = mpmath.sqrt(mu + (eb - 1) * mu * mu)
+    x0 = mu / chi
+    nodes = nodes or gauss_legendre(48)
+    f = lambda x: x * mpmath.log(1 - (x + mpmath.sqrt(x * x + 1)) ** -4)
+    total = mpf(0)
+    b = x0
+    # integrand ~ x^{-6} ln at large x: geometric panels to a far cutoff
+    while b < mpf("1e9"):
+        nb = b * 4
+        total += gl_panel(f, b, nb, nodes)
+        b = nb
+    # analytic tail: ln(1 - B) ~ -B ~ -1/(16 x^4), integral x * that
+    total += -1 / (32 * b * b)
+    return chi * chi * total
+
+
+# --- reflection and the m = 0 mode ---------------------------------------------
+
+def reflection(eps, z, pol: str):
+    """r_TE or r_TM at the working precision: `mpf_reflection` on mpf values."""
+    return mp.make_mpf(mpf_reflection(mpf(eps)._mpf_, mpf(z)._mpf_, pol, mp.prec))
+
+
+def a_mu(eps_bar, mu):
+    """Squared zero-frequency-limit TM coefficient at reduced frequency mu.
+
+    A_mu = [(1 + (eps_bar-1) mu) / (1 + (eps_bar+1) mu)]^2; equals 1 at
+    mu = 0 and decreases to ((eps_bar-1)/(eps_bar+1))^2 as mu -> infinity.
+    """
+    eps_bar = mpf(eps_bar)
+    mu = mpf(mu)
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if eps_bar < 1:
+        raise ValueError("eps_bar must be >= 1")
+    return ((1 + (eps_bar - 1) * mu) / (1 + (eps_bar + 1) * mu)) ** 2
+
+
+def constant_a_integral(a_sq):
+    """integral_0^inf dx x ln(1 - a_sq e^{-x}) for constant a_sq in [0, 1].
+
+    This equals -Li_3(a_sq); evaluated on the kernel's own x layout (from
+    x = e^-40, below which the integrand contributes < 1e-32), it checks
+    that layout against the analytic m = 0 values.
+    """
+    a_sq = mpf(a_sq)
+    if not 0 <= a_sq <= 1:
+        raise ValueError("a_sq must lie in [0, 1]")
+    a, prec = a_sq._mpf_, mp.prec
+
+    def f(x, ex):
+        one_minus = mpf_sub(fone, mpf_mul(a, ex, prec, round_nearest), prec, round_nearest)
+        return mpf_mul(x, mpf_log(one_minus, prec, round_nearest), prec, round_nearest)
+    return mp.make_mpf(lifshitz._x_integral(f, mpmath.exp(mpf(-40)), QuadratureSpec().nx))

@@ -16,16 +16,15 @@ from mpmath import mpf
 from casimir_lowt.asymptotics import (SmallMExpansion, ValidityWarning,
                                       delta_f_te, delta_f_tm,
                                       delta_f_tm_correction, em_gamma,
-                                      linear_anomaly, te_closed_form_g1,
-                                      te_closed_form_g2, te_g1_expansion,
-                                      te_g1_quadrature, te_g2_expansion,
+                                      linear_anomaly, phi_constant, psi_constant,
+                                      te_g1_expansion, te_g2_expansion,
                                       tm_correction_ratio,
                                       tm_small_m_expansion)
 from casimir_lowt.constants import alpha_param, mp_constants, reduced_temperature
-from casimir_lowt.dielectric import SI_PAPER, a_mu
+from casimir_lowt.dielectric import SI_PAPER
 from casimir_lowt.lifshitz import PlateSystem, Polarization, g_of_m
 from casimir_lowt.precision import set_precision
-from casimir_lowt.special import phi_constant, polylog, psi_constant, riemann_zeta
+from oracles import a_mu, te_closed_form_g1, te_closed_form_g2, te_g1_quadrature
 
 
 def setup_module():
@@ -146,7 +145,7 @@ def test_sign_structure():
 def test_tm_conductivity_free_t3_piece():
     k = mp_constants()
     coeff = delta_f_tm_correction(0.0).coefficient(3)
-    want = riemann_zeta(3) * k.k_B ** 3 / (4 * mpmath.pi * k.hbar ** 2 * k.c ** 2)
+    want = mpmath.zeta(3) * k.k_B ** 3 / (4 * mpmath.pi * k.hbar ** 2 * k.c ** 2)
     assert abs(coeff - want) == 0
     # the sigma-free TE T^3 coefficient is exactly -1/2 of it
     te0 = delta_f_te(0.0, A_REF, 0.0, eps_bar=11.67)
@@ -166,8 +165,6 @@ def test_te_sigma_zero_has_only_cubic_term():
 
 
 def test_validity_warnings():
-    with pytest.warns(ValidityWarning):
-        tm_small_m_expansion(11.67, 0.5)
     with pytest.warns(ValidityWarning):
         delta_f_tm(SIGMA_REF, A_REF, 1.0)  # t(1 K) = 0.82
     with warnings.catch_warnings():
@@ -199,7 +196,8 @@ def test_linear_anomaly_reference_values():
     a0 = (mpf("10.67") / mpf("12.67")) ** 2
     assert abs(out["a0"] - a0) < 1e-15  # input eps_bar is a float literal
     k = mp_constants()
-    want = k.k_B * (polylog(3, a0) - riemann_zeta(3)) / (16 * mpmath.pi * mpf(A_REF) ** 2)
+    want = (k.k_B * (mpmath.polylog(3, a0) - mpmath.zeta(3))
+            / (16 * mpmath.pi * mpf(A_REF) ** 2))
     assert abs(out["free_energy"] - want) < abs(want) * 1e-15
     assert out["free_energy"] < 0
     assert out["entropy"] > 0  # residual entropy: third-law violation
@@ -216,7 +214,7 @@ def test_linear_anomaly_vanishes_for_ideal_limit():
 def test_linear_anomaly_vacuum_plate():
     out = linear_anomaly(1.0, A_REF, 1.0)
     k = mp_constants()
-    want = -k.k_B * riemann_zeta(3) / (16 * mpmath.pi * mpf(A_REF) ** 2)
+    want = -k.k_B * mpmath.zeta(3) / (16 * mpmath.pi * mpf(A_REF) ** 2)
     assert abs(out["free_energy"] - want) < abs(want) * 1e-25
 
 
@@ -238,7 +236,7 @@ def tm_li2_expansion_check(mu, eps_bar):
     """(Li_2(1 - A_mu), leading expansion 4 mu - 4(eps_bar + 1) mu^2)."""
     mu = mpf(mu)
     eb = mpf(eps_bar)
-    exact = polylog(2, 1 - a_mu(eb, mu))
+    exact = mpmath.polylog(2, 1 - a_mu(eb, mu))
     series = 4 * mu - 4 * (eb + 1) * mu * mu
     return exact, series
 

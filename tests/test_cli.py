@@ -91,14 +91,6 @@ def test_asymptotics_json(tm_config, capsys):
         -2.4777509624486278e-13, rel=1e-12)
 
 
-def test_verify_constants(capsys):
-    code = main(["verify-constants", "--no-timestamp"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert "status: OK" in out
-    assert "Psi Borel" in out and "Phi Levin" in out
-
-
 def test_anomaly(tm_config, capsys):
     code = main(["anomaly", "--config", tm_config, "--no-timestamp"])
     out = capsys.readouterr().out
@@ -210,11 +202,9 @@ def test_asymptotics_sigma_zero_is_config_error(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["asymptotics", "verify-constants"])
+@pytest.mark.parametrize("command", ["asymptotics"])
 def test_precision_zero_rejected(command, capsys):
-    argv = [command, "--precision", "0"]
-    if command != "verify-constants":
-        argv += ["--preset", "si-paper"]
+    argv = [command, "--precision", "0", "--preset", "si-paper"]
     assert main(argv) == EXIT_CONFIG
     assert "working precision must be >= 15 digits" in capsys.readouterr().err
 
@@ -264,6 +254,9 @@ def test_parse_validation():
         parse_config("[run]\nformat = yaml\n")
     with pytest.raises(ConfigError):
         parse_config("not an ini file at all [")
+    for points in (0, -5):
+        with pytest.raises(ConfigError, match="points_per_decade"):
+            parse_config(f"[run]\nt_min = 0.1\nt_max = 1.0\npoints_per_decade = {points}\n")
 
 
 @pytest.mark.parametrize("field, value", [("temperatures", (0.5, float("nan"))),

@@ -1,6 +1,7 @@
 """Series acceleration, endpoint-series constants, polylog identities.
 
-The two key constants are summed three independent ways and pinned:
+The two key constants are summed three independent ways (the closed forms
+in `asymptotics`, the Levin and Borel routes in `oracles`) and pinned:
 
     Psi = zeta(3)/(4 pi^2) = 0.03044845705839...   (log-power series)
     Phi = zeta(-3/2)       = -0.02548520188983...  (half-power series)
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from casimir_lowt.asymptotics import phi_constant, psi_constant
 from casimir_lowt.precision import set_precision
-from casimir_lowt.special import (SummationError, bernoulli_b2n, borel_sum_psi_tilde,
-                                  half_power_derivative, half_power_series_terms,
-                                  levin_u_sum, log_power_derivative,
-                                  log_power_series_terms, phi_constant, polylog,
-                                  psi_constant, psi_from_borel, riemann_zeta)
+from oracles import (SummationError, bernoulli_b2n, borel_sum_psi_tilde,
+                     constant_a_integral, half_power_derivative, half_power_series_terms,
+                     levin_u_sum, log_power_derivative, log_power_series_terms,
+                     psi_from_borel)
 
 
 def setup_module():
@@ -107,36 +108,24 @@ def test_tampered_series_detected():
     assert abs(res.value - psi_constant()) > 1e-6
 
 
-# --- polylog / zeta wrappers ------------------------------------------------
+# --- polylog / zeta identities -----------------------------------------------
 
 def test_polylog_at_special_points():
-    assert polylog(3, 0) == 0
-    assert abs(polylog(3, 1) - riemann_zeta(3)) < 1e-30
-    assert abs(polylog(2, 1) - mpmath.pi ** 2 / 6) < 1e-30
-
-
-def test_polylog_domain_errors():
-    with pytest.raises(ValueError):
-        polylog(3, 1.5)
-    with pytest.raises(ValueError):
-        polylog(1, 1)
-
-
-def test_zeta_pole():
-    with pytest.raises(ValueError):
-        riemann_zeta(1)
+    assert mpmath.polylog(3, 0) == 0
+    assert abs(mpmath.polylog(3, 1) - mpmath.zeta(3)) < 1e-30
+    assert abs(mpmath.polylog(2, 1) - mpmath.pi ** 2 / 6) < 1e-30
 
 
 def test_zeta_analytic_continuation():
-    assert abs(riemann_zeta(-1) + mpf(1) / 12) < 1e-30
-    assert abs(riemann_zeta(mpf("-1.5")) - phi_constant()) < 1e-30
+    assert abs(mpmath.zeta(-1) + mpf(1) / 12) < 1e-30
+    assert abs(mpmath.zeta(mpf("-1.5")) - phi_constant()) < 1e-30
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
 @settings(max_examples=30, deadline=None)
 def test_dilog_reflection(x):
     # Li_2(x) + Li_2(1-x) = pi^2/6 - ln x ln(1-x)
-    lhs = polylog(2, x) + polylog(2, 1 - x)
+    lhs = mpmath.polylog(2, x) + mpmath.polylog(2, 1 - x)
     rhs = mpmath.pi ** 2 / 6 - mpmath.log(x) * mpmath.log(1 - x)
     assert abs(lhs - rhs) < 1e-25
 
@@ -148,18 +137,17 @@ def test_polylog_derivative_recurrence(n, x):
     # x d/dx Li_n(x) = Li_{n-1}(x)
     if abs(x) < 1e-3:
         return
-    d = mpmath.diff(lambda v: polylog(n, v), mpf(x))
-    assert abs(mpf(x) * d - polylog(n - 1, x)) < 1e-20
+    d = mpmath.diff(lambda v: mpmath.polylog(n, v), mpf(x))
+    assert abs(mpf(x) * d - mpmath.polylog(n - 1, x)) < 1e-20
 
 
 @given(st.floats(min_value=0.05, max_value=1.0))
 @settings(max_examples=15, deadline=None)
 def test_polylog_integral_identity(a_sq):
     # integral_0^inf dx x ln(1 - A e^-x) = -Li_3(A); the left side is the
-    # quadrature route used by the physics code
-    from casimir_lowt.lifshitz import constant_a_integral
+    # quadrature route on the physics code's x layout
     lhs = constant_a_integral(a_sq)
-    rhs = -riemann_zeta(3) if a_sq == 1.0 else -polylog(3, a_sq)
+    rhs = -mpmath.zeta(3) if a_sq == 1.0 else -mpmath.polylog(3, a_sq)
     assert abs(lhs - rhs) < 1e-12  # panel scheme loses a little near A -> 1
 
 
