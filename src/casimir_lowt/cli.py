@@ -186,6 +186,7 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
     the TM |R(T_min)| < 0.05 and |dR/dT| < 0.5 /K."""
     records = []
     failures = []
+    curves = None
     for pol in Polarization(cfg.polarization).modes():
         if pol == "te":
             alpha = alpha_param(cfg.separation_m, cfg.material.four_pi_sigma) \
@@ -194,7 +195,9 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
                 print("warning: TE R-diagnostic unfeasible at small alpha "
                       "(correction terms nearly degenerate); data emitted anyway",
                       file=sys.stderr)
-        curve = diagnostics.r_curve(_system(cfg, 1.0), cfg.grid(), pol)
+        if curves is None:   # one sweep for all polarizations, after a TE-only warning
+            curves = diagnostics.r_curves(_system(cfg, 1.0), cfg.grid(), cfg.polarization)
+        curve = next(curves)
         records.extend(curve)
         slope = _summary(cfg, curve, pol)
         if check and pol == "tm":

@@ -71,7 +71,20 @@ def theory_correction(system: PlateSystem, pol: str) -> asymptotics.AsymptoticRe
 
 
 def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
-    """SweepRecords over an ascending temperature grid, one polarization."""
+    """SweepRecords over an ascending temperature grid: those of one
+    polarization, or for "both" the TM records, then the TE records."""
+    return [rec for curve in r_curves(template, t_grid, pol) for rec in curve]
+
+
+def r_curves(template: PlateSystem, t_grid, pol: str):
+    """An iterator over the SweepRecords of each polarization of `pol` in
+    turn, TM first, one list per polarization.
+
+    The call takes F(0) per polarization and one free_energy per
+    temperature, whose joint scan serves every polarization.  A
+    polarization's dF (with its precision check) and closed-form terms
+    (with their ValidityWarnings) are evaluated when its list is drawn.
+    """
     ts = [mpf(T) for T in t_grid]
     if not ts:
         raise ValueError("empty temperature grid")
@@ -79,20 +92,23 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
         raise ValueError("all grid temperatures must be positive")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("temperature grid must be strictly ascending")
-    polarization = Polarization(pol)
-    f0 = zero_temperature_energy(replace(template, polarization=polarization))
-    out = []
-    for T in ts:
-        system = replace(template, temperature_T=float(T), polarization=polarization)
-        res = free_energy(system)
-        df_num = res.delta_f(pol)
-        f_num = res.per_mode[pol]
-        th = theory_correction(system, pol)
-        df_th = th.evaluate(T)
-        r = None if df_th == 0 else (df_th - df_num) / df_th
-        out.append(SweepRecord(T=T, F_num=f_num, F_asym=f0 + df_th,
-                               dF_num=df_num, dF_th=df_th, R=r, pol=pol))
-    return out
+    pols = Polarization(pol).modes()
+    f0 = {p: zero_temperature_energy(replace(template, polarization=Polarization(p)))
+          for p in pols}
+    systems = [replace(template, temperature_T=float(T), polarization=Polarization(pol))
+               for T in ts]
+    results = [free_energy(system) for system in systems]
+
+    def records(p):
+        out = []
+        for T, system, res in zip(ts, systems, results):
+            df_num = res.delta_f(p)
+            df_th = theory_correction(system, p).evaluate(T)
+            r = None if df_th == 0 else (df_th - df_num) / df_th
+            out.append(SweepRecord(T=T, F_num=res.per_mode[p], F_asym=f0[p] + df_th,
+                                   dF_num=df_num, dF_th=df_th, R=r, pol=p))
+        return out
+    return (records(p) for p in pols)
 
 
 TM_FIT_POWERS = (2.0, 3.0, 4.0, 5.0)
@@ -191,5 +207,7 @@ def log_grid(t_min, t_max, points_per_decade: int = 25) -> list:
     """Logarithmic grid, ascending, endpoints included."""
     if t_min <= 0 or t_max <= t_min:
         raise ValueError("need 0 < t_min < t_max")
+    if points_per_decade < 1:
+        raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade}")
     n = max(2, int(round(np.log10(t_max / t_min) * points_per_decade)) + 1)
     return list(np.logspace(np.log10(t_min), np.log10(t_max), n))

@@ -71,24 +71,33 @@ def permittivity(model: DielectricModel, zeta):
             + mpf(model.four_pi_sigma) / zeta)
 
 
-def mpf_reflection(eps, z, pol: str, prec: int):
-    """r_TE or r_TM of one halfspace at imaginary frequency, on raw mpf tuples.
+def mpf_reflections(eps, zs, pols, prec: int) -> list:
+    """For each pol in pols, the list of r_pol of one halfspace at
+    imaginary frequency at each z in zs, on raw mpf tuples, with
+    s = sqrt(1 + z) taken once per z for all of them.
 
-    This is the form the kernel calls per node: mpmath.libmp arithmetic at
-    `prec` bits, round-nearest.  z = (zeta/kappa)^2 (eps - 1) >= 0, so that
-    s/kappa = sqrt(1 + z) with s^2 = kappa^2 + zeta^2 (eps - 1); factoring
-    out kappa keeps the huge eps of the conductivity pole near zeta = 0 from
-    overflowing.  r_TE is taken as -z/(1 + sqrt(1+z))^2, which equals
-    (1 - sqrt(1+z))/(1 + sqrt(1+z)) without its cancellation at small z.
-    r_TE lies in [-1, 0], r_TM in [0, 1] for eps >= 1 and kappa >= zeta.
+    This is the form the kernel calls once per x-panel: mpmath.libmp
+    arithmetic at `prec` bits, round-nearest.  z = (zeta/kappa)^2 (eps - 1)
+    >= 0, so that s/kappa = sqrt(1 + z) with s^2 = kappa^2 + zeta^2 (eps - 1);
+    factoring out kappa keeps the huge eps of the conductivity pole near
+    zeta = 0 from overflowing.  r_TE is taken as -z/(1 + sqrt(1+z))^2, which
+    equals (1 - sqrt(1+z))/(1 + sqrt(1+z)) without its cancellation at
+    small z.  r_TE lies in [-1, 0], r_TM in [0, 1] for eps >= 1 and
+    kappa >= zeta.
     """
-    s = mpf_sqrt(mpf_add(z, fone, prec, round_nearest), prec, round_nearest)
-    if pol == "tm":
-        return mpf_div(mpf_sub(eps, s, prec, round_nearest),
-                       mpf_add(eps, s, prec, round_nearest), prec, round_nearest)
-    s1 = mpf_add(s, fone, prec, round_nearest)
-    return mpf_div(mpf_neg(z, prec, round_nearest),
-                   mpf_mul(s1, s1, prec, round_nearest), prec, round_nearest)
+    ss = [mpf_sqrt(mpf_add(z, fone, prec, round_nearest), prec, round_nearest) for z in zs]
+    rs = []
+    for pol in pols:
+        if pol == "tm":
+            rs.append([mpf_div(mpf_sub(eps, s, prec, round_nearest),
+                               mpf_add(eps, s, prec, round_nearest), prec, round_nearest)
+                       for s in ss])
+        else:
+            s1s = [mpf_add(s, fone, prec, round_nearest) for s in ss]
+            rs.append([mpf_div(mpf_neg(z, prec, round_nearest),
+                               mpf_mul(s1, s1, prec, round_nearest), prec, round_nearest)
+                       for z, s1 in zip(zs, s1s)])
+    return rs
 
 
 def reflection_limits_zero_frequency(model: DielectricModel):

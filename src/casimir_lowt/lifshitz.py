@@ -20,6 +20,16 @@ the sum tail beyond a cutoff M handled by endpoint derivative corrections
 dF come from that one scan.  One x-panel layout serves every g, and one
 m-panel layout serves both the scan's m-integral and the y-integral of F(0).
 
+Each pass of the kernel serves every polarization the caller asks for:
+at each x node, x, e^{-x}, eps, z = (x_min/x)^2 (eps - 1) and sqrt(1 + z)
+are computed once, and only r_TM or r_TE and the log term are done per
+polarization, each into its own running sum with the operations of a
+one-polarization pass in the same order (so every value is bit-identical
+to it).  The ideal metal, where r^2 = 1 in both modes, is integrated once.
+The scan, F and F(0) make one such pass over their m (or y) nodes for all
+of `PlateSystem.polarization.modes()`; `g_of_m` and `mode_scan` are the
+one-polarization views.
+
 The x-panel loop behind every g runs on mpmath's raw arithmetic
 (mpmath.libmp on mpf tuples at mp.prec, round-nearest), skipping the
 per-operation wrapper of mpf objects, and takes the nodes, weights and
@@ -54,7 +64,7 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_m
                           mpf_neg, mpf_sub, mpf_sum, round_nearest)
 
 from .constants import alpha_param, mp_constants, reduced_temperature
-from .dielectric import (DielectricModel, PermittivityMode, mpf_reflection, permittivity,
+from .dielectric import (DielectricModel, PermittivityMode, mpf_reflections, permittivity,
                          reflection_limits_zero_frequency)
 
 
@@ -115,6 +125,7 @@ class FreeEnergyResult:
     est_error: object             # J/m^2: the Euler-Maclaurin d5 term only, not a bound
     prefactor: object             # k_B T / (8 pi a^2), J/m^2 per unit of g
     scans: dict                   # {"tm": ModeScan, ...} behind per_mode
+    g_evals: int                  # g(m) evaluations of the scan, each serving every mode
 
     def delta_f(self, pol: str):
         """Thermal correction of one polarization, J/m^2: the sum-minus-integral
@@ -165,81 +176,94 @@ def _gauss_legendre_cached(n: int, prec: int):
 
 def gl_panel(f, a, b, nodes):
     """integral_a^b f, single Gauss-Legendre panel."""
+    return _gl_panels(lambda m: (f(m),), a, b, nodes)[0]
+
+
+def _gl_panels(f, a, b, nodes) -> list:
+    """integral_a^b of each component of the tuple-valued f on one
+    Gauss-Legendre panel: f is called once per node, and component i is
+    h * fsum(w f_i), in node order."""
     h = (b - a) / 2
     mid = (b + a) / 2
-    return h * mpmath.fsum(w * f(mid + h * x) for x, w in nodes)
+    ys = [f(mid + h * x) for x, _ in nodes]
+    return [h * mpmath.fsum(w * y[i] for (_, w), y in zip(nodes, ys))
+            for i in range(len(ys[0]))]
 
 
-def _x_panels(lo, nodes, prec: int):
+def _x_panels(lo, ts, prec: int):
     """The x-panels from lo on: a panel starting at b <= 2 has width 2,
     later panels double (none is clipped), and no panel starts beyond
-    `_x_horizon(prec)`.  Yields per panel its half-width h and the
-    (x, w, e^-x) of each node, as raw mpf tuples at prec bits.
+    `_x_horizon(prec)`.  Yields per panel its half-width h and the x and
+    e^-x of its nodes (from the raw Gauss-Legendre nodes ts), as raw mpf
+    tuples at prec bits.
     """
     b = mpf(lo)
     horizon = _x_horizon(prec)
     while b <= horizon:
         nb = b * 2 if b > 2 else b + 2
         h, mid = ((nb - b) / 2)._mpf_, ((nb + b) / 2)._mpf_
-        pts = []
-        for t, w in nodes:
-            x = mpf_add(mid, mpf_mul(h, t, prec, round_nearest), prec, round_nearest)
-            pts.append((x, w, mpf_exp(mpf_neg(x), prec, round_nearest)))
-        yield h, tuple(pts)
+        xs = tuple(mpf_add(mid, mpf_mul(h, t, prec, round_nearest), prec, round_nearest)
+                   for t in ts)
+        yield h, xs, tuple(mpf_exp(mpf_neg(x), prec, round_nearest) for x in xs)
         b = nb
 
 
 @lru_cache(maxsize=16)
 def _x_panel_table(nx: int, prec: int):
-    """(raw Gauss-Legendre nodes, the fixed x-panels from 1 to the horizon)
-    for one panel order at one precision; quadrature constants only.  Built
-    under mp.prec == prec."""
-    nodes = tuple((t._mpf_, w._mpf_) for t, w in gauss_legendre(nx))
-    return nodes, tuple(_x_panels(1, nodes, prec))
+    """(raw Gauss-Legendre nodes, their raw weights, the fixed x-panels from
+    1 to the horizon) for one panel order at one precision; quadrature
+    constants only.  Built under mp.prec == prec."""
+    ts, ws = zip(*((t._mpf_, w._mpf_) for t, w in gauss_legendre(nx)))
+    return ts, ws, tuple(_x_panels(1, ts, prec))
 
 
-def _x_integral(f, xmin, nx: int):
-    """integral_{xmin}^{inf} dx f on the kernel's fixed panel layout.
+def _x_integral(f, xmin, nx: int, n: int) -> list:
+    """integral_{xmin}^{inf} dx f on the kernel's fixed panel layout, for
+    each of the n components of f.
 
-    f maps the raw mpf tuples (x, e^-x) to the raw integrand; the result is
-    a raw mpf tuple.  Below x = 1 (when xmin < 0.5) the panels are uniform in
-    u = ln x, which resolves the scale xmin of the reflection coefficient
-    and the x ln x slope singularity of the ideal metal alike.  Above, a
-    panel starting at b <= 2 has width 2 and later panels double, up to the
-    precision horizon (`_x_panels`), past which f is exactly 0; from x = 1
-    on these come from `_x_panel_table`.
+    f is called once per panel: it maps the raw mpf tuples x and e^-x of
+    the panel's nodes to n lists (one per polarization) of the raw
+    integrand at those nodes.  The result is the list of the n integrals
+    as raw mpf tuples.  Below x = 1 (when xmin < 0.5) the panels are
+    uniform in u = ln x, which resolves the scale xmin of the reflection
+    coefficient and the x ln x slope singularity of the ideal metal alike.
+    Above, a panel starting at b <= 2 has width 2 and later panels double,
+    up to the precision horizon (`_x_panels`), past which f is exactly 0;
+    from x = 1 on these come from `_x_panel_table`.
 
     The arithmetic is mpmath.libmp at mp.prec, round-nearest, with
     gl_panel's operations in gl_panel's order: each panel is h times the
-    mpf_sum (what mpmath.fsum calls) of w f, added to the total in turn.
+    mpf_sum (what mpmath.fsum calls) of w f, added to the total in turn,
+    for each component separately.
     """
     prec = mp.prec
-    nodes, fixed = _x_panel_table(nx, prec)
-    total = fzero
+    ts, ws, fixed = _x_panel_table(nx, prec)
+    totals = [fzero] * n
+
+    def add_panel(h, columns):
+        for i, terms in enumerate(columns):
+            totals[i] = mpf_add(totals[i], mpf_mul(h, mpf_sum(terms, prec, round_nearest),
+                                                   prec, round_nearest), prec, round_nearest)
+
     if xmin < mpf("0.5"):
         u0 = mpmath.log(xmin)
         npan = max(1, int(mp.ceil(-u0 / 2)))
         du = -u0 / npan
-        for i in range(npan):
-            a, b = u0 + i * du, u0 + (i + 1) * du
+        for k in range(npan):
+            a, b = u0 + k * du, u0 + (k + 1) * du
             h, mid = ((b - a) / 2)._mpf_, ((b + a) / 2)._mpf_
-            terms = []
-            for t, w in nodes:
-                x = mpf_exp(mpf_add(mid, mpf_mul(h, t, prec, round_nearest),
-                                    prec, round_nearest), prec, round_nearest)
-                fx = f(x, mpf_exp(mpf_neg(x), prec, round_nearest))
-                terms.append(mpf_mul(w, mpf_mul(x, fx, prec, round_nearest),
-                                     prec, round_nearest))
-            total = mpf_add(total, mpf_mul(h, mpf_sum(terms, prec, round_nearest),
-                                           prec, round_nearest), prec, round_nearest)
+            xs = [mpf_exp(mpf_add(mid, mpf_mul(h, t, prec, round_nearest), prec, round_nearest),
+                          prec, round_nearest) for t in ts]
+            fxs = f(xs, [mpf_exp(mpf_neg(x), prec, round_nearest) for x in xs])
+            add_panel(h, [[mpf_mul(w, mpf_mul(x, fx, prec, round_nearest), prec, round_nearest)
+                           for w, x, fx in zip(ws, xs, column)] for column in fxs])
         panels = fixed
     else:
-        panels = _x_panels(xmin, nodes, prec)
-    for h, pts in panels:
-        terms = [mpf_mul(w, f(x, ex), prec, round_nearest) for x, w, ex in pts]
-        total = mpf_add(total, mpf_mul(h, mpf_sum(terms, prec, round_nearest),
-                                       prec, round_nearest), prec, round_nearest)
-    return total
+        panels = _x_panels(xmin, ts, prec)
+    for h, xs, exs in panels:
+        add_panel(h, [[mpf_mul(w, fx, prec, round_nearest) for w, fx in zip(ws, column)]
+                      for column in f(xs, exs)])
+    return totals
 
 
 def _ideal_metal_integrand(x, prec: int):
@@ -252,8 +276,8 @@ def _ideal_metal_integrand(x, prec: int):
 def _ideal_metal_fixed(nx: int, prec: int):
     """{x: ideal-metal integrand} at the nodes of `_x_panel_table`, where it
     does not depend on m.  Built under mp.prec == prec."""
-    _, fixed = _x_panel_table(nx, prec)
-    return {x: _ideal_metal_integrand(x, prec) for _, pts in fixed for x, _, _ in pts}
+    _, _, fixed = _x_panel_table(nx, prec)
+    return {x: _ideal_metal_integrand(x, prec) for _, xs, _ in fixed for x in xs}
 
 
 def _g_zero(system: PlateSystem, pol: str):
@@ -263,21 +287,27 @@ def _g_zero(system: PlateSystem, pol: str):
     return -mpmath.polylog(3, r0 * r0)
 
 
-def g_of_m(system: PlateSystem, m, pol: str):
-    """The per-mode integral g(m) for real m >= 0 (m = 0 analytic)."""
+def _g_modes(system: PlateSystem, m, pols) -> tuple:
+    """g(m) for real m >= 0 of each polarization in pols, in that order,
+    from one kernel pass (m = 0 analytic)."""
     m = mpf(m)
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0:
-        return _g_zero(system, pol)
+        return tuple(_g_zero(system, pol) for pol in pols)
     k = mp_constants()
     zeta_m = 2 * mpmath.pi * m * k.k_B * mpf(system.temperature_T) / k.hbar
-    return _g_at_frequency(system, zeta_m, pol)
+    return _g_at_frequency(system, zeta_m, pols)
+
+
+def g_of_m(system: PlateSystem, m, pol: str):
+    """The per-mode integral g(m) of one polarization for real m >= 0."""
+    return _g_modes(system, m, (pol,))[0]
 
 
 @dataclass
 class ModeScan:
-    """One pass over g(m) for a fixed (system, polarization).
+    """What one pass over g(m) gives for one polarization.
 
     Produces every ingredient shared by the total free energy and the
     sum-minus-integral difference: the trapezoid-weighted partial sum to M,
@@ -319,71 +349,92 @@ def _truncation_m(system: PlateSystem) -> int:
     return 30
 
 
-def _m_integral(f, s, end, spec: QuadratureSpec):
-    """integral_0^end f(m) dm on the m layout shared by the scan and F(0).
+def _m_integral(f, s, end, spec: QuadratureSpec) -> list:
+    """integral_0^end f(m) dm of each component of the tuple-valued f, on
+    the m layout shared by the scan and F(0).
 
     On [0, s] the substitution m = v^2 turns the m^{3/2} and m^2 ln m
     endpoint terms into v^3 and v^4 ln v, mild enough for one high-order
     panel; from s on, geometric panels double up to `end`.
     """
-    total = gl_panel(lambda v: 2 * v * f(v * v), mpf(0), mpmath.sqrt(s),
-                     gauss_legendre(spec.nm_unit))
+    total = _gl_panels(lambda v: [2 * v * y for y in f(v * v)], mpf(0), mpmath.sqrt(s),
+                       gauss_legendre(spec.nm_unit))
     geo = gauss_legendre(spec.nm_geo)
     b = mpf(s)
     while b < end:
         nb = min(2 * b, mpf(end))
-        total += gl_panel(f, b, nb, geo)
+        total = [t + p for t, p in zip(total, _gl_panels(f, b, nb, geo))]
         b = nb
     return total
 
 
-def mode_scan(system: PlateSystem, pol: str) -> ModeScan:
+def _mode_scans(system: PlateSystem, pols) -> tuple[dict, int]:
+    """One pass over the m nodes serving every polarization in pols.
+
+    Returns ({pol: ModeScan}, the number of g(m) evaluations made); each
+    evaluation is one kernel pass for all of pols.
+    """
     if system.temperature_T <= 0:
         raise ValueError("mode scan requires T > 0")
     M = _truncation_m(system)
-    g = lambda m: g_of_m(system, m, pol)
+    evals = 0
+
+    def g(m):
+        nonlocal evals
+        evals += 1
+        return _g_modes(system, m, pols)
     gv = [g(m) for m in range(M + 4)]
-    sum_part = gv[0] / 2 + mpmath.fsum(gv[1:M]) + gv[M] / 2
     integ = _m_integral(g, 1, M, system.quadrature)
 
     # tail integral_M^inf: g decays like e^{-x_min(m)}; stop once x_min > 60
     k = mp_constants()
     xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
     geo = gauss_legendre(system.quadrature.nm_geo)
-    tail = mpf(0)
+    tail = [mpf(0)] * len(pols)
     b = mpf(M)
     while xm1 * b < 60:
         nb = 2 * b
-        tail += gl_panel(g, b, nb, geo)
+        tail = [t + p for t, p in zip(tail, _gl_panels(g, b, nb, geo))]
         b = nb
 
-    # 7-point central differences at unit spacing around M
-    s = gv[M - 3:M + 4]
-    d1 = (-s[0] + 9 * s[1] - 45 * s[2] + 45 * s[4] - 9 * s[5] + s[6]) / 60
-    d3 = (s[0] - 8 * s[1] + 13 * s[2] - 13 * s[4] + 8 * s[5] - s[6]) / 8
-    d5 = (-s[0] + 4 * s[1] - 5 * s[2] + 5 * s[4] - 4 * s[5] + s[6]) / 2
-    return ModeScan(M=M, sum_part=sum_part, integral_0_M=integ,
-                    integral_tail=tail, d1=d1, d3=d3, d5=d5)
+    scans = {}
+    for i, pol in enumerate(pols):
+        gp = [v[i] for v in gv]
+        # 7-point central differences at unit spacing around M
+        s = gp[M - 3:M + 4]
+        d1 = (-s[0] + 9 * s[1] - 45 * s[2] + 45 * s[4] - 9 * s[5] + s[6]) / 60
+        d3 = (s[0] - 8 * s[1] + 13 * s[2] - 13 * s[4] + 8 * s[5] - s[6]) / 8
+        d5 = (-s[0] + 4 * s[1] - 5 * s[2] + 5 * s[4] - 4 * s[5] + s[6]) / 2
+        scans[pol] = ModeScan(M=M, sum_part=gp[0] / 2 + mpmath.fsum(gp[1:M]) + gp[M] / 2,
+                              integral_0_M=integ[i], integral_tail=tail[i],
+                              d1=d1, d3=d3, d5=d5)
+    return scans, evals
+
+
+def mode_scan(system: PlateSystem, pol: str) -> ModeScan:
+    """The scan of one polarization: its view of `_mode_scans`."""
+    return _mode_scans(system, (pol,))[0][pol]
 
 
 def free_energy(system: PlateSystem) -> FreeEnergyResult:
     """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m).
 
-    One mode scan per polarization; the scans stay on the result, whose
-    delta_f(pol) gives the thermal correction without scanning again.
+    One joint mode scan serves every polarization; the per-polarization
+    scans stay on the result, whose delta_f(pol) gives the thermal
+    correction without scanning again.
     """
     if system.temperature_T <= 0:
         raise ValueError("free_energy requires T > 0; use zero_temperature_energy")
     k = mp_constants()
     a = mpf(system.separation_a)
     pref = k.k_B * mpf(system.temperature_T) / (8 * mpmath.pi * a * a)
-    scans = {pol: mode_scan(system, pol) for pol in system.polarization.modes()}
+    scans, g_evals = _mode_scans(system, system.polarization.modes())
     per_mode = {pol: pref * scan.sum_total for pol, scan in scans.items()}
     return FreeEnergyResult(
         total=mpmath.fsum(per_mode.values()), per_mode=per_mode,
         m_truncation=max(scan.M for scan in scans.values()),
         est_error=mpmath.fsum(pref * abs(scan.d5) / 30240 for scan in scans.values()),
-        prefactor=pref, scans=scans)
+        prefactor=pref, scans=scans, g_evals=g_evals)
 
 
 def delta_f_direct(system: PlateSystem) -> dict:
@@ -405,6 +456,8 @@ def zero_temperature_energy(system: PlateSystem):
     The first m-layout panel ends at the conductivity knee y = alpha =
     2 a (4 pi sigma) / c (at y = 1 without conductivity or above alpha = 1),
     where the TM reflection coefficient falls from 1 to its dielectric value.
+    One pass over the y nodes serves every polarization; the result is the
+    sum of the per-polarization energies, TM first.
     """
     k = mp_constants()
     a = mpf(system.separation_a)
@@ -412,20 +465,24 @@ def zero_temperature_energy(system: PlateSystem):
     knee = mpf(1)
     if mat.mode is not PermittivityMode.IDEAL_METAL and mat.four_pi_sigma > 0:
         knee = min(alpha_param(a, mat.four_pi_sigma), knee)
+    pols = system.polarization.modes()
+    pref = k.hbar * k.c / (32 * mpmath.pi ** 2 * a ** 3)
     total = mpf(0)
-    for pol in system.polarization.modes():
-        f = lambda y: _g_at_frequency(system, y * k.c / (2 * a), pol)
-        total += _m_integral(f, knee, 60, system.quadrature)
-    return k.hbar * k.c / (32 * mpmath.pi ** 2 * a ** 3) * total
+    for integral in _m_integral(lambda y: _g_at_frequency(system, y * k.c / (2 * a), pols),
+                                knee, 60, system.quadrature):
+        total += pref * integral
+    return total
 
 
-def _g_at_frequency(system: PlateSystem, zeta_v, pol: str = "tm"):
-    """g evaluated at a continuous imaginary frequency zeta (1/s)."""
+def _g_at_frequency(system: PlateSystem, zeta_v, pols) -> tuple:
+    """g at a continuous imaginary frequency zeta (1/s) of each polarization
+    in pols, in that order, from one pass over the x nodes; the ideal metal
+    (r^2 = 1 in both modes) is integrated once."""
     k = mp_constants()
     a = mpf(system.separation_a)
     xmin = 2 * a * mpf(zeta_v) / k.c
     if xmin > _x_horizon(mp.prec):
-        return mpf(0)
+        return (mpf(0),) * len(pols)
     if xmin <= 0:
         raise ValueError("zeta must be positive")
     prec = mp.prec
@@ -433,18 +490,22 @@ def _g_at_frequency(system: PlateSystem, zeta_v, pol: str = "tm"):
     if mat.mode is PermittivityMode.IDEAL_METAL:
         known = _ideal_metal_fixed(system.quadrature.nx, prec)
 
-        def f(x, ex):
-            v = known.get(x)
-            return _ideal_metal_integrand(x, prec) if v is None else v
-    else:
-        ep = permittivity(mat, zeta_v)
-        zfac = (xmin * xmin * (ep - 1))._mpf_
-        ep = ep._mpf_
+        def f(xs, exs):
+            return [[known[x] if x in known else _ideal_metal_integrand(x, prec) for x in xs]]
+        g = mp.make_mpf(_x_integral(f, xmin, system.quadrature.nx, 1)[0])
+        return (g,) * len(pols)
+    ep = permittivity(mat, zeta_v)
+    zfac = (xmin * xmin * (ep - 1))._mpf_
+    ep = ep._mpf_
 
-        def f(x, ex):
-            z = mpf_div(zfac, mpf_mul(x, x, prec, round_nearest), prec, round_nearest)
-            r = mpf_reflection(ep, z, pol, prec)
-            r2e = mpf_mul(mpf_mul(r, r, prec, round_nearest), ex, prec, round_nearest)
-            return mpf_mul(x, mpf_log(mpf_sub(fone, r2e, prec, round_nearest),
-                                      prec, round_nearest), prec, round_nearest)
-    return mp.make_mpf(_x_integral(f, xmin, system.quadrature.nx))
+    def f(xs, exs):
+        zs = [mpf_div(zfac, mpf_mul(x, x, prec, round_nearest), prec, round_nearest) for x in xs]
+        columns = []
+        for rs in mpf_reflections(ep, zs, pols, prec):
+            r2es = [mpf_mul(mpf_mul(r, r, prec, round_nearest), ex, prec, round_nearest)
+                    for r, ex in zip(rs, exs)]
+            columns.append([mpf_mul(x, mpf_log(mpf_sub(fone, r2e, prec, round_nearest),
+                                               prec, round_nearest), prec, round_nearest)
+                            for x, r2e in zip(xs, r2es)])
+        return columns
+    return tuple(mp.make_mpf(v) for v in _x_integral(f, xmin, system.quadrature.nx, len(pols)))

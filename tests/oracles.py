@@ -7,7 +7,7 @@ for the tests.
   log-power series) a Borel integral.
 * The exact leading TE summand and its first conductivity correction in
   closed form, and a direct quadrature of the former.
-* `reflection` on mpf values, over the kernel's own `mpf_reflection`, and
+* `reflection` on mpf values, over the kernel's own `mpf_reflections`, and
   the squared zero-frequency TM coefficient `a_mu`.
 * `constant_a_integral`, the kernel's x-panel loop on a constant
   reflection, against the analytic -Li_3 of the m = 0 mode.
@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import fone, mpf_log, mpf_mul, mpf_sub, round_nearest
 
 from casimir_lowt import lifshitz
-from casimir_lowt.dielectric import mpf_reflection
+from casimir_lowt.dielectric import mpf_reflections
 from casimir_lowt.lifshitz import QuadratureSpec, gauss_legendre, gl_panel
 
 
@@ -247,8 +247,8 @@ def te_g1_quadrature(mu, eps_bar, nodes=None):
 # --- reflection and the m = 0 mode ---------------------------------------------
 
 def reflection(eps, z, pol: str):
-    """r_TE or r_TM at the working precision: `mpf_reflection` on mpf values."""
-    return mp.make_mpf(mpf_reflection(mpf(eps)._mpf_, mpf(z)._mpf_, pol, mp.prec))
+    """r_TE or r_TM at the working precision: `mpf_reflections` on mpf values."""
+    return mp.make_mpf(mpf_reflections(mpf(eps)._mpf_, [mpf(z)._mpf_], (pol,), mp.prec)[0][0])
 
 
 def a_mu(eps_bar, mu):
@@ -278,7 +278,8 @@ def constant_a_integral(a_sq):
         raise ValueError("a_sq must lie in [0, 1]")
     a, prec = a_sq._mpf_, mp.prec
 
-    def f(x, ex):
-        one_minus = mpf_sub(fone, mpf_mul(a, ex, prec, round_nearest), prec, round_nearest)
-        return mpf_mul(x, mpf_log(one_minus, prec, round_nearest), prec, round_nearest)
-    return mp.make_mpf(lifshitz._x_integral(f, mpmath.exp(mpf(-40)), QuadratureSpec().nx))
+    def f(xs, exs):
+        return [[mpf_mul(x, mpf_log(mpf_sub(fone, mpf_mul(a, ex, prec, round_nearest),
+                                            prec, round_nearest), prec, round_nearest),
+                         prec, round_nearest) for x, ex in zip(xs, exs)]]
+    return mp.make_mpf(lifshitz._x_integral(f, mpmath.exp(mpf(-40)), QuadratureSpec().nx, 1)[0])

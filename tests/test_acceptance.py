@@ -128,6 +128,7 @@ def test_criterion_3_reduced_parameters():
                   f"alpha(1 um) = {mpmath.nstr(al, 4)} (6.67e-3+-0.05e-3)")
 
 
+@pytest.mark.slow
 def test_criterion_4_tm_oracle_equivalence(tm_low_records):
     k = mp_constants()
     d_th = mpmath.pi ** 2 * k.k_B ** 2 / (72 * k.hbar * mpf(SIGMA) * mpf(A_M) ** 2)
@@ -147,6 +148,7 @@ def test_criterion_4_tm_oracle_equivalence(tm_low_records):
            f"|dR/dT| = {mpmath.nstr(slope, 3)} (<0.5 /K)")
 
 
+@pytest.mark.slow
 def test_criterion_5_te_quadratic_and_cubic(te_records):
     c2_th = delta_f_te(SIGMA, A_M, 0.0, eps_bar=11.67).coefficient(2)
     fit = fit_expansion(te_records, extra_powers=TE_FIT_POWERS)
@@ -164,6 +166,7 @@ def test_criterion_5_te_quadratic_and_cubic(te_records):
            f"{mpmath.nstr(max(ratios), 3)}] (needs [0.2, 5] everywhere)")
 
 
+@pytest.mark.slow
 def test_criterion_6_leading_coefficient_eps_bar_independent(tm_records,
                                                              tm_eb1_records):
     d_ref = fit_expansion(tm_records).D
@@ -214,6 +217,7 @@ def test_criterion_8_structural_identities():
            f"static fraction of F(0) = {mpmath.nstr(frac, 4)} (0.994..1)")
 
 
+@pytest.mark.slow
 def test_criterion_9_sign_and_shape(tm_records):
     df = delta_f_direct(PlateSystem(A_M, 0.1, SI_PAPER, Polarization.BOTH))
     d2 = fit_expansion(tm_records).D2

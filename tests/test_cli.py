@@ -125,6 +125,17 @@ def test_sweep_and_rdiag_write_the_same_records(tm_config, capsys):
     assert sweep.out.encode() == rdiag.out.encode()
 
 
+def test_sweep_both_is_tm_then_te_with_the_te_warning_between(tm_config, capsys):
+    runs = {}
+    for pol in ("both", "tm", "te"):
+        assert main(["sweep", "--config", tm_config, "--pol", pol, "--no-timestamp"]) == EXIT_OK
+        runs[pol] = capsys.readouterr()
+    tm_out, te_out = runs["tm"].out.splitlines(), runs["te"].out.splitlines()
+    assert runs["both"].out.splitlines() == tm_out + te_out[1:]
+    assert runs["both"].err == runs["tm"].err + runs["te"].err
+    assert runs["both"].err.splitlines()[1].startswith("warning: TE R-diagnostic")
+
+
 def test_sweep_summary_skipped_on_short_grid(tm_config, capsys):
     # two points: too few for dR/dT (3) and for the fit (6)
     assert main(["sweep", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
@@ -267,6 +278,14 @@ def test_grid_rejects_non_finite(field, value):
     fields = {"t_min": 0.1, "t_max": 1.0, field: value}
     cfg = RunConfig(material=PRESETS["si-paper"].material, **fields)
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        cfg.grid()
+
+
+@pytest.mark.parametrize("points", [0, -5])
+def test_grid_built_in_code_rejects_points_per_decade_below_one(points):
+    cfg = RunConfig(material=PRESETS["si-paper"].material, t_min=0.1, t_max=1.0,
+                    points_per_decade=points)
+    with pytest.raises(ValueError, match="points_per_decade"):
         cfg.grid()
 
 

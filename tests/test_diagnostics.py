@@ -200,3 +200,19 @@ def test_log_grid():
         log_grid(0.2, 0.1)
     with pytest.raises(ValueError):
         log_grid(0.0, 0.1)
+
+
+def test_r_curve_both_is_tm_then_te():
+    template = PlateSystem(1e-6, 1.0, SI_PAPER)
+    both = r_curve(template, [0.5, 0.7], "both")
+    single = r_curve(template, [0.5, 0.7], "tm") + r_curve(template, [0.5, 0.7], "te")
+    assert [r.pol for r in both] == ["tm", "tm", "te", "te"]
+    for a, b in zip(both, single, strict=True):
+        for field in ("T", "F_num", "F_asym", "dF_num", "dF_th", "R", "pol"):
+            assert getattr(a, field) == getattr(b, field), field
+
+
+@pytest.mark.parametrize("points", [0, -5])
+def test_log_grid_rejects_points_per_decade_below_one(points):
+    with pytest.raises(ValueError, match="points_per_decade"):
+        log_grid(0.1, 1.0, points)

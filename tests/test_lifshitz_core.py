@@ -190,7 +190,7 @@ def test_precision_guard_raises(monkeypatch):
     # fabricate a scan whose difference is ~1e-20 of its parts: at 15 digits
     # nothing trustworthy survives
     starved.sum_part = mpf("-250") + mpf("1e-18")
-    monkeypatch.setattr(lif, "mode_scan", lambda s, p: starved)
+    monkeypatch.setattr(lif, "_mode_scans", lambda s, pols: ({p: starved for p in pols}, 0))
     mp.dps = 15
     try:
         with pytest.raises(PrecisionError):
@@ -293,15 +293,17 @@ def test_g_bit_identical_to_reference(material, pol):
 
 def test_zero_temperature_g_bit_identical_to_reference(monkeypatch):
     sys_ = PlateSystem(1e-6, 0.0, SI_PAPER)
-    calls = []
+    per_pol = {"tm": [], "te": []}
     kernel = lifshitz._g_at_frequency
 
-    def spy(system, zeta, pol="tm"):
-        g = kernel(system, zeta, pol)
-        calls.append((zeta, pol, g))
-        return g
+    def spy(system, zeta, pols):
+        gs = kernel(system, zeta, pols)
+        for pol, g in zip(pols, gs):
+            per_pol[pol].append((zeta, pol, g))
+        return gs
     monkeypatch.setattr(lifshitz, "_g_at_frequency", spy)
     zero_temperature_energy(sys_)
+    calls = per_pol["tm"] + per_pol["te"]
     assert len(calls) == 768
     for zeta, pol, g in calls[::6]:
         assert g == _reference_g_at_frequency(sys_, zeta, pol), (zeta, pol)
@@ -331,3 +333,32 @@ def test_precision_change_rebuilds_node_tables():
                 assert g_of_m(sys_, m, pol) == _reference_g(sys_, m, pol), (attr, value)
     finally:
         set_precision(33)
+
+
+# --- one kernel pass for every polarization -----------------------------------
+
+@pytest.mark.parametrize("T", [0.015, 0.85])
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1, IDEAL_METAL],
+                         ids=["si-paper", "si-fig2", "ideal-metal-check"])
+def test_joint_scan_equals_single_polarization_scans(material, T):
+    both = free_energy(PlateSystem(1e-6, T, material, Polarization.BOTH))
+    for pol in ("tm", "te"):
+        single = free_energy(PlateSystem(1e-6, T, material, Polarization(pol)))
+        assert both.per_mode[pol] == single.per_mode[pol]
+        assert both.delta_f(pol) == single.delta_f(pol)
+        # one g(m) evaluation serves both polarizations
+        assert both.g_evals == single.g_evals
+
+
+def test_joint_zero_temperature_energy_is_tm_plus_te():
+    for material in (SI_PAPER, IDEAL_METAL):
+        f0 = {pol: zero_temperature_energy(PlateSystem(1e-6, 0.0, material, pol))
+              for pol in (Polarization.BOTH, Polarization.TM, Polarization.TE)}
+        assert f0[Polarization.BOTH] == f0[Polarization.TM] + f0[Polarization.TE]
+
+
+def test_ideal_metal_g_same_for_both_polarizations():
+    sys_ = PlateSystem(1e-6, 0.015, IDEAL_METAL)
+    xm1 = _xmin_per_m(sys_)
+    for m in [0, 1, 7, 40] + [c / xm1 for c in (0.6, 2.5, 47.1)]:
+        assert g_of_m(sys_, m, "tm") == g_of_m(sys_, m, "te"), m
