@@ -23,8 +23,8 @@ from scipy.optimize import curve_fit
 
 from . import asymptotics
 from .dielectric import PermittivityMode
-# delta_f_direct is imported for the benchmark's span wrappers (bench/spans.py)
-from .lifshitz import PlateSystem, Polarization, delta_f_direct, free_energy, zero_temperature_energy  # noqa: F401
+# delta_f_direct, zero_temperature_energy: imported for the span wrappers of bench/spans.py
+from .lifshitz import PlateSystem, Polarization, delta_f_direct, free_energy, zero_temperature_energies, zero_temperature_energy  # noqa: F401,E501
 
 
 class FitError(RuntimeError):
@@ -80,10 +80,10 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     """An iterator over the SweepRecords of each polarization of `pol` in
     turn, TM first, one list per polarization.
 
-    The call takes F(0) per polarization and one free_energy per
-    temperature, whose joint scan serves every polarization.  A
-    polarization's dF (with its precision check) and closed-form terms
-    (with their ValidityWarnings) are evaluated when its list is drawn.
+    The call makes one F(0) pass and one free_energy per temperature, each
+    serving every polarization.  A polarization's dF (with its precision
+    check) and closed-form terms (with their ValidityWarnings) are
+    evaluated when its list is drawn.
     """
     ts = [mpf(T) for T in t_grid]
     if not ts:
@@ -93,8 +93,7 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("temperature grid must be strictly ascending")
     pols = Polarization(pol).modes()
-    f0 = {p: zero_temperature_energy(replace(template, polarization=Polarization(p)))
-          for p in pols}
+    f0 = zero_temperature_energies(replace(template, polarization=Polarization(pol)))
     systems = [replace(template, temperature_T=float(T), polarization=Polarization(pol))
                for T in ts]
     results = [free_energy(system) for system in systems]

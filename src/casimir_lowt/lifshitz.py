@@ -28,7 +28,8 @@ one-polarization pass in the same order (so every value is bit-identical
 to it).  The ideal metal, where r^2 = 1 in both modes, is integrated once.
 The scan, F and F(0) make one such pass over their m (or y) nodes for all
 of `PlateSystem.polarization.modes()`; `g_of_m` and `mode_scan` are the
-one-polarization views.
+one-polarization views, and `zero_temperature_energies` gives F(0) per
+polarization from its one pass.
 
 The x-panel loop behind every g runs on mpmath's raw arithmetic
 (mpmath.libmp on mpf tuples at mp.prec, round-nearest), skipping the
@@ -449,15 +450,16 @@ def delta_f_direct(system: PlateSystem) -> dict:
     return {pol: res.delta_f(pol) for pol in res.scans}
 
 
-def zero_temperature_energy(system: PlateSystem):
-    """T = 0 limit: the Matsubara sum becomes a frequency integral.
+def zero_temperature_energies(system: PlateSystem) -> dict:
+    """T = 0 limit per polarization: the Matsubara sum becomes a frequency
+    integral.
 
     With y = 2 a zeta / c,  F(0) = hbar c / (32 pi^2 a^3) integral_0^inf g(y) dy.
     The first m-layout panel ends at the conductivity knee y = alpha =
     2 a (4 pi sigma) / c (at y = 1 without conductivity or above alpha = 1),
     where the TM reflection coefficient falls from 1 to its dielectric value.
-    One pass over the y nodes serves every polarization; the result is the
-    sum of the per-polarization energies, TM first.
+    Returns {pol: J/m^2} for every polarization of the system, from one pass
+    over the y nodes.
     """
     k = mp_constants()
     a = mpf(system.separation_a)
@@ -467,11 +469,14 @@ def zero_temperature_energy(system: PlateSystem):
         knee = min(alpha_param(a, mat.four_pi_sigma), knee)
     pols = system.polarization.modes()
     pref = k.hbar * k.c / (32 * mpmath.pi ** 2 * a ** 3)
-    total = mpf(0)
-    for integral in _m_integral(lambda y: _g_at_frequency(system, y * k.c / (2 * a), pols),
-                                knee, 60, system.quadrature):
-        total += pref * integral
-    return total
+    integrals = _m_integral(lambda y: _g_at_frequency(system, y * k.c / (2 * a), pols),
+                            knee, 60, system.quadrature)
+    return {pol: pref * integral for pol, integral in zip(pols, integrals)}
+
+
+def zero_temperature_energy(system: PlateSystem):
+    """F(0) of the system: the sum of `zero_temperature_energies`, TM first."""
+    return sum(zero_temperature_energies(system).values())
 
 
 def _g_at_frequency(system: PlateSystem, zeta_v, pols) -> tuple:

@@ -355,6 +355,9 @@ def test_joint_zero_temperature_energy_is_tm_plus_te():
         f0 = {pol: zero_temperature_energy(PlateSystem(1e-6, 0.0, material, pol))
               for pol in (Polarization.BOTH, Polarization.TM, Polarization.TE)}
         assert f0[Polarization.BOTH] == f0[Polarization.TM] + f0[Polarization.TE]
+        # the one joint pass gives each polarization its one-polarization F(0)
+        joint = lifshitz.zero_temperature_energies(PlateSystem(1e-6, 0.0, material))
+        assert joint == {"tm": f0[Polarization.TM], "te": f0[Polarization.TE]}
 
 
 def test_ideal_metal_g_same_for_both_polarizations():
