@@ -28,8 +28,7 @@ from . import asymptotics, diagnostics
 from .config import PRESETS, ConfigError, RunConfig, load_config
 from .constants import alpha_param
 from .dielectric import PermittivityMode
-from .lifshitz import (PlateSystem, Polarization, PrecisionError, free_energy,
-                       zero_temperature_energy)
+from .lifshitz import PlateSystem, Polarization, PrecisionError, free_energy
 from .precision import set_precision
 
 EXIT_OK = 0

@@ -47,7 +47,6 @@ class FitResult:
     D: float           # J/(K^2 m^2), leading magnitude (positive)
     D1: float          # 1/K
     D2: float          # 1/K^2 (0.0 when T^2 not among the fitted powers)
-    covariance: np.ndarray   # 3x3 for (D, D1, D2)
     T_range: tuple
     sign: int          # sign of dF_num on the grid
     extras: dict       # remaining fitted coefficients keyed by power
@@ -155,11 +154,7 @@ def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
 
     extras = {p: c for p, c in zip(powers, popt[2:])}
     d2 = float(extras.get(2.0, 0.0))
-    idx = [0, 1] + ([2 + powers.index(2.0)] if 2.0 in powers else [])
-    cov3 = np.zeros((3, 3))
-    sub = pcov[np.ix_(idx, idx)]
-    cov3[:sub.shape[0], :sub.shape[1]] = sub
-    return FitResult(D=float(popt[0]), D1=float(popt[1]), D2=d2, covariance=cov3,
+    return FitResult(D=float(popt[0]), D1=float(popt[1]), D2=d2,
                      T_range=(float(T[0]), float(T[-1])), sign=sign, extras=extras)
 
 

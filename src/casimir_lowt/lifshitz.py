@@ -17,29 +17,32 @@ correction is a small part of F.  So the sum and the integral are
 evaluated from the *same* g values in one scan at extended precision, with
 the sum tail beyond a cutoff M handled by endpoint derivative corrections
 (Euler-Maclaurin with 7-point finite-difference derivatives at M); F and
-dF come from that one scan.  One x-panel layout serves every g, and one
-m-panel layout serves both the scan's m-integral and the y-integral of F(0).
+dF come from that one scan.  One x-panel layout serves every g of a
+dielectric, and one m-panel layout serves both the scan's m-integral and
+the y-integral of F(0).
 
 Each pass of the kernel serves every polarization the caller asks for:
 at each x node, x, e^{-x}, eps, z = (x_min/x)^2 (eps - 1) and sqrt(1 + z)
 are computed once, and only r_TM or r_TE and the log term are done per
 polarization, each into its own running sum with the operations of a
 one-polarization pass in the same order (so every value is bit-identical
-to it).  The ideal metal, where r^2 = 1 in both modes, is integrated once.
-The scan, F and F(0) make one such pass over their m (or y) nodes for all
-of `PlateSystem.polarization.modes()`; `g_of_m` and `mode_scan` are the
-one-polarization views, and `zero_temperature_energies` gives F(0) per
-polarization from its one pass.
+to it).  The ideal metal, where r^2 = 1 in both modes, needs no x-integral:
+its g is -[x_min Li_2(e^{-x_min}) + Li_3(e^{-x_min})] in both, which is
+-zeta(3) at m = 0.  The scan, F and F(0) make one such pass over their m
+(or y) nodes for all of `PlateSystem.polarization.modes()`; `g_of_m` and
+`mode_scan` are the one-polarization views, and `zero_temperature_energies`
+gives F(0) per polarization from its one pass.
 
-The x-panel loop behind every g runs on mpmath's raw arithmetic
-(mpmath.libmp on mpf tuples at mp.prec, round-nearest), skipping the
-per-operation wrapper of mpf objects, and takes the nodes, weights and
-e^{-x} of the m-independent panels above x = 1 from a table built once per
-(panel order, precision).  Its operations and their order are those of
-`gl_panel` on mpf values, so every g is bit-identical to that form.  The
-panels stop at the precision horizon x = (prec + 1) ln 2 (79.0 at 33
-digits), past which 1 - r^2 e^{-x} rounds to 1 and every integrand value
-is exactly 0, so no cut-off error is made there.
+The x-panel loop runs on mpmath's raw arithmetic (mpmath.libmp on mpf
+tuples at mp.prec, round-nearest), skipping the per-operation wrapper of
+mpf objects, and takes the nodes, weights and e^{-x} of the m-independent
+panels above x = 1 from a table built once per (panel order, precision).
+Its operations and their order are those of a Gauss-Legendre panel sum on
+mpf values (h times the fsum of w f, panel by panel), and the tests check
+every g bit for bit against that mpf reference.  The panels stop at the
+precision horizon x = (prec + 1) ln 2 (79.0 at 33 digits), past which
+1 - r^2 e^{-x} rounds to 1 and every integrand value is exactly 0, so no
+cut-off error is made there.
 
 Quadrature is non-adaptive by design: fixed Gauss-Legendre panels whose
 layout is matched to the known shape of the integrands (logarithmic panels
@@ -175,11 +178,6 @@ def _gauss_legendre_cached(n: int, prec: int):
     return tuple(nodes)
 
 
-def gl_panel(f, a, b, nodes):
-    """integral_a^b f, single Gauss-Legendre panel."""
-    return _gl_panels(lambda m: (f(m),), a, b, nodes)[0]
-
-
 def _gl_panels(f, a, b, nodes) -> list:
     """integral_a^b of each component of the tuple-valued f on one
     Gauss-Legendre panel: f is called once per node, and component i is
@@ -227,15 +225,15 @@ def _x_integral(f, xmin, nx: int, n: int) -> list:
     integrand at those nodes.  The result is the list of the n integrals
     as raw mpf tuples.  Below x = 1 (when xmin < 0.5) the panels are
     uniform in u = ln x, which resolves the scale xmin of the reflection
-    coefficient and the x ln x slope singularity of the ideal metal alike.
+    coefficient and, where r^2 is close to 1, the x ln x slope of f.
     Above, a panel starting at b <= 2 has width 2 and later panels double,
     up to the precision horizon (`_x_panels`), past which f is exactly 0;
     from x = 1 on these come from `_x_panel_table`.
 
-    The arithmetic is mpmath.libmp at mp.prec, round-nearest, with
-    gl_panel's operations in gl_panel's order: each panel is h times the
-    mpf_sum (what mpmath.fsum calls) of w f, added to the total in turn,
-    for each component separately.
+    The arithmetic is mpmath.libmp at mp.prec, round-nearest, in the order
+    of the mpf reference in the tests: each panel is h times the mpf_sum
+    (what mpmath.fsum calls) of w f, added to the total in turn, for each
+    component separately.
     """
     prec = mp.prec
     ts, ws, fixed = _x_panel_table(nx, prec)
@@ -265,20 +263,6 @@ def _x_integral(f, xmin, nx: int, n: int) -> list:
         add_panel(h, [[mpf_mul(w, fx, prec, round_nearest) for w, fx in zip(ws, column)]
                       for column in f(xs, exs)])
     return totals
-
-
-def _ideal_metal_integrand(x, prec: int):
-    """x ln(1 - e^-x) on a raw x; libmp has no expm1, so this keeps mpmath's."""
-    em1 = mpmath.expm1(mp.make_mpf(mpf_neg(x)))._mpf_
-    return mpf_mul(x, mpf_log(mpf_neg(em1), prec, round_nearest), prec, round_nearest)
-
-
-@lru_cache(maxsize=16)
-def _ideal_metal_fixed(nx: int, prec: int):
-    """{x: ideal-metal integrand} at the nodes of `_x_panel_table`, where it
-    does not depend on m.  Built under mp.prec == prec."""
-    _, _, fixed = _x_panel_table(nx, prec)
-    return {x: _ideal_metal_integrand(x, prec) for _, xs, _ in fixed for x in xs}
 
 
 def _g_zero(system: PlateSystem, pol: str):
@@ -481,8 +465,11 @@ def zero_temperature_energy(system: PlateSystem):
 
 def _g_at_frequency(system: PlateSystem, zeta_v, pols) -> tuple:
     """g at a continuous imaginary frequency zeta (1/s) of each polarization
-    in pols, in that order, from one pass over the x nodes; the ideal metal
-    (r^2 = 1 in both modes) is integrated once."""
+    in pols, in that order, from one pass over the x nodes.
+
+    The ideal metal (r^2 = 1 in both modes) is exact instead:
+    integral_{x_min}^inf x ln(1 - e^-x) dx = -[x_min Li_2(e^-x_min) +
+    Li_3(e^-x_min)], one value for every polarization."""
     k = mp_constants()
     a = mpf(system.separation_a)
     xmin = 2 * a * mpf(zeta_v) / k.c
@@ -493,12 +480,8 @@ def _g_at_frequency(system: PlateSystem, zeta_v, pols) -> tuple:
     prec = mp.prec
     mat = system.material
     if mat.mode is PermittivityMode.IDEAL_METAL:
-        known = _ideal_metal_fixed(system.quadrature.nx, prec)
-
-        def f(xs, exs):
-            return [[known[x] if x in known else _ideal_metal_integrand(x, prec) for x in xs]]
-        g = mp.make_mpf(_x_integral(f, xmin, system.quadrature.nx, 1)[0])
-        return (g,) * len(pols)
+        q = mpmath.exp(-xmin)
+        return (-(xmin * mpmath.polylog(2, q) + mpmath.polylog(3, q)),) * len(pols)
     ep = permittivity(mat, zeta_v)
     zfac = (xmin * xmin * (ep - 1))._mpf_
     ep = ep._mpf_

@@ -11,6 +11,8 @@ for the tests.
   the squared zero-frequency TM coefficient `a_mu`.
 * `constant_a_integral`, the kernel's x-panel loop on a constant
   reflection, against the analytic -Li_3 of the m = 0 mode.
+* `gl_panel`, one Gauss-Legendre panel on mpf values: the arithmetic that
+  the kernel's raw x-panel loop reproduces bit for bit.
 
 All routines work at the current mpmath precision.
 """
@@ -27,7 +29,12 @@ from mpmath.libmp import fone, mpf_log, mpf_mul, mpf_sub, round_nearest
 
 from casimir_lowt import lifshitz
 from casimir_lowt.dielectric import mpf_reflections
-from casimir_lowt.lifshitz import QuadratureSpec, gauss_legendre, gl_panel
+from casimir_lowt.lifshitz import QuadratureSpec, gauss_legendre
+
+
+def gl_panel(f, a, b, nodes):
+    """integral_a^b f, single Gauss-Legendre panel."""
+    return lifshitz._gl_panels(lambda m: (f(m),), a, b, nodes)[0]
 
 
 # --- endpoint-series constants: Bernoulli tables, Levin and Borel ------------

@@ -1,0 +1,42 @@
+"""Every name a module of the package imports is used in that module.
+
+A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
+import statement whose line carries `# noqa: F401` is exempt, and a name
+listed in the module's `__all__` counts as used.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "casimir_lowt"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} imports {name}, never used"
+            for name, line in sorted(imported.items(), key=lambda item: item[1])
+            if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [msg for path in modules for msg in _unused_imports(path)] == []

@@ -13,9 +13,9 @@ from casimir_lowt import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
 from casimir_lowt import lifshitz
 from casimir_lowt.constants import mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
-from casimir_lowt.lifshitz import ModeScan, g_of_m, gl_panel, mode_scan
+from casimir_lowt.lifshitz import ModeScan, g_of_m, mode_scan
 from casimir_lowt.precision import set_precision
-from oracles import constant_a_integral
+from oracles import constant_a_integral, gl_panel
 
 SIGMA0_SI = DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0)
 VACUUM = DielectricModel(eps_bar=1.0, omega0=8e15, four_pi_sigma=0.0)
@@ -214,7 +214,9 @@ def test_shared_kernel_consistency():
 #
 # lifshitz._x_integral runs on mpmath.libmp tuples over a per-precision node
 # table.  The reference below is the same layout and integrand written with
-# mpf objects and gl_panel; the kernel must reproduce it bit for bit.
+# mpf objects and gl_panel; the kernel must reproduce it bit for bit.  The
+# ideal metal has no x-quadrature in the kernel: its g is in closed form and
+# is checked against this reference at doubled panel orders.
 
 # The reference keeps the fixed cut-off x = 256 of the original layout; the
 # kernel stops at its precision horizon instead, since every panel beyond it
@@ -278,17 +280,33 @@ def _xmin_per_m(system):
             * mpf(system.temperature_T) / (k.hbar * k.c))
 
 
-@pytest.mark.parametrize("pol", ["tm", "te"])
-@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1, IDEAL_METAL],
-                         ids=["si-paper", "si-fig2", "ideal-metal-check"])
-def test_g_bit_identical_to_reference(material, pol):
+def _m_grid(system):
     # integer m on the log-panel branch (x_min ~ 8e-5 m at 15 mK), then
     # non-integer m with x_min from 0.6 to past X_CUT on the other branch
+    xm1 = _xmin_per_m(system)
+    return list(range(1, 41)) + [c / xm1 for c in (0.6, 1.93, 2.5, 3.37, 47.1, 200.5, 300)]
+
+
+@pytest.mark.parametrize("pol", ["tm", "te"])
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1], ids=["si-paper", "si-fig2"])
+def test_g_bit_identical_to_reference(material, pol):
     sys_ = PlateSystem(1e-6, 0.015, material)
-    xm1 = _xmin_per_m(sys_)
-    ms = list(range(1, 41)) + [c / xm1 for c in (0.6, 1.93, 2.5, 3.37, 47.1, 200.5, 300)]
-    for m in ms:
+    for m in _m_grid(sys_):
         assert g_of_m(sys_, m, pol) == _reference_g(sys_, m, pol), m
+
+
+@pytest.mark.parametrize("T", [0.015, 0.85])
+def test_ideal_metal_g_closed_form_matches_refined_reference(T):
+    sys_ = PlateSystem(1e-6, T, IDEAL_METAL)
+    fine = PlateSystem(1e-6, T, IDEAL_METAL, quadrature=QuadratureSpec().refined())
+    tol = mpf("1e-30") * mpmath.zeta(3)
+    for m in _m_grid(sys_):
+        assert abs(g_of_m(sys_, m, "tm") - _reference_g(fine, m, "tm")) < tol, m
+    # towards m = 0 it joins -zeta(3), the m = 0 value, less the missing
+    # integral_0^{x0} x ln x dx = x0^2 (ln x0 - 1/2) / 2 (the next term is x0^3)
+    x0 = _xmin_per_m(sys_) * mpf("1e-12")
+    near_zero = lifshitz._g_zero(sys_, "tm") - x0 * x0 * (mpmath.log(x0) - mpf(1) / 2) / 2
+    assert abs(g_of_m(sys_, mpf("1e-12"), "tm") - near_zero) < tol
 
 
 def test_zero_temperature_g_bit_identical_to_reference(monkeypatch):
@@ -322,14 +340,12 @@ def test_precision_change_rebuilds_node_tables():
     # prec 112 and 113 both read as 33 digits: a table keyed on digits, or on
     # the panel order alone, would serve nodes of another precision
     si = PlateSystem(1e-6, 0.015, SI_PAPER)
-    ideal = PlateSystem(1e-6, 0.015, IDEAL_METAL)
     xm1 = _xmin_per_m(si)
     try:
         for attr, value in (("dps", 33), ("dps", 50), ("dps", 20), ("dps", 33),
                             ("prec", 112)):
             setattr(mp, attr, value)
-            for sys_, m, pol in ((si, 3, "tm"), (si, 3, "te"), (ideal, 3, "tm"),
-                                 (si, mpf("1.7") / xm1, "tm")):
+            for sys_, m, pol in ((si, 3, "tm"), (si, 3, "te"), (si, mpf("1.7") / xm1, "tm")):
                 assert g_of_m(sys_, m, pol) == _reference_g(sys_, m, pol), (attr, value)
     finally:
         set_precision(33)
