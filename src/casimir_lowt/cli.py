@@ -28,7 +28,7 @@ from . import asymptotics, diagnostics
 from .config import PRESETS, ConfigError, RunConfig, load_config
 from .constants import alpha_param
 from .dielectric import PermittivityMode
-from .lifshitz import PlateSystem, Polarization, PrecisionError, free_energy
+from .lifshitz import PlateSystem, Polarization, PrecisionError
 from .precision import set_precision
 
 EXIT_OK = 0
@@ -96,8 +96,8 @@ def _system(cfg: RunConfig, T: float) -> PlateSystem:
 
 def cmd_energy(cfg: RunConfig, out: Output) -> int:
     rows = []
-    for T in cfg.grid():
-        res = free_energy(_system(cfg, T))
+    grid = cfg.grid()
+    for T, res in zip(grid, diagnostics.free_energies([_system(cfg, T) for T in grid])):
         rows.append({"T_K": float(T),
                      **{f"F_{p}": float(v) for p, v in res.per_mode.items()},
                      "F_total": float(res.total),

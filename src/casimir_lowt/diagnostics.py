@@ -79,10 +79,12 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     """An iterator over the SweepRecords of each polarization of `pol` in
     turn, TM first, one list per polarization.
 
-    The call makes one F(0) pass and one free_energy per temperature, each
-    serving every polarization.  A polarization's dF (with its precision
-    check) and closed-form terms (with their ValidityWarnings) are
-    evaluated when its list is drawn.
+    The call makes one free_energy per temperature and one F(0) pass, each
+    serving every polarization, through `free_energies`: the points run in
+    parallel on the CPUs this process may use, coldest first, and every
+    record is bit-identical to an in-process sweep.  A polarization's dF
+    (with its precision check) and closed-form terms (with their
+    ValidityWarnings) are evaluated in this process when its list is drawn.
     """
     ts = [mpf(T) for T in t_grid]
     if not ts:
@@ -92,10 +94,10 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("temperature grid must be strictly ascending")
     pols = Polarization(pol).modes()
-    f0 = zero_temperature_energies(replace(template, polarization=Polarization(pol)))
     systems = [replace(template, temperature_T=float(T), polarization=Polarization(pol))
                for T in ts]
-    results = [free_energy(system) for system in systems]
+    *results, f0 = free_energies(systems,
+                                 zero=replace(template, polarization=Polarization(pol)))
 
     def records(p):
         out = []
@@ -107,6 +109,48 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
                                    dF_num=df_num, dF_th=df_th, R=r, pol=p))
         return out
     return (records(p) for p in pols)
+
+
+def free_energies(systems, zero: PlateSystem | None = None) -> list:
+    """free_energy of each system, in order, and when `zero` is given its
+    zero_temperature_energies as one more result at the end.
+
+    The points are independent, so each is one task of a process pool made
+    for this call: forked, so the workers inherit the working precision,
+    and sized to the CPUs this process may use.  The tasks are taken in the
+    order given, so an ascending grid starts with its coldest, most costly
+    point (the cut-off M grows as 1/T), and F(0) comes last.  Every result
+    is the one an in-process call gives, bit for bit.  With one CPU, one
+    task or no fork start method the same tasks run in this process.  When
+    a task raises, the pending ones are cancelled and its exception reaches
+    the caller with its type; no worker outlives the call.
+    """
+    # imported here: only callers that sweep load the pool's modules
+    import multiprocessing
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
+    tasks = [(system, False) for system in systems]
+    if zero is not None:
+        tasks.append((zero, True))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(tasks), cpus)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_point(task) for task in tasks]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            return list(pool.map(_point, tasks))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _point(task):
+    """One task of `free_energies`: (system, at_zero).  It calls the module
+    globals free_energy and zero_temperature_energies, which the pool never
+    pickles, so a wrapper swapped in for either works in a worker too."""
+    system, at_zero = task
+    return zero_temperature_energies(system) if at_zero else free_energy(system)
 
 
 TM_FIT_POWERS = (2.0, 3.0, 4.0, 5.0)

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -130,6 +131,7 @@ class FreeEnergyResult:
     prefactor: object             # k_B T / (8 pi a^2), J/m^2 per unit of g
     scans: dict                   # {"tm": ModeScan, ...} behind per_mode
     g_evals: int                  # g(m) evaluations of the scan, each serving every mode
+    seconds: float                # wall time of the free_energy call, in the process that ran it
 
     def delta_f(self, pol: str):
         """Thermal correction of one polarization, J/m^2: the sum-minus-integral
@@ -410,6 +412,7 @@ def free_energy(system: PlateSystem) -> FreeEnergyResult:
     """
     if system.temperature_T <= 0:
         raise ValueError("free_energy requires T > 0; use zero_temperature_energy")
+    start = time.perf_counter()
     k = mp_constants()
     a = mpf(system.separation_a)
     pref = k.k_B * mpf(system.temperature_T) / (8 * mpmath.pi * a * a)
@@ -419,7 +422,7 @@ def free_energy(system: PlateSystem) -> FreeEnergyResult:
         total=mpmath.fsum(per_mode.values()), per_mode=per_mode,
         m_truncation=max(scan.M for scan in scans.values()),
         est_error=mpmath.fsum(pref * abs(scan.d5) / 30240 for scan in scans.values()),
-        prefactor=pref, scans=scans, g_evals=g_evals)
+        prefactor=pref, scans=scans, g_evals=g_evals, seconds=time.perf_counter() - start)
 
 
 def delta_f_direct(system: PlateSystem) -> dict:

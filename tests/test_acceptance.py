@@ -29,7 +29,8 @@ from casimir_lowt.asymptotics import (ValidityWarning, delta_f_te, linear_anomal
 from casimir_lowt.constants import alpha_param, mp_constants, reduced_temperature
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
 from casimir_lowt.diagnostics import (SweepRecord, TE_FIT_POWERS, fit_expansion,
-                                      r_curve, r_slope, te_cube_comparison)
+                                      free_energies, r_curve, r_slope,
+                                      te_cube_comparison)
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f_direct,
                                    zero_temperature_energy)
 from casimir_lowt.precision import set_precision
@@ -76,13 +77,11 @@ def tm_low_records():
 @pytest.fixture(scope="module")
 def tm_eb1_records():
     grid = list(np.logspace(np.log10(0.02), np.log10(0.3), 14))
-    recs = []
-    for T in grid:
-        system = PlateSystem(A_M, float(T), SI_EB1, Polarization.TM)
-        recs.append(SweepRecord(T=mpf(T), F_num=None, F_asym=None,
-                                dF_num=delta_f_direct(system)["tm"],
-                                dF_th=None, R=None, pol="tm"))
-    return recs
+    results = free_energies([PlateSystem(A_M, float(T), SI_EB1, Polarization.TM)
+                             for T in grid])
+    return [SweepRecord(T=mpf(T), F_num=None, F_asym=None, dF_num=res.delta_f("tm"),
+                        dF_th=None, R=None, pol="tm")
+            for T, res in zip(grid, results)]
 
 
 @pytest.fixture(scope="module")

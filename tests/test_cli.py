@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
 import json
+import os
 
 import mpmath
 import pytest
@@ -39,9 +40,19 @@ def tm_config(tmp_path):
 
 # --- happy paths -------------------------------------------------------------
 
-def test_energy_csv(tm_config, capsys):
-    code = main(["energy", "--config", tm_config, "--no-timestamp"])
-    out = capsys.readouterr().out.splitlines()
+def in_process_run(argv, monkeypatch, capsys):
+    """Output of `main(argv)` with one CPU, so that its points run in-process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(argv) == EXIT_OK
+    return capsys.readouterr()
+
+
+def test_energy_csv(tm_config, monkeypatch, capsys):
+    argv = ["energy", "--config", tm_config, "--no-timestamp"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
     assert code == EXIT_OK
     assert out[0] == "T_K,F_tm,F_total,m_truncation"
     assert len(out) == 3
@@ -49,15 +60,19 @@ def test_energy_csv(tm_config, capsys):
         fields = line.split(",")
         assert float(fields[1]) < 0
         assert int(fields[-1]) >= 30
+    # the points ran in parallel; one CPU gives the same bytes
+    assert in_process_run(argv, monkeypatch, capsys) == captured
 
 
-def test_energy_json(tm_config, capsys):
-    code = main(["energy", "--config", tm_config, "--format", "json",
-                 "--no-timestamp"])
+def test_energy_json(tm_config, monkeypatch, capsys):
+    argv = ["energy", "--config", tm_config, "--format", "json", "--no-timestamp"]
+    code = main(argv)
     assert code == EXIT_OK
-    rows = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
     assert [r["T_K"] for r in rows] == [0.5, 0.7]
     assert set(rows[0]) == {"T_K", "F_tm", "F_total", "m_truncation", "est_error"}
+    assert in_process_run(argv, monkeypatch, capsys) == captured
 
 
 def test_energy_ideal_metal_preset(capsys):

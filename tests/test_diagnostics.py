@@ -1,5 +1,9 @@
 """Sweep records, coefficient fitting, and the R consistency diagnostic."""
 
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from mpmath import mpf
@@ -7,10 +11,11 @@ from mpmath import mpf
 from casimir_lowt import diagnostics
 from casimir_lowt.asymptotics import delta_f_te
 from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion,
-                                      log_grid, r_curve, r_slope,
+                                      free_energies, log_grid, r_curve, r_slope,
                                       te_cube_comparison)
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER
-from casimir_lowt.lifshitz import PlateSystem, Polarization, delta_f_direct
+from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f_direct, free_energy,
+                                   zero_temperature_energies)
 from casimir_lowt.precision import set_precision
 
 
@@ -216,3 +221,107 @@ def test_r_curve_both_is_tm_then_te():
 def test_log_grid_rejects_points_per_decade_below_one(points):
     with pytest.raises(ValueError, match="points_per_decade"):
         log_grid(0.1, 1.0, points)
+
+
+# --- the point pool ----------------------------------------------------------
+
+POOL_TEMPLATE = PlateSystem(1e-6, 1.0, SI_PAPER)
+POOL_GRID = [0.5, 0.7]
+
+
+class PointFailure(RuntimeError):
+    pass
+
+
+def spied_r_curve(dps):
+    """r_curve of POOL_TEMPLATE on POOL_GRID at dps digits, with the
+    free_energies results it was built from."""
+    results = []
+
+    def spy(systems, zero=None):
+        results.extend(free_energies(systems, zero))
+        return results
+
+    set_precision(dps)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diagnostics, "free_energies", spy)
+            return r_curve(POOL_TEMPLATE, POOL_GRID, "both"), results
+    finally:
+        set_precision(33)
+
+
+def pid_per_task(monkeypatch):
+    """free_energies over three points and F(0), each task returning the
+    process id that ran it and what it was asked for."""
+    monkeypatch.setattr(diagnostics, "free_energy", lambda s: (os.getpid(), s.temperature_T))
+    monkeypatch.setattr(diagnostics, "zero_temperature_energies", lambda s: (os.getpid(), "F0"))
+    systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3)]
+    return free_energies(systems, zero=POOL_TEMPLATE)
+
+
+@pytest.fixture(scope="module")
+def pooled_curve():
+    return spied_r_curve(33)
+
+
+@pytest.mark.parametrize("dps", [33, 20])
+def test_pool_equals_in_process_points(dps, pooled_curve):
+    recs, (*pooled, pooled_f0) = pooled_curve if dps == 33 else spied_r_curve(dps)
+    assert multiprocessing.active_children() == []
+    set_precision(dps)
+    try:
+        direct = [free_energy(replace(POOL_TEMPLATE, temperature_T=T)) for T in POOL_GRID]
+        f0 = zero_temperature_energies(POOL_TEMPLATE)
+        for a, b in zip(pooled, direct, strict=True):
+            assert a.per_mode == b.per_mode
+            assert all(a.delta_f(p) == b.delta_f(p) for p in ("tm", "te"))
+            assert a.g_evals == b.g_evals
+            assert a.seconds > 0
+        assert pooled_f0 == f0
+        assert [(float(r.T), r.pol) for r in recs] == [(T, p) for p in ("tm", "te")
+                                                       for T in POOL_GRID]
+        for rec in recs:
+            res = direct[POOL_GRID.index(float(rec.T))]
+            assert rec.F_num == res.per_mode[rec.pol]
+            assert rec.dF_num == res.delta_f(rec.pol)
+            assert rec.F_asym == f0[rec.pol] + rec.dF_th
+    finally:
+        set_precision(33)
+
+
+def test_one_cpu_runs_in_process_with_the_same_values(monkeypatch, pooled_curve):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    recs = r_curve(POOL_TEMPLATE, POOL_GRID, "both")
+    for a, b in zip(recs, pooled_curve[0], strict=True):
+        for field in ("T", "F_num", "F_asym", "dF_num", "dF_th", "R", "pol"):
+            assert getattr(a, field) == getattr(b, field), field
+    # no child process starts: every task runs in this one
+    assert pid_per_task(monkeypatch) == [
+        (os.getpid(), 0.1), (os.getpid(), 0.2), (os.getpid(), 0.3), (os.getpid(), "F0")]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the pool needs two CPUs; one runs the tasks in-process")
+def test_pool_runs_each_point_in_a_worker_in_order(monkeypatch):
+    results = pid_per_task(monkeypatch)
+    assert [what for _, what in results] == [0.1, 0.2, 0.3, "F0"]
+    assert os.getpid() not in {pid for pid, _ in results}
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
+    with pytest.raises(ValueError, match="requires T > 0"):
+        free_energies([replace(POOL_TEMPLATE, temperature_T=0.0)] * 2)
+    assert multiprocessing.active_children() == []
+
+    def failing(system):
+        if system.temperature_T == 0.2:
+            raise PointFailure(f"no point at {system.temperature_T} K")
+        return system.temperature_T
+
+    monkeypatch.setattr(diagnostics, "free_energy", failing)
+    systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3, 0.4)]
+    with pytest.raises(PointFailure, match="no point at 0.2 K"):
+        free_energies(systems)
+    assert multiprocessing.active_children() == []
