@@ -97,7 +97,7 @@ def _system(cfg: RunConfig, T: float) -> PlateSystem:
 def cmd_energy(cfg: RunConfig, out: Output) -> int:
     rows = []
     grid = cfg.grid()
-    for T, res in zip(grid, diagnostics.free_energies([_system(cfg, T) for T in grid])):
+    for T, res in zip(grid, diagnostics.run_points("F", [_system(cfg, T) for T in grid])):
         rows.append({"T_K": float(T),
                      **{f"F_{p}": float(v) for p, v in res.per_mode.items()},
                      "F_total": float(res.total),

@@ -23,8 +23,10 @@ from scipy.optimize import curve_fit
 
 from . import asymptotics
 from .dielectric import PermittivityMode
-# delta_f_direct, zero_temperature_energy: imported for the span wrappers of bench/spans.py
-from .lifshitz import PlateSystem, Polarization, delta_f_direct, free_energy, zero_temperature_energies, zero_temperature_energy  # noqa: F401,E501
+# The program calls the names of the first import; it never calls the two of
+# the second, which are attributes here only so that bench/spans.py's TARGETS resolve.
+from .lifshitz import PlateSystem, Polarization, delta_f, free_energy, zero_temperature_energies
+from .lifshitz import delta_f_direct, zero_temperature_energy  # noqa: F401
 
 
 class FitError(RuntimeError):
@@ -79,12 +81,12 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     """An iterator over the SweepRecords of each polarization of `pol` in
     turn, TM first, one list per polarization.
 
-    The call makes one free_energy per temperature and one F(0) pass, each
-    serving every polarization, through `free_energies`: the points run in
+    The call makes one `delta_f` per temperature and one F(0) pass, each
+    serving every polarization, through `run_points`: the points run in
     parallel on the CPUs this process may use, coldest first, and every
-    record is bit-identical to an in-process sweep.  A polarization's dF
-    (with its precision check) and closed-form terms (with their
-    ValidityWarnings) are evaluated in this process when its list is drawn.
+    record is bit-identical to an in-process sweep; F_num is F(0) + dF_num.
+    A polarization's dF (with its precision check) and closed-form terms (with
+    their ValidityWarnings) are evaluated in this process when its list is drawn.
     """
     ts = [mpf(T) for T in t_grid]
     if not ts:
@@ -96,8 +98,8 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     pols = Polarization(pol).modes()
     systems = [replace(template, temperature_T=float(T), polarization=Polarization(pol))
                for T in ts]
-    *results, f0 = free_energies(systems,
-                                 zero=replace(template, polarization=Polarization(pol)))
+    *results, f0 = run_points("dF", systems,
+                              zero=replace(template, polarization=Polarization(pol)))
 
     def records(p):
         out = []
@@ -105,15 +107,16 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
             df_num = res.delta_f(p)
             df_th = theory_correction(system, p).evaluate(T)
             r = None if df_th == 0 else (df_th - df_num) / df_th
-            out.append(SweepRecord(T=T, F_num=res.per_mode[p], F_asym=f0[p] + df_th,
+            out.append(SweepRecord(T=T, F_num=f0[p] + df_num, F_asym=f0[p] + df_th,
                                    dF_num=df_num, dF_th=df_th, R=r, pol=p))
         return out
     return (records(p) for p in pols)
 
 
-def free_energies(systems, zero: PlateSystem | None = None) -> list:
-    """free_energy of each system, in order, and when `zero` is given its
-    zero_temperature_energies as one more result at the end.
+def run_points(kind: str, systems, zero: PlateSystem | None = None) -> list:
+    """`free_energy` (kind "F") or `delta_f` (kind "dF") of each system, in
+    order, and when `zero` is given its zero_temperature_energies as one
+    more result at the end.
 
     The points are independent, so each is one task of a process pool made
     for this call: forked, so the workers inherit the working precision,
@@ -130,9 +133,9 @@ def free_energies(systems, zero: PlateSystem | None = None) -> list:
     import os
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(system, False) for system in systems]
+    tasks = [(system, kind) for system in systems]
     if zero is not None:
-        tasks.append((zero, True))
+        tasks.append((zero, "F0"))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(tasks), cpus)
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
@@ -146,11 +149,11 @@ def free_energies(systems, zero: PlateSystem | None = None) -> list:
 
 
 def _point(task):
-    """One task of `free_energies`: (system, at_zero).  It calls the module
-    globals free_energy and zero_temperature_energies, which the pool never
-    pickles, so a wrapper swapped in for either works in a worker too."""
-    system, at_zero = task
-    return zero_temperature_energies(system) if at_zero else free_energy(system)
+    """One task of `run_points`: (system, kind).  It calls the module globals
+    free_energy, delta_f and zero_temperature_energies, which the pool never
+    pickles, so a wrapper swapped in for any of them works in a worker too."""
+    system, kind = task
+    return {"F": free_energy, "dF": delta_f, "F0": zero_temperature_energies}[kind](system)
 
 
 TM_FIT_POWERS = (2.0, 3.0, 4.0, 5.0)

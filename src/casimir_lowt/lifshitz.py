@@ -16,8 +16,9 @@ and 7.5 for TE at 12.5 mK on si-paper, and up to 7.9 near 1 K, where the
 correction is a small part of F.  So the sum and the integral are
 evaluated from the *same* g values in one scan at extended precision, with
 the sum tail beyond a cutoff M handled by endpoint derivative corrections
-(Euler-Maclaurin with 7-point finite-difference derivatives at M); F and
-dF come from that one scan.  One x-panel layout serves every g of a
+(Euler-Maclaurin with 7-point finite-difference derivatives at M).  F adds
+the m-integral over [M, inf) and dF subtracts the one over [0, M]; each
+scan integrates only its own side.  One x-panel layout serves every g of a
 dielectric, and one m-panel layout serves both the scan's m-integral and
 the y-integral of F(0).
 
@@ -28,10 +29,10 @@ polarization, each into its own running sum with the operations of a
 one-polarization pass in the same order (so every value is bit-identical
 to it).  The ideal metal, where r^2 = 1 in both modes, needs no x-integral:
 its g is -[x_min Li_2(e^{-x_min}) + Li_3(e^{-x_min})] in both, which is
--zeta(3) at m = 0.  The scan, F and F(0) make one such pass over their m
-(or y) nodes for all of `PlateSystem.polarization.modes()`; `g_of_m` and
-`mode_scan` are the one-polarization views, and `zero_temperature_energies`
-gives F(0) per polarization from its one pass.
+-zeta(3) at m = 0.  F, dF and F(0) make one such pass over their m (or y)
+nodes for all of `PlateSystem.polarization.modes()`; `g_of_m` and
+`mode_scan` (dF's scan) are the one-polarization views, and
+`zero_temperature_energies` gives F(0) per polarization from its one pass.
 
 The x-panel loop runs on mpmath's raw arithmetic (mpmath.libmp on mpf
 tuples at mp.prec, round-nearest), skipping the per-operation wrapper of
@@ -51,7 +52,7 @@ m^2 ln m endpoint behaviour into polynomials times ln v, geometric panels
 on the exponential tails).  Against the same layout at doubled panel
 orders (`QuadratureSpec().refined()`, 40 digits), the benchmark's traced
 runs measure at the default 33 digits a relative error of 2.0e-18 in dF
-and 3.4e-18 in F on the TM 15-120 mK sweep, and 2.6e-16 in F near 1 K.
+and 3.7e-18 in F(0) + dF on the TM 15-120 mK sweep, and 2.6e-16 in F near 1 K.
 """
 
 from __future__ import annotations
@@ -128,14 +129,21 @@ class FreeEnergyResult:
     per_mode: dict                # {"tm": ..., "te": ...} J/m^2
     m_truncation: int
     est_error: object             # J/m^2: the Euler-Maclaurin d5 term only, not a bound
-    prefactor: object             # k_B T / (8 pi a^2), J/m^2 per unit of g
-    scans: dict                   # {"tm": ModeScan, ...} behind per_mode
     g_evals: int                  # g(m) evaluations of the scan, each serving every mode
     seconds: float                # wall time of the free_energy call, in the process that ran it
 
+
+@dataclass
+class DeltaFResult:
+    scans: dict                   # {"tm": ModeScan, ...}, each integrated over [0, M]
+    prefactor: object             # k_B T / (8 pi a^2), J/m^2 per unit of g
+    m_truncation: int
+    g_evals: int                  # g(m) evaluations of the scan, each serving every mode
+    seconds: float                # wall time of the delta_f call, in the process that ran it
+
     def delta_f(self, pol: str):
         """Thermal correction of one polarization, J/m^2: the sum-minus-integral
-        piece of the same scan that gave per_mode[pol].
+        of its scan.
 
         Raises PrecisionError when cancellation leaves fewer than ~3
         trustworthy digits at the current precision.
@@ -294,36 +302,33 @@ def g_of_m(system: PlateSystem, m, pol: str):
 
 @dataclass
 class ModeScan:
-    """What one pass over g(m) gives for one polarization.
-
-    Produces every ingredient shared by the total free energy and the
-    sum-minus-integral difference: the trapezoid-weighted partial sum to M,
-    the m-integral over [0, M] and its exponential tail, and the odd
-    derivatives of g at M feeding the Euler-Maclaurin endpoint correction.
+    """What one pass over g(m) gives for one polarization: the
+    trapezoid-weighted partial sum to M, the odd derivatives of g at M for
+    the Euler-Maclaurin endpoint correction, and the m-integral over one
+    side of M, [0, M] for dF or [M, inf) for F (see `_mode_scans`).
     """
     M: int
     sum_part: object       # g0/2 + sum_1^{M-1} + gM/2
-    integral_0_M: object
-    integral_tail: object  # integral_M^inf
+    integral: object       # integral_0^M, or integral_M^inf on free_energy's scans
     d1: object
     d3: object
     d5: object
 
     @property
-    def delta_gamma(self):
-        """sum'_{m>=0} g - integral_0^inf g dm."""
-        return (self.sum_part - self.integral_0_M
-                - self.d1 / 12 + self.d3 / 720 - self.d5 / 30240)
+    def endpoint_sum(self):
+        """sum'_{m>=0} g - integral_M^inf g dm."""
+        return self.sum_part - self.d1 / 12 + self.d3 / 720 - self.d5 / 30240
 
     @property
-    def sum_total(self):
-        """sum'_{m>=0} g, reconstructed as delta_gamma + full integral."""
-        return self.delta_gamma + self.integral_0_M + self.integral_tail
+    def delta_gamma(self):
+        """sum'_{m>=0} g - integral_0^inf g dm."""
+        return (self.sum_part - self.integral
+                - self.d1 / 12 + self.d3 / 720 - self.d5 / 30240)
 
     @property
     def cancellation_guard(self):
         """Scale against which delta_gamma's surviving digits are judged."""
-        return max(abs(self.sum_part), abs(self.integral_0_M))
+        return max(abs(self.sum_part), abs(self.integral))
 
 
 def _truncation_m(system: PlateSystem) -> int:
@@ -355,11 +360,11 @@ def _m_integral(f, s, end, spec: QuadratureSpec) -> list:
     return total
 
 
-def _mode_scans(system: PlateSystem, pols) -> tuple[dict, int]:
-    """One pass over the m nodes serving every polarization in pols.
-
-    Returns ({pol: ModeScan}, the number of g(m) evaluations made); each
-    evaluation is one kernel pass for all of pols.
+def _mode_scans(system: PlateSystem, pols, tail: bool) -> tuple[dict, int]:
+    """One pass over the m nodes serving every polarization in pols: g at
+    m = 0..M+3, then the m-integral over [M, inf) when `tail` (for F) and
+    over [0, M] otherwise (for dF).  Returns ({pol: ModeScan}, the number of
+    g(m) evaluations made); each evaluation is one kernel pass for all pols.
     """
     if system.temperature_T <= 0:
         raise ValueError("mode scan requires T > 0")
@@ -371,18 +376,19 @@ def _mode_scans(system: PlateSystem, pols) -> tuple[dict, int]:
         evals += 1
         return _g_modes(system, m, pols)
     gv = [g(m) for m in range(M + 4)]
-    integ = _m_integral(g, 1, M, system.quadrature)
-
-    # tail integral_M^inf: g decays like e^{-x_min(m)}; stop once x_min > 60
-    k = mp_constants()
-    xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
-    geo = gauss_legendre(system.quadrature.nm_geo)
-    tail = [mpf(0)] * len(pols)
-    b = mpf(M)
-    while xm1 * b < 60:
-        nb = 2 * b
-        tail = [t + p for t, p in zip(tail, _gl_panels(g, b, nb, geo))]
-        b = nb
+    if tail:
+        # g decays like e^{-x_min(m)}; stop once x_min > 60
+        k = mp_constants()
+        xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
+        geo = gauss_legendre(system.quadrature.nm_geo)
+        integ = [mpf(0)] * len(pols)
+        b = mpf(M)
+        while xm1 * b < 60:
+            nb = 2 * b
+            integ = [t + p for t, p in zip(integ, _gl_panels(g, b, nb, geo))]
+            b = nb
+    else:
+        integ = _m_integral(g, 1, M, system.quadrature)
 
     scans = {}
     for i, pol in enumerate(pols):
@@ -393,47 +399,56 @@ def _mode_scans(system: PlateSystem, pols) -> tuple[dict, int]:
         d3 = (s[0] - 8 * s[1] + 13 * s[2] - 13 * s[4] + 8 * s[5] - s[6]) / 8
         d5 = (-s[0] + 4 * s[1] - 5 * s[2] + 5 * s[4] - 4 * s[5] + s[6]) / 2
         scans[pol] = ModeScan(M=M, sum_part=gp[0] / 2 + mpmath.fsum(gp[1:M]) + gp[M] / 2,
-                              integral_0_M=integ[i], integral_tail=tail[i],
-                              d1=d1, d3=d3, d5=d5)
+                              integral=integ[i], d1=d1, d3=d3, d5=d5)
     return scans, evals
 
 
 def mode_scan(system: PlateSystem, pol: str) -> ModeScan:
-    """The scan of one polarization: its view of `_mode_scans`."""
-    return _mode_scans(system, (pol,))[0][pol]
+    """The scan behind one polarization's dF: its view of `_mode_scans`."""
+    return _mode_scans(system, (pol,), tail=False)[0][pol]
+
+
+def _prefactor(system: PlateSystem):
+    """k_B T / (8 pi a^2), J/m^2 per unit of g."""
+    a = mpf(system.separation_a)
+    return mp_constants().k_B * mpf(system.temperature_T) / (8 * mpmath.pi * a * a)
 
 
 def free_energy(system: PlateSystem) -> FreeEnergyResult:
     """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m).
 
-    One joint mode scan serves every polarization; the per-polarization
-    scans stay on the result, whose delta_f(pol) gives the thermal
-    correction without scanning again.
+    One joint mode scan serves every polarization: its endpoint-corrected
+    sum plus the tail integral over [M, inf); the m-integral over [0, M],
+    which only dF needs, is never evaluated.
     """
     if system.temperature_T <= 0:
         raise ValueError("free_energy requires T > 0; use zero_temperature_energy")
     start = time.perf_counter()
-    k = mp_constants()
-    a = mpf(system.separation_a)
-    pref = k.k_B * mpf(system.temperature_T) / (8 * mpmath.pi * a * a)
-    scans, g_evals = _mode_scans(system, system.polarization.modes())
-    per_mode = {pol: pref * scan.sum_total for pol, scan in scans.items()}
+    pref = _prefactor(system)
+    scans, g_evals = _mode_scans(system, system.polarization.modes(), tail=True)
+    per_mode = {pol: pref * (scan.endpoint_sum + scan.integral) for pol, scan in scans.items()}
     return FreeEnergyResult(
         total=mpmath.fsum(per_mode.values()), per_mode=per_mode,
         m_truncation=max(scan.M for scan in scans.values()),
         est_error=mpmath.fsum(pref * abs(scan.d5) / 30240 for scan in scans.values()),
-        prefactor=pref, scans=scans, g_evals=g_evals, seconds=time.perf_counter() - start)
+        g_evals=g_evals, seconds=time.perf_counter() - start)
+
+
+def delta_f(system: PlateSystem) -> DeltaFResult:
+    """Thermal correction of every polarization from one joint mode scan:
+    its sum minus the m-integral over [0, M], with the endpoint correction
+    at M; the tail integral, which only F needs, is never evaluated."""
+    start = time.perf_counter()
+    scans, g_evals = _mode_scans(system, system.polarization.modes(), tail=False)
+    return DeltaFResult(scans=scans, prefactor=_prefactor(system),
+                        m_truncation=max(scan.M for scan in scans.values()),
+                        g_evals=g_evals, seconds=time.perf_counter() - start)
 
 
 def delta_f_direct(system: PlateSystem) -> dict:
-    """Thermal correction per polarization: the sum-minus-integral piece.
-
-    Returns {pol: J/m^2}.  Raises PrecisionError when cancellation leaves
-    fewer than ~3 trustworthy digits at the current precision.
-    """
-    if system.temperature_T <= 0:
-        raise ValueError("delta_f_direct requires T > 0")
-    res = free_energy(system)
+    """Thermal correction per polarization, {pol: J/m^2}: the view of
+    `delta_f`, with its PrecisionError."""
+    res = delta_f(system)
     return {pol: res.delta_f(pol) for pol in res.scans}
 
 

@@ -10,11 +10,10 @@ from mpmath import mpf
 
 from casimir_lowt import diagnostics
 from casimir_lowt.asymptotics import delta_f_te
-from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion,
-                                      free_energies, log_grid, r_curve, r_slope,
-                                      te_cube_comparison)
+from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_grid,
+                                      r_curve, r_slope, run_points, te_cube_comparison)
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER
-from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f_direct, free_energy,
+from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f, delta_f_direct,
                                    zero_temperature_energies)
 from casimir_lowt.precision import set_precision
 
@@ -235,29 +234,29 @@ class PointFailure(RuntimeError):
 
 def spied_r_curve(dps):
     """r_curve of POOL_TEMPLATE on POOL_GRID at dps digits, with the
-    free_energies results it was built from."""
+    run_points results it was built from."""
     results = []
 
-    def spy(systems, zero=None):
-        results.extend(free_energies(systems, zero))
+    def spy(kind, systems, zero=None):
+        results.extend(run_points(kind, systems, zero))
         return results
 
     set_precision(dps)
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(diagnostics, "free_energies", spy)
+            patch.setattr(diagnostics, "run_points", spy)
             return r_curve(POOL_TEMPLATE, POOL_GRID, "both"), results
     finally:
         set_precision(33)
 
 
 def pid_per_task(monkeypatch):
-    """free_energies over three points and F(0), each task returning the
-    process id that ran it and what it was asked for."""
-    monkeypatch.setattr(diagnostics, "free_energy", lambda s: (os.getpid(), s.temperature_T))
+    """run_points of a sweep over three points and F(0), each task returning
+    the process id that ran it and what it was asked for."""
+    monkeypatch.setattr(diagnostics, "delta_f", lambda s: (os.getpid(), s.temperature_T))
     monkeypatch.setattr(diagnostics, "zero_temperature_energies", lambda s: (os.getpid(), "F0"))
     systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3)]
-    return free_energies(systems, zero=POOL_TEMPLATE)
+    return run_points("dF", systems, zero=POOL_TEMPLATE)
 
 
 @pytest.fixture(scope="module")
@@ -271,10 +270,10 @@ def test_pool_equals_in_process_points(dps, pooled_curve):
     assert multiprocessing.active_children() == []
     set_precision(dps)
     try:
-        direct = [free_energy(replace(POOL_TEMPLATE, temperature_T=T)) for T in POOL_GRID]
+        direct = [delta_f(replace(POOL_TEMPLATE, temperature_T=T)) for T in POOL_GRID]
         f0 = zero_temperature_energies(POOL_TEMPLATE)
         for a, b in zip(pooled, direct, strict=True):
-            assert a.per_mode == b.per_mode
+            assert a.scans == b.scans
             assert all(a.delta_f(p) == b.delta_f(p) for p in ("tm", "te"))
             assert a.g_evals == b.g_evals
             assert a.seconds > 0
@@ -283,8 +282,8 @@ def test_pool_equals_in_process_points(dps, pooled_curve):
                                                        for T in POOL_GRID]
         for rec in recs:
             res = direct[POOL_GRID.index(float(rec.T))]
-            assert rec.F_num == res.per_mode[rec.pol]
             assert rec.dF_num == res.delta_f(rec.pol)
+            assert rec.F_num == f0[rec.pol] + rec.dF_num
             assert rec.F_asym == f0[rec.pol] + rec.dF_th
     finally:
         set_precision(33)
@@ -296,6 +295,11 @@ def test_one_cpu_runs_in_process_with_the_same_values(monkeypatch, pooled_curve)
     for a, b in zip(recs, pooled_curve[0], strict=True):
         for field in ("T", "F_num", "F_asym", "dF_num", "dF_th", "R", "pol"):
             assert getattr(a, field) == getattr(b, field), field
+    f0 = zero_temperature_energies(POOL_TEMPLATE)
+    direct = {T: delta_f(replace(POOL_TEMPLATE, temperature_T=T)) for T in POOL_GRID}
+    for rec in recs:
+        assert rec.dF_num == direct[float(rec.T)].delta_f(rec.pol)
+        assert rec.F_num == f0[rec.pol] + rec.dF_num
     # no child process starts: every task runs in this one
     assert pid_per_task(monkeypatch) == [
         (os.getpid(), 0.1), (os.getpid(), 0.2), (os.getpid(), 0.3), (os.getpid(), "F0")]
@@ -312,7 +316,7 @@ def test_pool_runs_each_point_in_a_worker_in_order(monkeypatch):
 
 def test_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
     with pytest.raises(ValueError, match="requires T > 0"):
-        free_energies([replace(POOL_TEMPLATE, temperature_T=0.0)] * 2)
+        run_points("F", [replace(POOL_TEMPLATE, temperature_T=0.0)] * 2)
     assert multiprocessing.active_children() == []
 
     def failing(system):
@@ -323,5 +327,5 @@ def test_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
     monkeypatch.setattr(diagnostics, "free_energy", failing)
     systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3, 0.4)]
     with pytest.raises(PointFailure, match="no point at 0.2 K"):
-        free_energies(systems)
+        run_points("F", systems)
     assert multiprocessing.active_children() == []

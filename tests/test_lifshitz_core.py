@@ -13,7 +13,7 @@ from casimir_lowt import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
 from casimir_lowt import lifshitz
 from casimir_lowt.constants import mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
-from casimir_lowt.lifshitz import ModeScan, g_of_m, mode_scan
+from casimir_lowt.lifshitz import ModeScan, delta_f, g_of_m
 from casimir_lowt.precision import set_precision
 from oracles import constant_a_integral, gl_panel
 
@@ -132,13 +132,15 @@ def test_sigma0_has_no_linear_thermal_term():
     assert abs(f - f0) < linear_scale / 100
 
 
-def test_zero_t_energy_matches_scan_at_conductivity_knee():
-    # F(0) = F(T) - dF(T) holds exactly in the continuum; the scan's own
-    # m-integral is accurate to ~1e-18 here, so F(0)'s y-layout must
-    # resolve the conductivity knee at y = alpha = 6.7e-3 just as well
-    sys_ = PlateSystem(1e-6, 0.015, SI_PAPER, Polarization.TM)
-    res = free_energy(sys_)
-    via_scan = res.per_mode["tm"] - res.delta_f("tm")
+@pytest.mark.parametrize("T", [0.015, 0.3])
+@pytest.mark.parametrize("pol", ["tm", "te"])
+def test_zero_t_energy_matches_scan_at_conductivity_knee(pol, T):
+    # F(0) = F(T) - dF(T) holds exactly in the continuum, and F - dF is the
+    # scans' tail plus m-integral, accurate to ~1e-18 here; so F(0)'s
+    # y-layout must resolve the conductivity knee at y = alpha = 6.7e-3
+    # just as well.  A sweep's F_num = F(0) + dF rests on this agreement.
+    sys_ = PlateSystem(1e-6, T, SI_PAPER, Polarization(pol))
+    via_scan = free_energy(sys_).per_mode[pol] - delta_f(sys_).delta_f(pol)
     f0 = zero_temperature_energy(sys_)
     assert abs(f0 / via_scan - 1) < 1e-13
 
@@ -184,13 +186,13 @@ def test_delta_f_requires_positive_t():
 
 def test_precision_guard_raises(monkeypatch):
     import casimir_lowt.lifshitz as lif
-    starved = ModeScan(M=30, sum_part=mpf("-250"), integral_0_M=mpf("-250"),
-                       integral_tail=mpf(0), d1=mpf(0), d3=mpf(0), d5=mpf(0),
-                       )
+    starved = ModeScan(M=30, sum_part=mpf("-250"), integral=mpf("-250"),
+                       d1=mpf(0), d3=mpf(0), d5=mpf(0))
     # fabricate a scan whose difference is ~1e-20 of its parts: at 15 digits
     # nothing trustworthy survives
     starved.sum_part = mpf("-250") + mpf("1e-18")
-    monkeypatch.setattr(lif, "_mode_scans", lambda s, pols: ({p: starved for p in pols}, 0))
+    monkeypatch.setattr(lif, "_mode_scans",
+                        lambda s, pols, tail: ({p: starved for p in pols}, 0))
     mp.dps = 15
     try:
         with pytest.raises(PrecisionError):
@@ -200,14 +202,32 @@ def test_precision_guard_raises(monkeypatch):
 
 
 def test_shared_kernel_consistency():
-    # free_energy and delta_f_direct must agree through the identity
-    # F = pref * (delta_gamma + integral): same scan feeds both
+    # F and dF rest on the same endpoint-corrected sum of the integer-m
+    # pass: F / pref minus the tail integral, dF / pref plus the m-integral
+    # over [0, M]
     sys_ = PlateSystem(1e-6, 0.3, SI_PAPER, Polarization.TM)
-    scan = mode_scan(sys_, "tm")
-    df = delta_f_direct(sys_)["tm"]
-    f = free_energy(sys_).per_mode["tm"]
-    pref = f / scan.sum_total
-    assert abs(df - pref * scan.delta_gamma) < 1e-25 * abs(df)
+    res = delta_f(sys_)
+    head = res.scans["tm"]
+    assert lifshitz.mode_scan(sys_, "tm") == head
+    tail = lifshitz._mode_scans(sys_, ("tm",), tail=True)[0]["tm"]
+    assert (head.M, head.sum_part, head.d1, head.d3, head.d5) == \
+        (tail.M, tail.sum_part, tail.d1, tail.d3, tail.d5)
+    df = res.delta_f("tm")
+    assert df == res.prefactor * head.delta_gamma
+    from_f = free_energy(sys_).per_mode["tm"] / res.prefactor - tail.integral
+    from_df = df / res.prefactor + head.integral
+    assert abs(from_f - head.endpoint_sum) < 1e-25 * abs(head.endpoint_sum)
+    assert abs(from_df - head.endpoint_sum) < 1e-25 * abs(head.endpoint_sum)
+
+
+def test_each_route_integrates_only_its_side_of_m():
+    # g(m) evaluations: the integers 0..M+3 (34 at M = 30), then F adds its
+    # tail nodes (216) and dF its [0, M] nodes (168); at 15 mK TM's dF makes
+    # 410 + 264 (M = 406).  Either route evaluating the other's side fails.
+    both = PlateSystem(1e-6, 0.85, SI_PAPER)
+    assert free_energy(both).g_evals == 250
+    assert delta_f(both).g_evals == 202
+    assert delta_f(PlateSystem(1e-6, 0.015, SI_PAPER, Polarization.TM)).g_evals == 674
 
 
 # --- bit-identity of the raw x-panel loop -------------------------------------
@@ -358,12 +378,15 @@ def test_precision_change_rebuilds_node_tables():
                          ids=["si-paper", "si-fig2", "ideal-metal-check"])
 def test_joint_scan_equals_single_polarization_scans(material, T):
     both = free_energy(PlateSystem(1e-6, T, material, Polarization.BOTH))
+    both_df = delta_f(PlateSystem(1e-6, T, material, Polarization.BOTH))
     for pol in ("tm", "te"):
         single = free_energy(PlateSystem(1e-6, T, material, Polarization(pol)))
+        single_df = delta_f(PlateSystem(1e-6, T, material, Polarization(pol)))
         assert both.per_mode[pol] == single.per_mode[pol]
-        assert both.delta_f(pol) == single.delta_f(pol)
+        assert both_df.delta_f(pol) == single_df.delta_f(pol)
         # one g(m) evaluation serves both polarizations
         assert both.g_evals == single.g_evals
+        assert both_df.g_evals == single_df.g_evals
 
 
 def test_joint_zero_temperature_energy_is_tm_plus_te():
