@@ -9,8 +9,9 @@ which is far more sensitive than eyeballing free-energy curves: if the
 expansion's T^2 and T^3 coefficients are both right, R -> 0 with zero
 slope as T -> 0 and the residual curvature measures the first uncomputed
 coefficient.  The fit side extracts D, D1, D2 from dF_num assuming
-|dF_num| = D T^2 |1 - D1 T + D2 T^2 + ...| so they can be compared with
-the predicted coefficients.
+|dF_num| = D T^2 (1 - D1 T + D2 T^2 + ...), a series whose coefficients
+enter linearly, by one weighted linear least-squares solve, so they can
+be compared with the predicted coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import mpf
-from scipy.optimize import curve_fit
 
 from . import asymptotics
 from .dielectric import PermittivityMode
@@ -161,12 +161,15 @@ TE_FIT_POWERS = (1.5, 2.0, 2.5)     # the expansion continues in powers of sqrt(
 
 
 def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
-    """Least-squares fit of ln|dF_num| to ln(D T^2 |1 - D1 T + sum c_p T^p|).
+    """Least-squares fit of |dF_num| to D T^2 (1 - D1 T + sum c_p T^p).
 
-    Fitting the logarithm weights residuals relatively, which matters since
-    dF spans several decades over a typical grid.  extra_powers selects the
-    correction basis beyond the guaranteed D1 T term; half-integer powers
-    belong in it for the polarization with a T^{5/2} term.
+    The model |dF_num|/T^2 = D - D D1 T + sum D c_p T^p is linear in its
+    coefficients, so the fit is one `lstsq` solve.  Each row is divided by
+    its own |dF_num|/T^2, which weights residuals relatively, as dF spans
+    several decades over a typical grid; T is scaled by its largest value
+    to keep the columns of order one.  extra_powers selects the correction
+    basis beyond the guaranteed D1 T term; half-integer powers belong in it
+    for the polarization with a T^{5/2} term.
     """
     recs = list(records)
     if len(recs) < 6:
@@ -181,27 +184,18 @@ def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
         raise FitError("grid should span close to a decade in T")
     sign = int(np.sign(y[0]))
     if sign == 0 or any(np.sign(y) != sign):
-        raise FitError("dF_num changes sign on the grid; cannot fit log model")
-    logy = np.log(np.abs(y))
+        raise FitError("dF_num changes sign on the grid; the fit needs one sign")
     powers = [float(p) for p in extra_powers]
+    scale = T.max()
+    basis = (T / scale)[:, None] ** np.array([0.0, 1.0] + powers)
+    q = np.abs(y) / T ** 2
+    coef, _, rank, _ = np.linalg.lstsq(basis / q[:, None], np.ones_like(q), rcond=None)
+    D = float(coef[0])
+    if rank < n_params or not D > 0:
+        raise FitError("ill-conditioned fit")
 
-    def model(T, D, D1, *cs):
-        s = 1.0 - D1 * T
-        for p, c in zip(powers, cs):
-            s = s + c * T ** p
-        return np.log(D) + 2.0 * np.log(T) + np.log(np.abs(s))
-
-    p0 = [float(np.exp(logy[0]) / T[0] ** 2), 0.3] + [0.0] * len(powers)
-    try:
-        popt, pcov = curve_fit(model, T, logy, p0=p0, maxfev=50000)
-    except RuntimeError as exc:
-        raise FitError(f"fit failed to converge: {exc}") from exc
-    if not np.all(np.isfinite(pcov)):
-        raise FitError("ill-conditioned fit (covariance not finite)")
-
-    extras = {p: c for p, c in zip(powers, popt[2:])}
-    d2 = float(extras.get(2.0, 0.0))
-    return FitResult(D=float(popt[0]), D1=float(popt[1]), D2=d2,
+    extras = {p: float(c / (D * scale ** p)) for p, c in zip(powers, coef[2:])}
+    return FitResult(D=D, D1=float(-coef[1] / (D * scale)), D2=extras.get(2.0, 0.0),
                      T_range=(float(T[0]), float(T[-1])), sign=sign, extras=extras)
 
 
@@ -210,6 +204,8 @@ def r_slope(records, index: int = 0):
     recs = list(records)
     if len(recs) < 3:
         raise ValueError("need at least 3 records")
+    if index < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
     if index > len(recs) - 3:
         raise ValueError("index too close to the end of the grid")
     r = [recs[index + i].R for i in range(3)]

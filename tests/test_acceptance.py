@@ -132,7 +132,8 @@ def test_criterion_4_tm_oracle_equivalence(tm_low_records):
     k = mp_constants()
     d_th = mpmath.pi ** 2 * k.k_B ** 2 / (72 * k.hbar * mpf(SIGMA) * mpf(A_M) ** 2)
     d1_th = 72 * mpmath.zeta(3) * k.k_B / (mpmath.pi ** 3 * k.hbar * mpf(SIGMA))
-    # T^4 and T^5 are unresolvable below 20 mK; fitting them is ill-conditioned
+    # below 20 mK the fitted T^4 and T^5 coefficients are not resolved (they
+    # change by a factor of 1.5 and 1.8 between the grid's two halves)
     fit = fit_expansion(tm_low_records, extra_powers=(2.0, 3.0))
     rd = abs(fit.D / d_th - 1)
     rd1 = abs(fit.D1 / d1_th - 1)

@@ -47,9 +47,12 @@ def test_fit_round_trip():
 
 
 def test_fit_default_basis_leading_coefficient():
-    # the overcomplete default basis still pins the leading magnitude
+    # the overcomplete default basis still pins the leading magnitude, and
+    # on exact-model data the linear solve recovers every coefficient
     fit = fit_expansion(synthetic_records())
-    assert abs(fit.D / 2.53e-17 - 1) < 1e-4
+    assert abs(fit.D / 2.53e-17 - 1) < 1e-9
+    assert abs(fit.D1 / 0.366 - 1) < 1e-9
+    assert abs(fit.D2 / -0.5 - 1) < 1e-9
 
 
 def test_fit_rescaling_invariance():
@@ -98,6 +101,8 @@ def test_fit_error_paths():
     flip[-1].dF_num = -flip[-1].dF_num
     with pytest.raises(FitError):
         fit_expansion(flip)
+    with pytest.raises(FitError, match="ill-conditioned"):
+        fit_expansion(synthetic_records(), extra_powers=(2.0, 2.0))  # rank deficient
 
 
 def test_fit_needs_more_records_than_parameters():
@@ -125,6 +130,8 @@ def test_r_slope_validation():
         r_slope(recs[:2])
     with pytest.raises(ValueError):
         r_slope(recs, index=1)
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        r_slope(recs, index=-1)  # would wrap round to records[-1], [0], [1]
     with pytest.raises(ValueError):
         r_slope(recs)  # R undefined
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+the CLI starts without scipy.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
 import statement whose line carries `# noqa: F401` is exempt, and a name
@@ -6,6 +7,9 @@ listed in the module's `__all__` counts as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "casimir_lowt"
@@ -40,3 +44,14 @@ def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [msg for path in modules for msg in _unused_imports(path)] == []
+
+
+def test_cli_does_not_import_scipy():
+    # a fresh interpreter, so no other test's imports are counted; scipy
+    # would add its import time and memory to every CLI run
+    code = ("import sys, casimir_lowt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
