@@ -111,8 +111,11 @@ def _prefactor_per_kelvin(a):
     return mp_constants().k_B / (8 * mpmath.pi * mpf(a) ** 2)
 
 
+T_REGIME_MAX = mpf("0.1")   # the largest reduced temperature t the expansions are made for
+
+
 def _guard(t=None, alpha=None) -> None:
-    if t is not None and t > mpf("0.1"):
+    if t is not None and t > T_REGIME_MAX:
         warnings.warn(f"t = {mpmath.nstr(mpf(t), 4)} > 0.1: outside the "
                       "low-temperature expansion regime", ValidityWarning, stacklevel=3)
     if alpha is not None and alpha > mpf("0.1"):

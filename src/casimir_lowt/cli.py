@@ -26,7 +26,7 @@ from mpmath import mpf
 
 from . import asymptotics, diagnostics
 from .config import PRESETS, ConfigError, RunConfig, load_config
-from .constants import alpha_param
+from .constants import alpha_param, reduced_temperature
 from .dielectric import PermittivityMode
 from .lifshitz import PlateSystem, Polarization, PrecisionError
 from .precision import set_precision
@@ -57,8 +57,11 @@ class Output:
     def close(self) -> None:
         text = "\n".join(self.lines) + "\n"
         if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(self.path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output: {exc}") from exc
         else:
             sys.stdout.write(text)
 
@@ -169,11 +172,17 @@ def cmd_anomaly(cfg: RunConfig, out: Output) -> int:
         raise ConfigError("anomaly analysis needs a dielectric (sigma = 0) material")
     grid = cfg.grid() if (cfg.temperatures or cfg.t_min is not None) else [1.0]
     res = asymptotics.linear_anomaly(mat.eps_bar, cfg.separation_m, grid[0])
+    anomalous = abs(res["entropy"]) > 0
+    if cfg.format == "json":
+        out.emit(json.dumps({"eps_bar": float(mat.eps_bar), "a0": float(res["a0"]),
+                             "T_K": float(grid[0]), "free_energy": float(res["free_energy"]),
+                             "entropy": float(res["entropy"]), "anomalous": anomalous},
+                            indent=2))
+        return EXIT_OK
     out.emit(f"eps_bar                 : {fmt(mat.eps_bar)}")
     out.emit(f"A0                      : {fmt(res['a0'])}")
     out.emit(f"linear F at T={grid[0]} K : {fmt(res['free_energy'])} J/m^2")
     out.emit(f"entropy S(T=0)          : {fmt(res['entropy'])} J/(K m^2)")
-    anomalous = abs(res["entropy"]) > 0
     out.emit("residual entropy is " + ("NONZERO: thermodynamic anomaly present"
                                        if anomalous else "zero"))
     return EXIT_OK
@@ -219,18 +228,24 @@ def _summary(cfg: RunConfig, curve, pol: str):
     """Write one polarization's summary of its sweep records to stderr: for
     TM R(T_min), dR/dT and the fitted D, D1, D2; for TE the residual vs T^3
     comparison and the fitted C2; each against the closed form.  A grid too
-    short for the slope or the fit ends it with one `skipped:` line.
+    short for the slope or the fit ends it with one `skipped:` line.  When
+    the grid reaches beyond the expansions' regime, t <= 0.1, the first
+    line that is not a `skipped:` line says so.
 
     Returns the TM dR/dT at T_min, or None when it was not computed.
     """
     system = _system(cfg, 0.0)
     th = diagnostics.theory_correction(system, pol)
+    sigma = cfg.material.four_pi_sigma
+    t_max = reduced_temperature(curve[-1].T, sigma) if sigma > 0 else 0
+    regime = (f"; grid reaches t = {_short(t_max)}, outside t <= 0.1"
+              if t_max > asymptotics.T_REGIME_MAX else "")
     slope = None
     try:
         if pol == "tm":
             slope = diagnostics.r_slope(curve)
             _note(f"tm: R({_short(curve[0].T)} K) = {_short(curve[0].R)}, "
-                  f"dR/dT = {_short(slope)} /K")
+                  f"dR/dT = {_short(slope)} /K{regime}")
             fit = diagnostics.fit_expansion(curve)
             d = -th.coefficient(2)
             _note(f"tm fit: {_vs_theory('D', fit.D, d)}")
@@ -241,7 +256,7 @@ def _summary(cfg: RunConfig, curve, pol: str):
             ratios = [row["ratio"] for row in rows]
             _note(f"te: residual/|C3 T^3| has the sign of C3 at "
                   f"{sum(row['same_sign'] for row in rows)}/{len(rows)} points, "
-                  f"ratio in [{_short(min(ratios))}, {_short(max(ratios))}]")
+                  f"ratio in [{_short(min(ratios))}, {_short(max(ratios))}]{regime}")
             fit = diagnostics.fit_expansion(curve, diagnostics.TE_FIT_POWERS)
             _note(f"te fit: {_vs_theory('C2', fit.D, th.coefficient(2))}")
     except (diagnostics.FitError, ValueError) as exc:

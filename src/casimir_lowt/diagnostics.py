@@ -10,15 +10,16 @@ expansion's T^2 and T^3 coefficients are both right, R -> 0 with zero
 slope as T -> 0 and the residual curvature measures the first uncomputed
 coefficient.  The fit side extracts D, D1, D2 from dF_num assuming
 |dF_num| = D T^2 (1 - D1 T + D2 T^2 + ...), a series whose coefficients
-enter linearly, by one weighted linear least-squares solve, so they can
-be compared with the predicted coefficients.
+enter linearly, by one weighted least-squares solve in mpmath, so they
+can be compared with the predicted coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-import numpy as np
+import mpmath
 from mpmath import mpf
 
 from . import asymptotics
@@ -164,10 +165,11 @@ def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
     """Least-squares fit of |dF_num| to D T^2 (1 - D1 T + sum c_p T^p).
 
     The model |dF_num|/T^2 = D - D D1 T + sum D c_p T^p is linear in its
-    coefficients, so the fit is one `lstsq` solve.  Each row is divided by
-    its own |dF_num|/T^2, which weights residuals relatively, as dF spans
-    several decades over a typical grid; T is scaled by its largest value
-    to keep the columns of order one.  extra_powers selects the correction
+    coefficients, so the fit is one rank-checked least-squares solve at the
+    working precision.  Each row is divided by its own |dF_num|/T^2, which
+    weights residuals relatively, as dF spans several decades over a
+    typical grid; T is scaled by its largest value to keep the columns of
+    order one.  extra_powers selects the correction
     basis beyond the guaranteed D1 T term; half-integer powers belong in it
     for the polarization with a T^{5/2} term.
     """
@@ -178,20 +180,24 @@ def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
     if len(recs) <= n_params:
         raise FitError(f"{len(recs)} records for {n_params} fitted parameters; "
                        "need more records than parameters")
-    T = np.array([float(r.T) for r in recs])
-    y = np.array([float(r.dF_num) for r in recs])
-    if T.max() / T.min() < 8.0:
+    T = [float(r.T) for r in recs]
+    y = [float(r.dF_num) for r in recs]
+    if max(T) / min(T) < 8.0:
         raise FitError("grid should span close to a decade in T")
-    sign = int(np.sign(y[0]))
-    if sign == 0 or any(np.sign(y) != sign):
+    sign = (y[0] > 0) - (y[0] < 0)
+    if sign == 0 or not all(v * sign > 0 for v in y):
         raise FitError("dF_num changes sign on the grid; the fit needs one sign")
     powers = [float(p) for p in extra_powers]
-    scale = T.max()
-    basis = (T / scale)[:, None] ** np.array([0.0, 1.0] + powers)
-    q = np.abs(y) / T ** 2
-    coef, _, rank, _ = np.linalg.lstsq(basis / q[:, None], np.ones_like(q), rcond=None)
+    scale = max(T)
+    A = mpmath.matrix([[(mpf(t) / scale) ** p / (abs(mpf(v)) / mpf(t) ** 2)
+                        for p in [0.0, 1.0] + powers] for t, v in zip(T, y)])
+    # the rank as numpy's lstsq counts it: s <= s_max * max(rows, cols) * 2^-52 is zero
+    s = mpmath.svd_r(A, compute_uv=False)
+    if sum(sv > max(s) * max(A.rows, A.cols) * mpf(2) ** -52 for sv in s) < n_params:
+        raise FitError("ill-conditioned fit")
+    coef = mpmath.qr_solve(A, mpmath.ones(A.rows, 1))[0]
     D = float(coef[0])
-    if rank < n_params or not D > 0:
+    if not D > 0:
         raise FitError("ill-conditioned fit")
 
     extras = {p: float(c / (D * scale ** p)) for p, c in zip(powers, coef[2:])}
@@ -241,10 +247,12 @@ def te_cube_comparison(template: PlateSystem, records) -> list:
 
 
 def log_grid(t_min, t_max, points_per_decade: int = 25) -> list:
-    """Logarithmic grid, ascending, endpoints included."""
+    """Logarithmic grid of floats, ascending, from exactly t_min to t_max."""
     if t_min <= 0 or t_max <= t_min:
         raise ValueError("need 0 < t_min < t_max")
     if points_per_decade < 1:
         raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade}")
-    n = max(2, int(round(np.log10(t_max / t_min) * points_per_decade)) + 1)
-    return list(np.logspace(np.log10(t_min), np.log10(t_max), n))
+    n = max(2, int(round(math.log10(t_max / t_min) * points_per_decade)) + 1)
+    lo = math.log10(t_min)
+    step = (math.log10(t_max) - lo) / (n - 1)
+    return [float(t_min)] + [10.0 ** (lo + k * step) for k in range(1, n - 1)] + [float(t_max)]

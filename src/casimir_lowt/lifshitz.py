@@ -64,7 +64,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import mpmath
-import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
                           mpf_neg, mpf_sub, mpf_sum, round_nearest)
@@ -159,31 +158,32 @@ class DeltaFResult:
 
 
 def gauss_legendre(n: int):
-    """Gauss-Legendre nodes/weights on [-1, 1] at the current precision.
-
-    numpy's double-precision nodes seed a few Newton steps on the Legendre
-    recurrence; cached per (n, prec), since several binary precisions share
-    one decimal one.
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] at the current
+    precision: Newton steps on the Legendre recurrence from the cosine
+    estimate -cos(pi (i + 3/4) / (n + 1/2)), six up to 95 digits; cached
+    per (n, prec), since several binary precisions share one decimal one.
     """
     return _gauss_legendre_cached(n, mp.prec)
 
 
 @lru_cache(maxsize=64)
 def _gauss_legendre_cached(n: int, prec: int):
-    xs, _ = np.polynomial.legendre.leggauss(n)
-    nodes = []
-    for x0 in xs:
-        x = mpf(float(x0))
-        for _ in range(6):
-            p0, p1 = mpf(1), x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            x = x - p1 / dp
+    def legendre(x):
+        """P_n(x) and P_n'(x)."""
         p0, p1 = mpf(1), x
         for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    # each Newton step doubles the correct bits, from about 5 at the seed
+    steps = max(6, (prec // 5).bit_length())
+    nodes = []
+    for i in range(n):
+        x = mpf(-math.cos(math.pi * (i + 0.75) / (n + 0.5)))
+        for _ in range(steps):
+            p, dp = legendre(x)
+            x = x - p / dp
+        _, dp = legendre(x)
         nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
     return tuple(nodes)
 

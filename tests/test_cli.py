@@ -1,14 +1,17 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import os
 
 import mpmath
 import pytest
 
-from casimir_lowt.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, fmt, main)
+from casimir_lowt.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, _summary, fmt, main)
 from casimir_lowt.config import (PRESETS, ConfigError, RunConfig, parse_config,
                                  serialize_config)
+from casimir_lowt.diagnostics import SweepRecord, theory_correction
+from casimir_lowt.lifshitz import PlateSystem
 from casimir_lowt.precision import set_precision
 
 
@@ -114,6 +117,36 @@ def test_anomaly(tm_config, capsys):
     assert "entropy" in out
 
 
+def test_anomaly_json(tm_config, capsys):
+    code = main(["anomaly", "--config", tm_config, "--format", "json", "--no-timestamp"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"eps_bar", "a0", "T_K", "free_energy", "entropy", "anomalous"}
+    assert payload["eps_bar"] == 11.67
+    assert payload["T_K"] == 0.5
+    assert payload["anomalous"] is True
+    assert payload["entropy"] != 0
+
+
+@pytest.mark.parametrize("pol", ["tm", "te"])
+@pytest.mark.parametrize("t_min, t_max, noted", [(0.1, 1.0, True), (0.01, 0.1, False)])
+def test_sweep_summary_notes_grid_outside_regime(pol, t_min, t_max, noted, capsys):
+    # closed-form records, no scan: si-paper reaches t = 0.823 at 1 K, 0.0823 at 0.1 K
+    cfg = dataclasses.replace(PRESETS["si-paper"], t_min=t_min, t_max=t_max,
+                              points_per_decade=6, polarization=pol)
+    th = theory_correction(PlateSystem(cfg.separation_m, 0.0, cfg.material), pol)
+    curve = [SweepRecord(T=mpmath.mpf(T), F_num=None, F_asym=None,
+                         dF_num=th.evaluate(T) * (1 + T / 100), dF_th=th.evaluate(T),
+                         R=-mpmath.mpf(T) / 100, pol=pol) for T in cfg.grid()]
+    _summary(cfg, curve, pol)
+    summary = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# ")]
+    assert len(summary) > 1 and "skipped" not in "".join(summary)
+    noted_lines = [line for line in summary if "outside t <= 0.1" in line]
+    assert noted_lines == (summary[:1] if noted else [])
+    if noted:
+        assert summary[0].endswith("; grid reaches t = 0.822597, outside t <= 0.1")
+
+
 def test_rdiag_te_warns_small_alpha(tm_config, capsys):
     code = main(["rdiag", "--config", tm_config, "--pol", "te", "--no-timestamp"])
     captured = capsys.readouterr()
@@ -217,6 +250,16 @@ def test_bad_config_file(tmp_path, capsys):
 
 def test_unreadable_config(capsys):
     assert main(["energy", "--config", "/nonexistent.ini"]) == EXIT_CONFIG
+
+
+def test_unwritable_output_is_config_error(tm_config, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["asymptotics", "--config", tm_config, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_asymptotics_sigma_zero_is_config_error(tmp_path, capsys):

@@ -223,6 +223,14 @@ def test_r_curve_both_is_tm_then_te():
             assert getattr(a, field) == getattr(b, field), field
 
 
+def test_log_grid_ends_are_the_configured_ends():
+    g = log_grid(0.02, 1.0, 25)
+    assert g[0] == 0.02
+    assert g[-1] == 1.0
+    assert all(type(T) is float for T in g)
+    assert len(g) == 43
+
+
 @pytest.mark.parametrize("points", [0, -5])
 def test_log_grid_rejects_points_per_decade_below_one(points):
     with pytest.raises(ValueError, match="points_per_decade"):

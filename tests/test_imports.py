@@ -1,5 +1,5 @@
 """Every name a module of the package imports is used in that module, and
-the CLI starts without scipy.
+the CLI starts without numpy or scipy, in one OS thread.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
 import statement whose line carries `# noqa: F401` is exempt, and a name
@@ -47,11 +47,16 @@ def test_no_unused_imports():
 
 
 def test_cli_does_not_import_scipy():
-    # a fresh interpreter, so no other test's imports are counted; scipy
-    # would add its import time and memory to every CLI run
-    code = ("import sys, casimir_lowt.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # neither numpy nor scipy, in a fresh interpreter, so no other test's
+    # imports are counted: either would add its import time and memory to
+    # every CLI run, and numpy's BLAS starts a thread, which the sweep's
+    # fork pool must not inherit; one OS thread is what makes the fork safe
+    code = ("import os, sys, casimir_lowt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))); "
+            "status = '/proc/self/status'; "
+            "print(open(status).read().split('Threads:')[1].split()[0] "
+            "if os.path.exists(status) else 1)")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "1"]

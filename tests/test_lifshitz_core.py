@@ -371,6 +371,19 @@ def test_precision_change_rebuilds_node_tables():
         set_precision(33)
 
 
+@pytest.mark.parametrize("dps", [33, 150])
+def test_gauss_legendre_exact_to_working_precision(dps):
+    # n nodes integrate x^k over [-1, 1] exactly for k < 2n; at 150 digits
+    # the Newton steps from the cosine seed must go on past six
+    with mp.workdps(dps):
+        for n in (1, 2, 5, 16, 48):
+            nodes = lifshitz.gauss_legendre(n)
+            assert [x for x, _ in nodes] == sorted(x for x, _ in nodes)
+            for k in range(2 * n):
+                exact = mpf(2) / (k + 1) if k % 2 == 0 else 0
+                assert abs(mpmath.fsum(w * x ** k for x, w in nodes) - exact) < mpf(10) ** (3 - dps)
+
+
 # --- one kernel pass for every polarization -----------------------------------
 
 @pytest.mark.parametrize("T", [0.015, 0.85])
