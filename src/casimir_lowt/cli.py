@@ -20,6 +20,7 @@ import dataclasses
 import datetime
 import json
 import sys
+import warnings
 
 import mpmath
 from mpmath import mpf
@@ -104,8 +105,7 @@ def cmd_energy(cfg: RunConfig, out: Output) -> int:
         rows.append({"T_K": float(T),
                      **{f"F_{p}": float(v) for p, v in res.per_mode.items()},
                      "F_total": float(res.total),
-                     "m_truncation": res.m_truncation,
-                     "est_error": float(res.est_error)})
+                     "m_truncation": res.m_truncation})
     if cfg.format == "json":
         out.emit(json.dumps(rows, indent=2))
     else:
@@ -304,28 +304,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _resolve_config(args)    # --precision overrides the config's precision
-        set_precision(cfg.precision)
-        out = Output(args.out or cfg.out, timestamp=not args.no_timestamp)
-        if args.command == "energy":
-            code = cmd_energy(cfg, out)
-        elif args.command in ("sweep", "rdiag"):
-            code = cmd_sweep(cfg, out, check=getattr(args, "check", False))
-        elif args.command == "asymptotics":
-            code = cmd_asymptotics(cfg, out)
-        elif args.command == "anomaly":
-            code = cmd_anomaly(cfg, out)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
-        out.close()
-        return code
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (PrecisionError, ArithmeticError, diagnostics.FitError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        # one stderr line per warning, without the package's source location
+        warnings.showwarning = lambda msg, *rest, **kw: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            cfg = _resolve_config(args)    # --precision overrides the config's precision
+            set_precision(cfg.precision)
+            out = Output(args.out or cfg.out, timestamp=not args.no_timestamp)
+            if args.command == "energy":
+                code = cmd_energy(cfg, out)
+            elif args.command in ("sweep", "rdiag"):
+                code = cmd_sweep(cfg, out, check=getattr(args, "check", False))
+            elif args.command == "asymptotics":
+                code = cmd_asymptotics(cfg, out)
+            elif args.command == "anomaly":
+                code = cmd_anomaly(cfg, out)
+            else:  # pragma: no cover
+                raise ConfigError(f"unknown command {args.command!r}")
+            out.close()
+            return code
+        except (ConfigError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (PrecisionError, ArithmeticError, diagnostics.FitError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

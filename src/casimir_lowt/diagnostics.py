@@ -86,8 +86,10 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     serving every polarization, through `run_points`: the points run in
     parallel on the CPUs this process may use, coldest first, and every
     record is bit-identical to an in-process sweep; F_num is F(0) + dF_num.
-    A polarization's dF (with its precision check) and closed-form terms (with
-    their ValidityWarnings) are evaluated in this process when its list is drawn.
+    A closed form that cannot exist (TM at sigma = 0, the ideal metal) raises
+    ValueError before any point is computed.  A polarization's closed-form
+    terms (with their ValidityWarnings) are evaluated in this process when
+    its list is drawn.
     """
     ts = [mpf(T) for T in t_grid]
     if not ts:
@@ -97,6 +99,8 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("temperature grid must be strictly ascending")
     pols = Polarization(pol).modes()
+    for p in pols:
+        theory_correction(replace(template, temperature_T=0.0), p)
     systems = [replace(template, temperature_T=float(T), polarization=Polarization(pol))
                for T in ts]
     *results, f0 = run_points("dF", systems,
@@ -105,7 +109,7 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
     def records(p):
         out = []
         for T, system, res in zip(ts, systems, results):
-            df_num = res.delta_f(p)
+            df_num = res.per_mode[p]
             df_th = theory_correction(system, p).evaluate(T)
             r = None if df_th == 0 else (df_th - df_num) / df_th
             out.append(SweepRecord(T=T, F_num=f0[p] + df_num, F_asym=f0[p] + df_th,

@@ -124,37 +124,15 @@ class PlateSystem:
 
 @dataclass
 class FreeEnergyResult:
-    total: object                 # J/m^2
+    """F or dF of one point: J/m^2 per polarization, and `total` their sum."""
     per_mode: dict                # {"tm": ..., "te": ...} J/m^2
     m_truncation: int
-    est_error: object             # J/m^2: the Euler-Maclaurin d5 term only, not a bound
     g_evals: int                  # g(m) evaluations of the scan, each serving every mode
-    seconds: float                # wall time of the free_energy call, in the process that ran it
+    seconds: float                # wall time of the call, in the process that ran it
 
-
-@dataclass
-class DeltaFResult:
-    scans: dict                   # {"tm": ModeScan, ...}, each integrated over [0, M]
-    prefactor: object             # k_B T / (8 pi a^2), J/m^2 per unit of g
-    m_truncation: int
-    g_evals: int                  # g(m) evaluations of the scan, each serving every mode
-    seconds: float                # wall time of the delta_f call, in the process that ran it
-
-    def delta_f(self, pol: str):
-        """Thermal correction of one polarization, J/m^2: the sum-minus-integral
-        of its scan.
-
-        Raises PrecisionError when cancellation leaves fewer than ~3
-        trustworthy digits at the current precision.
-        """
-        scan = self.scans[pol]
-        dg = scan.delta_gamma
-        guard = scan.cancellation_guard
-        if dg != 0 and guard * mpf(10) ** (3 - mp.dps) > abs(dg) * mpf("1e-3"):
-            raise PrecisionError(
-                f"{pol}: ~{mpmath.nstr(guard / abs(dg), 3)}x cancellation at "
-                f"{mp.dps} digits; raise the working precision")
-        return self.prefactor * dg
+    @property
+    def total(self):
+        return mpmath.fsum(self.per_mode.values())
 
 
 def gauss_legendre(n: int):
@@ -331,13 +309,20 @@ class ModeScan:
         return max(abs(self.sum_part), abs(self.integral))
 
 
+_M_LIMIT = 10 ** 5   # the largest cut-off M: a scan evaluates g(m) at least M + 4 times
+
+
 def _truncation_m(system: PlateSystem) -> int:
     # cutoff well into the regime where g(m) is smooth on unit-m scale;
     # for a conductor that means m t >~ 5 (past the knee of the pole term)
     mat = system.material
     if mat.mode is not PermittivityMode.IDEAL_METAL and mat.four_pi_sigma > 0:
         t = reduced_temperature(system.temperature_T, mat.four_pi_sigma)
-        return max(30, int(mp.ceil(5 / t)))
+        M = max(30, int(mp.ceil(5 / t)))
+        if M > _M_LIMIT:
+            raise ValueError(f"cut-off M = {M} at t = {mpmath.nstr(t, 4)} exceeds {_M_LIMIT}; "
+                             "raise the temperature or lower sigma")
+        return M
     return 30
 
 
@@ -427,29 +412,36 @@ def free_energy(system: PlateSystem) -> FreeEnergyResult:
     pref = _prefactor(system)
     scans, g_evals = _mode_scans(system, system.polarization.modes(), tail=True)
     per_mode = {pol: pref * (scan.endpoint_sum + scan.integral) for pol, scan in scans.items()}
-    return FreeEnergyResult(
-        total=mpmath.fsum(per_mode.values()), per_mode=per_mode,
-        m_truncation=max(scan.M for scan in scans.values()),
-        est_error=mpmath.fsum(pref * abs(scan.d5) / 30240 for scan in scans.values()),
-        g_evals=g_evals, seconds=time.perf_counter() - start)
+    return FreeEnergyResult(per_mode=per_mode, m_truncation=max(scan.M for scan in scans.values()),
+                            g_evals=g_evals, seconds=time.perf_counter() - start)
 
 
-def delta_f(system: PlateSystem) -> DeltaFResult:
+def delta_f(system: PlateSystem) -> FreeEnergyResult:
     """Thermal correction of every polarization from one joint mode scan:
     its sum minus the m-integral over [0, M], with the endpoint correction
-    at M; the tail integral, which only F needs, is never evaluated."""
+    at M; the tail integral, which only F needs, is never evaluated.
+
+    Raises PrecisionError when cancellation leaves fewer than ~3
+    trustworthy digits at the current precision.
+    """
     start = time.perf_counter()
     scans, g_evals = _mode_scans(system, system.polarization.modes(), tail=False)
-    return DeltaFResult(scans=scans, prefactor=_prefactor(system),
-                        m_truncation=max(scan.M for scan in scans.values()),
-                        g_evals=g_evals, seconds=time.perf_counter() - start)
+    pref = _prefactor(system)
+    per_mode = {}
+    for pol, scan in scans.items():
+        dg = scan.delta_gamma
+        guard = scan.cancellation_guard
+        if dg != 0 and guard * mpf(10) ** (3 - mp.dps) > abs(dg) * mpf("1e-3"):
+            raise PrecisionError(f"{pol}: ~{mpmath.nstr(guard / abs(dg), 3)}x cancellation at "
+                                 f"{mp.dps} digits; raise the working precision")
+        per_mode[pol] = pref * dg
+    return FreeEnergyResult(per_mode=per_mode, m_truncation=max(scan.M for scan in scans.values()),
+                            g_evals=g_evals, seconds=time.perf_counter() - start)
 
 
 def delta_f_direct(system: PlateSystem) -> dict:
-    """Thermal correction per polarization, {pol: J/m^2}: the view of
-    `delta_f`, with its PrecisionError."""
-    res = delta_f(system)
-    return {pol: res.delta_f(pol) for pol in res.scans}
+    """Thermal correction per polarization, {pol: J/m^2}: `delta_f`'s per_mode."""
+    return delta_f(system).per_mode
 
 
 def zero_temperature_energies(system: PlateSystem) -> dict:

@@ -79,7 +79,7 @@ def tm_eb1_records():
     grid = list(np.logspace(np.log10(0.02), np.log10(0.3), 14))
     results = run_points("dF", [PlateSystem(A_M, float(T), SI_EB1, Polarization.TM)
                                 for T in grid])
-    return [SweepRecord(T=mpf(T), F_num=None, F_asym=None, dF_num=res.delta_f("tm"),
+    return [SweepRecord(T=mpf(T), F_num=None, F_asym=None, dF_num=res.per_mode["tm"],
                         dF_th=None, R=None, pol="tm")
             for T, res in zip(grid, results)]
 

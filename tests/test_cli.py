@@ -2,16 +2,19 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import mpmath
 import pytest
 
-from casimir_lowt.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, _summary, fmt, main)
+from casimir_lowt import diagnostics, lifshitz
+from casimir_lowt.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _summary, fmt,
+                              main)
 from casimir_lowt.config import (PRESETS, ConfigError, RunConfig, parse_config,
                                  serialize_config)
 from casimir_lowt.diagnostics import SweepRecord, theory_correction
-from casimir_lowt.lifshitz import PlateSystem
+from casimir_lowt.lifshitz import FreeEnergyResult, PlateSystem
 from casimir_lowt.precision import set_precision
 
 
@@ -74,7 +77,7 @@ def test_energy_json(tm_config, monkeypatch, capsys):
     captured = capsys.readouterr()
     rows = json.loads(captured.out)
     assert [r["T_K"] for r in rows] == [0.5, 0.7]
-    assert set(rows[0]) == {"T_K", "F_tm", "F_total", "m_truncation", "est_error"}
+    assert set(rows[0]) == {"T_K", "F_tm", "F_total", "m_truncation"}
     assert in_process_run(argv, monkeypatch, capsys) == captured
 
 
@@ -181,7 +184,9 @@ def test_sweep_both_is_tm_then_te_with_the_te_warning_between(tm_config, capsys)
     tm_out, te_out = runs["tm"].out.splitlines(), runs["te"].out.splitlines()
     assert runs["both"].out.splitlines() == tm_out + te_out[1:]
     assert runs["both"].err == runs["tm"].err + runs["te"].err
-    assert runs["both"].err.splitlines()[1].startswith("warning: TE R-diagnostic")
+    err = runs["both"].err.splitlines()
+    assert err[err.index("# tm: skipped: need at least 3 records") + 1].startswith(
+        "warning: TE R-diagnostic")
 
 
 def test_sweep_summary_skipped_on_short_grid(tm_config, capsys):
@@ -190,6 +195,19 @@ def test_sweep_summary_skipped_on_short_grid(tm_config, capsys):
     summary = [line for line in capsys.readouterr().err.splitlines()
                if line.startswith("# ")]
     assert summary == ["# tm: skipped: need at least 3 records"]
+
+
+def test_sweep_warnings_are_one_line_each(tm_config, monkeypatch, capsys):
+    # faked points: the sweep reaches t = 0.41 and 0.58 at once
+    monkeypatch.setattr(diagnostics, "delta_f",
+                        lambda s: FreeEnergyResult({"tm": mpmath.mpf(-1)}, 30, 0, 0.0))
+    monkeypatch.setattr(diagnostics, "zero_temperature_energies",
+                        lambda s: {"tm": mpmath.mpf(-1)})
+    assert main(["sweep", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert [line.split(" > ")[0] for line in err.splitlines() if line.startswith("warning: ")] == [
+        "warning: t = 0.4113", "warning: t = 0.5758"]
+    assert ".py:" not in err
 
 
 def test_sweep_prints_tm_fit_summary(tmp_path, capsys):
@@ -269,6 +287,34 @@ def test_asymptotics_sigma_zero_is_config_error(tmp_path, capsys):
     code = main(["asymptotics", "--config", str(p), "--pol", "tm"])
     assert code == EXIT_CONFIG
     assert "sigma" in capsys.readouterr().err
+
+
+def test_precision_failure_exits_3(tm_config, starved_scans, capsys):
+    try:
+        code = main(["sweep", "--config", tm_config, "--precision", "15", "--no-timestamp"])
+    finally:
+        set_precision(33)
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.err.startswith("numerical failure: tm: ")
+    assert captured.out == ""
+    assert multiprocessing.active_children() == []
+
+
+def test_cut_off_beyond_limit_is_config_error(tmp_path, monkeypatch, capsys):
+    # sigma/eps0 = 1e18 s^-1 at 0.5 K: M = 5/t = 12,156,625
+    def no_g(*args):
+        raise AssertionError("g(m) evaluated")
+
+    monkeypatch.setattr(lifshitz, "_g_modes", no_g)
+    p = tmp_path / "m.ini"
+    p.write_text(CHEAP_TM.replace("sigma_over_eps0 = 1e12",
+                                  "sigma_over_eps0 = 1e18\nmodel = lowfreq")
+                 .replace("0.5 0.7", "0.5"))
+    assert main(["energy", "--config", str(p), "--no-timestamp"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cut-off M = 12156625 at t = 4.113e-7 exceeds 100000")
 
 
 @pytest.mark.parametrize("command", ["asymptotics"])

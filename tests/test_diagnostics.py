@@ -12,9 +12,9 @@ from casimir_lowt import diagnostics
 from casimir_lowt.asymptotics import delta_f_te
 from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_grid,
                                       r_curve, r_slope, run_points, te_cube_comparison)
-from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER
-from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f, delta_f_direct,
-                                   zero_temperature_energies)
+from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
+from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError, delta_f,
+                                   delta_f_direct, zero_temperature_energies)
 from casimir_lowt.precision import set_precision
 
 
@@ -288,8 +288,8 @@ def test_pool_equals_in_process_points(dps, pooled_curve):
         direct = [delta_f(replace(POOL_TEMPLATE, temperature_T=T)) for T in POOL_GRID]
         f0 = zero_temperature_energies(POOL_TEMPLATE)
         for a, b in zip(pooled, direct, strict=True):
-            assert a.scans == b.scans
-            assert all(a.delta_f(p) == b.delta_f(p) for p in ("tm", "te"))
+            assert a.per_mode == b.per_mode
+            assert a.m_truncation == b.m_truncation
             assert a.g_evals == b.g_evals
             assert a.seconds > 0
         assert pooled_f0 == f0
@@ -297,7 +297,7 @@ def test_pool_equals_in_process_points(dps, pooled_curve):
                                                        for T in POOL_GRID]
         for rec in recs:
             res = direct[POOL_GRID.index(float(rec.T))]
-            assert rec.dF_num == res.delta_f(rec.pol)
+            assert rec.dF_num == res.per_mode[rec.pol]
             assert rec.F_num == f0[rec.pol] + rec.dF_num
             assert rec.F_asym == f0[rec.pol] + rec.dF_th
     finally:
@@ -313,7 +313,7 @@ def test_one_cpu_runs_in_process_with_the_same_values(monkeypatch, pooled_curve)
     f0 = zero_temperature_energies(POOL_TEMPLATE)
     direct = {T: delta_f(replace(POOL_TEMPLATE, temperature_T=T)) for T in POOL_GRID}
     for rec in recs:
-        assert rec.dF_num == direct[float(rec.T)].delta_f(rec.pol)
+        assert rec.dF_num == direct[float(rec.T)].per_mode[rec.pol]
         assert rec.F_num == f0[rec.pol] + rec.dF_num
     # no child process starts: every task runs in this one
     assert pid_per_task(monkeypatch) == [
@@ -344,3 +344,26 @@ def test_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
     with pytest.raises(PointFailure, match="no point at 0.2 K"):
         run_points("F", systems)
     assert multiprocessing.active_children() == []
+
+
+def test_precision_error_reaches_the_caller_from_the_pool(starved_scans):
+    # delta_f checks its precision where it runs: in a worker of the pool
+    set_precision(15)
+    try:
+        with pytest.raises(PrecisionError, match="tm: .* cancellation at 15 digits"):
+            r_curve(replace(POOL_TEMPLATE, polarization=Polarization.TM), POOL_GRID, "tm")
+    finally:
+        set_precision(33)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("material, pol, match", [
+    (DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0), "tm", "sigma > 0"),
+    (IDEAL_METAL, "both", "ideal-metal")])
+def test_missing_closed_form_fails_before_any_point(material, pol, match, monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("run_points called")
+
+    monkeypatch.setattr(diagnostics, "run_points", no_points)
+    with pytest.raises(ValueError, match=match):
+        r_curve(PlateSystem(1e-6, 1.0, material), [0.1, 0.2], pol)

@@ -140,7 +140,7 @@ def test_zero_t_energy_matches_scan_at_conductivity_knee(pol, T):
     # y-layout must resolve the conductivity knee at y = alpha = 6.7e-3
     # just as well.  A sweep's F_num = F(0) + dF rests on this agreement.
     sys_ = PlateSystem(1e-6, T, SI_PAPER, Polarization(pol))
-    via_scan = free_energy(sys_).per_mode[pol] - delta_f(sys_).delta_f(pol)
+    via_scan = free_energy(sys_).per_mode[pol] - delta_f(sys_).per_mode[pol]
     f0 = zero_temperature_energy(sys_)
     assert abs(f0 / via_scan - 1) < 1e-13
 
@@ -201,21 +201,34 @@ def test_precision_guard_raises(monkeypatch):
         mp.dps = 33
 
 
+def test_cut_off_beyond_limit_is_rejected_before_any_g(monkeypatch):
+    # sigma/eps0 = 1e18 s^-1 at 0.5 K: M = 5/t = 12,156,625
+    def no_g(*args):
+        raise AssertionError("g(m) evaluated")
+
+    monkeypatch.setattr(lifshitz, "_g_modes", no_g)
+    mat = DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e18,
+                          mode=PermittivityMode.LOW_FREQ)
+    for route in (free_energy, delta_f):
+        with pytest.raises(ValueError,
+                           match=r"cut-off M = 12156625 at t = 4\.113e-7 exceeds 100000"):
+            route(PlateSystem(1e-6, 0.5, mat))
+
+
 def test_shared_kernel_consistency():
     # F and dF rest on the same endpoint-corrected sum of the integer-m
     # pass: F / pref minus the tail integral, dF / pref plus the m-integral
     # over [0, M]
     sys_ = PlateSystem(1e-6, 0.3, SI_PAPER, Polarization.TM)
-    res = delta_f(sys_)
-    head = res.scans["tm"]
-    assert lifshitz.mode_scan(sys_, "tm") == head
+    pref = lifshitz._prefactor(sys_)
+    head = lifshitz.mode_scan(sys_, "tm")
     tail = lifshitz._mode_scans(sys_, ("tm",), tail=True)[0]["tm"]
     assert (head.M, head.sum_part, head.d1, head.d3, head.d5) == \
         (tail.M, tail.sum_part, tail.d1, tail.d3, tail.d5)
-    df = res.delta_f("tm")
-    assert df == res.prefactor * head.delta_gamma
-    from_f = free_energy(sys_).per_mode["tm"] / res.prefactor - tail.integral
-    from_df = df / res.prefactor + head.integral
+    df = delta_f(sys_).per_mode["tm"]
+    assert df == pref * head.delta_gamma
+    from_f = free_energy(sys_).per_mode["tm"] / pref - tail.integral
+    from_df = df / pref + head.integral
     assert abs(from_f - head.endpoint_sum) < 1e-25 * abs(head.endpoint_sum)
     assert abs(from_df - head.endpoint_sum) < 1e-25 * abs(head.endpoint_sum)
 
@@ -396,7 +409,7 @@ def test_joint_scan_equals_single_polarization_scans(material, T):
         single = free_energy(PlateSystem(1e-6, T, material, Polarization(pol)))
         single_df = delta_f(PlateSystem(1e-6, T, material, Polarization(pol)))
         assert both.per_mode[pol] == single.per_mode[pol]
-        assert both_df.delta_f(pol) == single_df.delta_f(pol)
+        assert both_df.per_mode[pol] == single_df.per_mode[pol]
         # one g(m) evaluation serves both polarizations
         assert both.g_evals == single.g_evals
         assert both_df.g_evals == single_df.g_evals
