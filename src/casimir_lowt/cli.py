@@ -192,21 +192,18 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
     """`sweep` and `rdiag`: the records on stdout and a summary per
     polarization on stderr; with check (`rdiag --assert`), exit 1 unless
     the TM |R(T_min)| < 0.05 and |dR/dT| < 0.5 /K."""
-    records = []
+    pols = Polarization(cfg.polarization).modes()
+    if "te" in pols:
+        alpha = alpha_param(cfg.separation_m, cfg.material.four_pi_sigma) \
+            if cfg.material.four_pi_sigma > 0 else 0
+        if alpha < mpf("0.05"):
+            print("warning: TE R-diagnostic unfeasible at small alpha "
+                  "(correction terms nearly degenerate); data emitted anyway",
+                  file=sys.stderr)
+    records = diagnostics.r_curve(_system(cfg, 1.0), cfg.grid(), cfg.polarization)
     failures = []
-    curves = None
-    for pol in Polarization(cfg.polarization).modes():
-        if pol == "te":
-            alpha = alpha_param(cfg.separation_m, cfg.material.four_pi_sigma) \
-                if cfg.material.four_pi_sigma > 0 else 0
-            if alpha < mpf("0.05"):
-                print("warning: TE R-diagnostic unfeasible at small alpha "
-                      "(correction terms nearly degenerate); data emitted anyway",
-                      file=sys.stderr)
-        if curves is None:   # one sweep for all polarizations, after a TE-only warning
-            curves = diagnostics.r_curves(_system(cfg, 1.0), cfg.grid(), cfg.polarization)
-        curve = next(curves)
-        records.extend(curve)
+    for pol in pols:
+        curve = [r for r in records if r.pol == pol]
         slope = _summary(cfg, curve, pol)
         if check and pol == "tm":
             if slope is None:

@@ -74,22 +74,17 @@ def theory_correction(system: PlateSystem, pol: str) -> asymptotics.AsymptoticRe
 
 def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     """SweepRecords over an ascending temperature grid: those of one
-    polarization, or for "both" the TM records, then the TE records."""
-    return [rec for curve in r_curves(template, t_grid, pol) for rec in curve]
+    polarization, or for "both" the TM records, then the TE records.
 
-
-def r_curves(template: PlateSystem, t_grid, pol: str):
-    """An iterator over the SweepRecords of each polarization of `pol` in
-    turn, TM first, one list per polarization.
-
-    The call makes one `delta_f` per temperature and one F(0) pass, each
-    serving every polarization, through `run_points`: the points run in
-    parallel on the CPUs this process may use, coldest first, and every
-    record is bit-identical to an in-process sweep; F_num is F(0) + dF_num.
-    A closed form that cannot exist (TM at sigma = 0, the ideal metal) raises
-    ValueError before any point is computed.  A polarization's closed-form
-    terms (with their ValidityWarnings) are evaluated in this process when
-    its list is drawn.
+    Each polarization's closed form is built once, at the grid's hottest
+    temperature, before any point is computed: a closed form that cannot
+    exist (TM at sigma = 0, the ideal metal) raises ValueError, and a grid
+    that leaves the expansion regime gives one ValidityWarning per
+    polarization.  Then one `delta_f` per temperature and one F(0) pass,
+    each serving every polarization, run through `run_points`: the points
+    run in parallel on the CPUs this process may use, coldest first, and
+    every record is bit-identical to an in-process sweep; F_num is
+    F(0) + dF_num.
     """
     ts = [mpf(T) for T in t_grid]
     if not ts:
@@ -98,24 +93,22 @@ def r_curves(template: PlateSystem, t_grid, pol: str):
         raise ValueError("all grid temperatures must be positive")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("temperature grid must be strictly ascending")
-    pols = Polarization(pol).modes()
-    for p in pols:
-        theory_correction(replace(template, temperature_T=0.0), p)
+    # T enters a closed form only through its regime check, and t grows with T
+    hottest = replace(template, temperature_T=float(ts[-1]))
+    theory = {p: theory_correction(hottest, p) for p in Polarization(pol).modes()}
     systems = [replace(template, temperature_T=float(T), polarization=Polarization(pol))
                for T in ts]
     *results, f0 = run_points("dF", systems,
                               zero=replace(template, polarization=Polarization(pol)))
-
-    def records(p):
-        out = []
-        for T, system, res in zip(ts, systems, results):
+    records = []
+    for p, th in theory.items():
+        for T, res in zip(ts, results):
             df_num = res.per_mode[p]
-            df_th = theory_correction(system, p).evaluate(T)
+            df_th = th.evaluate(T)
             r = None if df_th == 0 else (df_th - df_num) / df_th
-            out.append(SweepRecord(T=T, F_num=f0[p] + df_num, F_asym=f0[p] + df_th,
-                                   dF_num=df_num, dF_th=df_th, R=r, pol=p))
-        return out
-    return (records(p) for p in pols)
+            records.append(SweepRecord(T=T, F_num=f0[p] + df_num, F_asym=f0[p] + df_th,
+                                       dF_num=df_num, dF_th=df_th, R=r, pol=p))
+    return records
 
 
 def run_points(kind: str, systems, zero: PlateSystem | None = None) -> list:
@@ -234,9 +227,7 @@ def te_cube_comparison(template: PlateSystem, records) -> list:
     The residual mixes the T^{5/2} and T^3 corrections; the comparison is
     an order-of-magnitude statement, not a digit-level one.
     """
-    mat = template.material
-    th = asymptotics.delta_f_te(mat.four_pi_sigma, template.separation_a, 0.0,
-                                eps_bar=mat.eps_bar)
+    th = theory_correction(replace(template, temperature_T=0.0), "te")
     c2 = th.coefficient(2)
     c3 = th.coefficient(3)
     rows = []

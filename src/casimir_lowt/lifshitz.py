@@ -52,7 +52,7 @@ m^2 ln m endpoint behaviour into polynomials times ln v, geometric panels
 on the exponential tails).  Against the same layout at doubled panel
 orders (`QuadratureSpec().refined()`, 40 digits), the benchmark's traced
 runs measure at the default 33 digits a relative error of 2.0e-18 in dF
-and 3.7e-18 in F(0) + dF on the TM 15-120 mK sweep, and 2.6e-16 in F near 1 K.
+and 3.9e-20 in F(0) + dF on the TM 15-120 mK sweep, and 5.1e-20 in F near 1 K.
 """
 
 from __future__ import annotations
@@ -211,12 +211,13 @@ def _x_integral(f, xmin, nx: int, n: int) -> list:
     f is called once per panel: it maps the raw mpf tuples x and e^-x of
     the panel's nodes to n lists (one per polarization) of the raw
     integrand at those nodes.  The result is the list of the n integrals
-    as raw mpf tuples.  Below x = 1 (when xmin < 0.5) the panels are
-    uniform in u = ln x, which resolves the scale xmin of the reflection
+    as raw mpf tuples.  When xmin < 1, the panels up to x = 1 are uniform
+    in u = ln x, which resolves the scale xmin of the reflection
     coefficient and, where r^2 is close to 1, the x ln x slope of f.
-    Above, a panel starting at b <= 2 has width 2 and later panels double,
-    up to the precision horizon (`_x_panels`), past which f is exactly 0;
-    from x = 1 on these come from `_x_panel_table`.
+    From x = 1 (or from a larger xmin), a panel starting at b <= 2 has
+    width 2 and later panels double, up to the precision horizon
+    (`_x_panels`), past which f is exactly 0; from x = 1 on these come
+    from `_x_panel_table`.
 
     The arithmetic is mpmath.libmp at mp.prec, round-nearest, in the order
     of the mpf reference in the tests: each panel is h times the mpf_sum
@@ -232,7 +233,7 @@ def _x_integral(f, xmin, nx: int, n: int) -> list:
             totals[i] = mpf_add(totals[i], mpf_mul(h, mpf_sum(terms, prec, round_nearest),
                                                    prec, round_nearest), prec, round_nearest)
 
-    if xmin < mpf("0.5"):
+    if xmin < 1:
         u0 = mpmath.log(xmin)
         npan = max(1, int(mp.ceil(-u0 / 2)))
         du = -u0 / npan

@@ -176,17 +176,17 @@ def test_sweep_and_rdiag_write_the_same_records(tm_config, capsys):
     assert sweep.out.encode() == rdiag.out.encode()
 
 
-def test_sweep_both_is_tm_then_te_with_the_te_warning_between(tm_config, capsys):
+def test_sweep_both_is_tm_then_te(tm_config, capsys):
+    # stdout is TM's records then TE's; stderr's summaries are in that order
     runs = {}
     for pol in ("both", "tm", "te"):
         assert main(["sweep", "--config", tm_config, "--pol", pol, "--no-timestamp"]) == EXIT_OK
         runs[pol] = capsys.readouterr()
     tm_out, te_out = runs["tm"].out.splitlines(), runs["te"].out.splitlines()
     assert runs["both"].out.splitlines() == tm_out + te_out[1:]
-    assert runs["both"].err == runs["tm"].err + runs["te"].err
-    err = runs["both"].err.splitlines()
-    assert err[err.index("# tm: skipped: need at least 3 records") + 1].startswith(
-        "warning: TE R-diagnostic")
+    summary = {pol: [line for line in run.err.splitlines() if line.startswith("# ")]
+               for pol, run in runs.items()}
+    assert summary["both"] == summary["tm"] + summary["te"]
 
 
 def test_sweep_summary_skipped_on_short_grid(tm_config, capsys):
@@ -197,17 +197,34 @@ def test_sweep_summary_skipped_on_short_grid(tm_config, capsys):
     assert summary == ["# tm: skipped: need at least 3 records"]
 
 
-def test_sweep_warnings_are_one_line_each(tm_config, monkeypatch, capsys):
-    # faked points: the sweep reaches t = 0.41 and 0.58 at once
-    monkeypatch.setattr(diagnostics, "delta_f",
-                        lambda s: FreeEnergyResult({"tm": mpmath.mpf(-1)}, 30, 0, 0.0))
+def fake_points(monkeypatch):
+    """Every point's dF and F(0) is -1 J/m^2 per polarization: no scan runs."""
+    monkeypatch.setattr(diagnostics, "delta_f", lambda s: FreeEnergyResult(
+        {p: mpmath.mpf(-1) for p in s.polarization.modes()}, 30, 0, 0.0))
     monkeypatch.setattr(diagnostics, "zero_temperature_energies",
-                        lambda s: {"tm": mpmath.mpf(-1)})
+                        lambda s: {p: mpmath.mpf(-1) for p in s.polarization.modes()})
+
+
+def test_sweep_warnings_are_one_line_each(tm_config, monkeypatch, capsys):
+    # the sweep reaches t = 0.41 and 0.58; its closed form is built once, at 0.58
+    fake_points(monkeypatch)
     assert main(["sweep", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
     err = capsys.readouterr().err
     assert [line.split(" > ")[0] for line in err.splitlines() if line.startswith("warning: ")] == [
-        "warning: t = 0.4113", "warning: t = 0.5758"]
+        "warning: t = 0.5758"]
     assert ".py:" not in err
+
+
+def test_preset_sweep_warns_once_per_polarization(monkeypatch, capsys):
+    # 43 points on 0.02-1 K, 23 of them beyond t = 0.1
+    fake_points(monkeypatch)
+    assert main(["sweep", "--preset", "si-paper", "--no-timestamp"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 87
+    assert [line.split(" (")[0].split(" > ")[0] for line in captured.err.splitlines()
+            if line.startswith("warning: ")] == [
+        "warning: TE R-diagnostic unfeasible at small alpha",
+        "warning: t = 0.8226", "warning: t = 0.8226"]
 
 
 def test_sweep_prints_tm_fit_summary(tmp_path, capsys):
@@ -296,7 +313,8 @@ def test_precision_failure_exits_3(tm_config, starved_scans, capsys):
         set_precision(33)
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL
-    assert captured.err.startswith("numerical failure: tm: ")
+    # after the one ValidityWarning of the grid's closed form
+    assert captured.err.splitlines()[-1].startswith("numerical failure: tm: ")
     assert captured.out == ""
     assert multiprocessing.active_children() == []
 

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 from mpmath import mpf
 
 from casimir_lowt import diagnostics
-from casimir_lowt.asymptotics import delta_f_te
+from casimir_lowt.asymptotics import ValidityWarning, delta_f_te
 from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_grid,
-                                      r_curve, r_slope, run_points, te_cube_comparison)
+                                      r_curve, r_slope, run_points, te_cube_comparison,
+                                      theory_correction)
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
-from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError, delta_f,
-                                   delta_f_direct, zero_temperature_energies)
+from casimir_lowt.lifshitz import (FreeEnergyResult, PlateSystem, Polarization,
+                                   PrecisionError, delta_f, delta_f_direct,
+                                   zero_temperature_energies)
 from casimir_lowt.precision import set_precision
 
 
@@ -221,6 +224,30 @@ def test_r_curve_both_is_tm_then_te():
     for a, b in zip(both, single, strict=True):
         for field in ("T", "F_num", "F_asym", "dF_num", "dF_th", "R", "pol"):
             assert getattr(a, field) == getattr(b, field), field
+
+
+def test_r_curve_builds_each_closed_form_once_and_warns_once(monkeypatch):
+    # faked points; the grid reaches t = 0.41 and 0.58 on si-paper, and each
+    # polarization's closed form is built once, at the hottest point
+    built = []
+
+    def spy(system, pol):
+        built.append((system.temperature_T, pol))
+        return theory_correction(system, pol)
+
+    monkeypatch.setattr(diagnostics, "theory_correction", spy)
+    monkeypatch.setattr(diagnostics, "delta_f",
+                        lambda s: FreeEnergyResult({"tm": mpf(-1), "te": mpf(1)}, 30, 0, 0.0))
+    monkeypatch.setattr(diagnostics, "zero_temperature_energies",
+                        lambda s: {"tm": mpf(-1), "te": mpf(-1)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        recs = r_curve(PlateSystem(1e-6, 1.0, SI_PAPER), [0.5, 0.7], "both")
+    assert built == [(0.7, "tm"), (0.7, "te")]
+    assert [str(w.message).split(" > ")[0] for w in caught
+            if issubclass(w.category, ValidityWarning)] == ["t = 0.5758", "t = 0.5758"]
+    th = {p: theory_correction(PlateSystem(1e-6, 0.0, SI_PAPER), p) for p in ("tm", "te")}
+    assert [r.dF_th for r in recs] == [th[r.pol].evaluate(r.T) for r in recs]
 
 
 def test_log_grid_ends_are_the_configured_ends():

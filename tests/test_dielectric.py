@@ -1,6 +1,5 @@
 """Permittivity model and reflection coefficients."""
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf

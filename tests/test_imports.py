@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used in that module, and
-the CLI starts without numpy or scipy, in one OS thread.
+"""Every name a module of the package or of the tests imports is used in
+that module, and the CLI starts without numpy or scipy, in one OS thread.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
 import statement whose line carries `# noqa: F401` is exempt, and a name
@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "casimir_lowt"
+TESTS = Path(__file__).resolve().parent
 BENCH = PACKAGE.parent.parent / "bench"
 
 
@@ -43,7 +44,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(PACKAGE.glob("*.py"))
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert modules
     assert [msg for path in modules for msg in _unused_imports(path)] == []
 

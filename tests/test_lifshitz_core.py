@@ -132,14 +132,16 @@ def test_sigma0_has_no_linear_thermal_term():
     assert abs(f - f0) < linear_scale / 100
 
 
-@pytest.mark.parametrize("T", [0.015, 0.3])
+@pytest.mark.parametrize("T, material", [(0.015, SI_PAPER), (0.3, SI_PAPER), (0.3, SI_EPSBAR1)],
+                         ids=["0.015", "0.3", "0.3-si-fig2"])
 @pytest.mark.parametrize("pol", ["tm", "te"])
-def test_zero_t_energy_matches_scan_at_conductivity_knee(pol, T):
+def test_zero_t_energy_matches_scan_at_conductivity_knee(pol, T, material):
     # F(0) = F(T) - dF(T) holds exactly in the continuum, and F - dF is the
     # scans' tail plus m-integral, accurate to ~1e-18 here; so F(0)'s
     # y-layout must resolve the conductivity knee at y = alpha = 6.7e-3
-    # just as well.  A sweep's F_num = F(0) + dF rests on this agreement.
-    sys_ = PlateSystem(1e-6, T, SI_PAPER, Polarization(pol))
+    # just as well.  A sweep's F_num = F(0) + dF rests on this agreement,
+    # on si-paper and on the eps_bar = 1 plate that criterion 6 sweeps.
+    sys_ = PlateSystem(1e-6, T, material, Polarization(pol))
     via_scan = free_energy(sys_).per_mode[pol] - delta_f(sys_).per_mode[pol]
     f0 = zero_temperature_energy(sys_)
     assert abs(f0 / via_scan - 1) < 1e-13
@@ -263,7 +265,7 @@ _reference_nodes = lru_cache(lifshitz._gauss_legendre_cached.__wrapped__)
 
 def _reference_x_integral(f, xmin, nodes):
     total = mpf(0)
-    if xmin < mpf("0.5"):
+    if xmin < 1:
         u0 = mpmath.log(xmin)
         npan = max(1, int(mp.ceil(-u0 / 2)))
         du = -u0 / npan
@@ -314,8 +316,9 @@ def _xmin_per_m(system):
 
 
 def _m_grid(system):
-    # integer m on the log-panel branch (x_min ~ 8e-5 m at 15 mK), then
-    # non-integer m with x_min from 0.6 to past X_CUT on the other branch
+    # integer m on the log-panel branch (x_min ~ 8e-5 m at 15 mK), non-integer
+    # m with x_min = 0.6 on it too, then x_min from 1.93 to past X_CUT on the
+    # branch whose panels start at x_min
     xm1 = _xmin_per_m(system)
     return list(range(1, 41)) + [c / xm1 for c in (0.6, 1.93, 2.5, 3.37, 47.1, 200.5, 300)]
 
@@ -326,6 +329,19 @@ def test_g_bit_identical_to_reference(material, pol):
     sys_ = PlateSystem(1e-6, 0.015, material)
     for m in _m_grid(sys_):
         assert g_of_m(sys_, m, pol) == _reference_g(sys_, m, pol), m
+
+
+@pytest.mark.parametrize("xmin", ["0.55", "0.6", "0.8"])
+def test_g_below_x_one_matches_refined_panels(xmin):
+    # log panels up to x = 1 for every x_min < 1: a first panel [x_min, x_min + 2]
+    # this close to x = 0 puts g_TE of the eps_bar = 1 plate 1e-11 relative off
+    k = mp_constants()
+    zeta = mpf(xmin) * k.c / (2 * mpf(1e-6))
+    sys_ = PlateSystem(1e-6, 0.3, SI_EPSBAR1)
+    fine = PlateSystem(1e-6, 0.3, SI_EPSBAR1, quadrature=QuadratureSpec(nx=32))
+    g, = lifshitz._g_at_frequency(sys_, zeta, ("te",))
+    ref, = lifshitz._g_at_frequency(fine, zeta, ("te",))
+    assert abs(g / ref - 1) < 1e-14
 
 
 @pytest.mark.parametrize("T", [0.015, 0.85])

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from casimir_lowt.asymptotics import phi_constant, psi_constant
 from casimir_lowt.precision import set_precision
