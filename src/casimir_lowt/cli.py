@@ -101,7 +101,7 @@ def _system(cfg: RunConfig, T: float) -> PlateSystem:
 def cmd_energy(cfg: RunConfig, out: Output) -> int:
     rows = []
     grid = cfg.grid()
-    for T, res in zip(grid, diagnostics.run_points("F", [_system(cfg, T) for T in grid])):
+    for T, res in zip(grid, diagnostics.run_points([_system(cfg, T) for T in grid])):
         rows.append({"T_K": float(T),
                      **{f"F_{p}": float(v) for p, v in res.per_mode.items()},
                      "F_total": float(res.total),
@@ -133,25 +133,15 @@ def _emit_records(records, cfg: RunConfig, out: Output) -> None:
 
 def cmd_asymptotics(cfg: RunConfig, out: Output) -> int:
     mat = cfg.material
-    if mat.mode is PermittivityMode.IDEAL_METAL:
-        raise ConfigError("asymptotics need a finite material, not the ideal metal")
     payload = {}
-    pols = Polarization(cfg.polarization).modes()
-    if "tm" in pols:
-        if mat.four_pi_sigma <= 0:
-            raise ConfigError("TM asymptotics require sigma>0")
-        tm = asymptotics.delta_f_tm(mat.four_pi_sigma, cfg.separation_m, 0.0)
-        payload["tm"] = {"terms": tm.as_records(),
-                         "values": {fmt(T): float(tm.evaluate(T)) for T in cfg.grid()}}
-        corr = asymptotics.delta_f_tm_correction(0.0)
-        payload["tm"]["t3_correction"] = corr.as_records()
-        payload["tm"]["t3_correction_ratio"] = float(
-            asymptotics.tm_correction_ratio(mat.four_pi_sigma, cfg.separation_m))
-    if "te" in pols:
-        te = asymptotics.delta_f_te(mat.four_pi_sigma, cfg.separation_m, 0.0,
-                                    eps_bar=mat.eps_bar)
-        payload["te"] = {"terms": te.as_records(),
-                         "values": {fmt(T): float(te.evaluate(T)) for T in cfg.grid()}}
+    for pol in Polarization(cfg.polarization).modes():
+        th = diagnostics.theory_correction(_system(cfg, 0.0), pol)
+        payload[pol] = {"terms": th.as_records(),
+                        "values": {fmt(T): float(th.evaluate(T)) for T in cfg.grid()}}
+        if pol == "tm":
+            payload[pol]["t3_correction"] = asymptotics.delta_f_tm_correction(0.0).as_records()
+            payload[pol]["t3_correction_ratio"] = float(
+                asymptotics.tm_correction_ratio(mat.four_pi_sigma, cfg.separation_m))
     if cfg.format == "json":
         out.emit(json.dumps(payload, indent=2))
     else:

@@ -26,6 +26,11 @@ def mp_constants() -> SimpleNamespace:
     return SimpleNamespace(hbar=mpf(_HBAR), c=mpf(_C), k_B=mpf(_K_B))
 
 
+def float_constants() -> SimpleNamespace:
+    """The same constants as float64 values, whatever the working precision."""
+    return SimpleNamespace(hbar=float(_HBAR), c=float(_C), k_B=float(_K_B))
+
+
 def reduced_temperature(temperature_k, four_pi_sigma):
     """Dimensionless temperature t = 2 pi k_B T / (hbar * 4 pi sigma).
 

@@ -23,10 +23,11 @@ import mpmath
 from mpmath import mpf
 
 from . import asymptotics
+from .abel_plana import delta_f_table
 from .dielectric import PermittivityMode
 # The program calls the names of the first import; it never calls the two of
 # the second, which are attributes here only so that bench/spans.py's TARGETS resolve.
-from .lifshitz import PlateSystem, Polarization, delta_f, free_energy, zero_temperature_energies
+from .lifshitz import PlateSystem, Polarization, free_energy, zero_temperature_energies
 from .lifshitz import delta_f_direct, zero_temperature_energy  # noqa: F401
 
 
@@ -80,11 +81,11 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     temperature, before any point is computed: a closed form that cannot
     exist (TM at sigma = 0, the ideal metal) raises ValueError, and a grid
     that leaves the expansion regime gives one ValidityWarning per
-    polarization.  Then one `delta_f` per temperature and one F(0) pass,
-    each serving every polarization, run through `run_points`: the points
-    run in parallel on the CPUs this process may use, coldest first, and
-    every record is bit-identical to an in-process sweep; F_num is
-    F(0) + dF_num.
+    polarization.  Then every dF_num comes from one Abel-Plana table
+    (`abel_plana.delta_f_table`, float64, stored as mpf) and F(0) from one
+    `zero_temperature_energies` pass at the working precision, both
+    serving every polarization, in this process; F_num is F(0) + dF_num.
+    No mode scan runs and no process starts.
     """
     ts = [mpf(T) for T in t_grid]
     if not ts:
@@ -96,14 +97,13 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     # T enters a closed form only through its regime check, and t grows with T
     hottest = replace(template, temperature_T=float(ts[-1]))
     theory = {p: theory_correction(hottest, p) for p in Polarization(pol).modes()}
-    systems = [replace(template, temperature_T=float(T), polarization=Polarization(pol))
-               for T in ts]
-    *results, f0 = run_points("dF", systems,
-                              zero=replace(template, polarization=Polarization(pol)))
+    system = replace(template, polarization=Polarization(pol))
+    table = delta_f_table(system, ts)
+    f0 = zero_temperature_energies(system)
     records = []
     for p, th in theory.items():
-        for T, res in zip(ts, results):
-            df_num = res.per_mode[p]
+        for T, df in zip(ts, table[p]):
+            df_num = mpf(df)
             df_th = th.evaluate(T)
             r = None if df_th == 0 else (df_th - df_num) / df_th
             records.append(SweepRecord(T=T, F_num=f0[p] + df_num, F_asym=f0[p] + df_th,
@@ -111,47 +111,40 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     return records
 
 
-def run_points(kind: str, systems, zero: PlateSystem | None = None) -> list:
-    """`free_energy` (kind "F") or `delta_f` (kind "dF") of each system, in
-    order, and when `zero` is given its zero_temperature_energies as one
-    more result at the end.
+def run_points(systems) -> list:
+    """`free_energy` of each system, in order.
 
     The points are independent, so each is one task of a process pool made
     for this call: forked, so the workers inherit the working precision,
     and sized to the CPUs this process may use.  The tasks are taken in the
-    order given, so an ascending grid starts with its coldest, most costly
-    point (the cut-off M grows as 1/T), and F(0) comes last.  Every result
-    is the one an in-process call gives, bit for bit.  With one CPU, one
-    task or no fork start method the same tasks run in this process.  When
-    a task raises, the pending ones are cancelled and its exception reaches
-    the caller with its type; no worker outlives the call.
+    order given.  Every result is the one an in-process call gives, bit for
+    bit.  With one CPU, one task or no fork start method the same tasks run
+    in this process.  When a task raises, the pending ones are cancelled
+    and its exception reaches the caller with its type; no worker outlives
+    the call.
     """
-    # imported here: only callers that sweep load the pool's modules
+    # imported here: only `energy` loads the pool's modules
     import multiprocessing
     import os
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(system, kind) for system in systems]
-    if zero is not None:
-        tasks.append((zero, "F0"))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(tasks), cpus)
+    workers = min(len(systems), cpus)
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_point(task) for task in tasks]
+        return [_point(system) for system in systems]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            return list(pool.map(_point, tasks))
+            return list(pool.map(_point, systems))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
 
 
-def _point(task):
-    """One task of `run_points`: (system, kind).  It calls the module globals
-    free_energy, delta_f and zero_temperature_energies, which the pool never
-    pickles, so a wrapper swapped in for any of them works in a worker too."""
-    system, kind = task
-    return {"F": free_energy, "dF": delta_f, "F0": zero_temperature_energies}[kind](system)
+def _point(system):
+    """One task of `run_points`.  It calls the module global free_energy,
+    which the pool never pickles, so a wrapper swapped in for it works in
+    a worker too."""
+    return free_energy(system)
 
 
 TM_FIT_POWERS = (2.0, 3.0, 4.0, 5.0)

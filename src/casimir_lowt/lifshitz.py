@@ -13,7 +13,9 @@ the diagnostics is the sum-minus-integral difference
 
 which cancels leading digits: the benchmark measures 4.7 for TM at 15 mK
 and 7.5 for TE at 12.5 mK on si-paper, and up to 7.9 near 1 K, where the
-correction is a small part of F.  So the sum and the integral are
+correction is a small part of F.  (A sweep takes it from `abel_plana`'s
+table instead, which cancels nothing; `delta_f` is the 33-digit oracle
+that table is tested against.)  So the sum and the integral are
 evaluated from the *same* g values in one scan at extended precision, with
 the sum tail beyond a cutoff M handled by endpoint derivative corrections
 (Euler-Maclaurin with 7-point finite-difference derivatives at M).  F adds
@@ -424,8 +426,21 @@ def delta_f(system: PlateSystem) -> FreeEnergyResult:
 
     Raises PrecisionError when cancellation leaves fewer than ~3
     trustworthy digits at the current precision.
+
+    The ideal metal needs no scan: its correction is the closed form
+    -zeta(3) k_B^3 T^3 / (2 pi hbar^2 c^2) + pi^2 a k_B^4 T^4 / (45 hbar^3 c^3),
+    half per polarization (g_evals 0, m_truncation 0).
     """
     start = time.perf_counter()
+    if system.material.mode is PermittivityMode.IDEAL_METAL:
+        if system.temperature_T <= 0:
+            raise ValueError("delta_f requires T > 0")
+        k = mp_constants()
+        kT, a = k.k_B * mpf(system.temperature_T), mpf(system.separation_a)
+        half = (-mpmath.zeta(3) * kT ** 3 / (2 * mpmath.pi * k.hbar ** 2 * k.c ** 2)
+                + mpmath.pi ** 2 * a * kT ** 4 / (45 * k.hbar ** 3 * k.c ** 3)) / 2
+        return FreeEnergyResult(per_mode={pol: half for pol in system.polarization.modes()},
+                                m_truncation=0, g_evals=0, seconds=time.perf_counter() - start)
     scans, g_evals = _mode_scans(system, system.polarization.modes(), tail=False)
     pref = _prefactor(system)
     per_mode = {}

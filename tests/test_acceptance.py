@@ -2,11 +2,11 @@
 
 Each criterion prints `criterion N: PASS|FAIL -- detail` before asserting,
 so a red run still reports every line (run with -s or read captured
-output).  The expensive fixtures (full temperature sweeps at 33 digits)
-are computed once per module; expect minutes, not hours, on one core.
-On a 2-core x86-64 machine the 14-point 2-20 mK TM grid of criterion 4
-costs about 275 s of single-core time (the Matsubara cut-off grows to
-M ~ 3000 at 2 mK) and the 0.01-0.1 K TE grid of criterion 5 about 100 s.
+output).  The sweep fixtures are computed once per module.  Each sweep is
+one Abel-Plana table plus one F(0) pass at 33 digits, whatever its
+coldest point: on a 2-core x86-64 VM the 14-point 2-20 mK TM grid of
+criterion 4 takes about 3.5 s, the 0.01-0.1 K TE grid of criterion 5
+about 3 s and the two TM grids of criterion 6 about 6 s together.
 
 Each expansion is tested inside its own regime.  For si-paper the TM
 series |dF| = D T^2 (1 - D1 T - kappa T^2 ...) has kappa ~ 17-20 K^-2,
@@ -28,8 +28,7 @@ from casimir_lowt.asymptotics import (ValidityWarning, delta_f_te, linear_anomal
                                       phi_constant, psi_constant)
 from casimir_lowt.constants import alpha_param, mp_constants, reduced_temperature
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
-from casimir_lowt.diagnostics import (SweepRecord, TE_FIT_POWERS, fit_expansion,
-                                      r_curve, r_slope, run_points,
+from casimir_lowt.diagnostics import (TE_FIT_POWERS, fit_expansion, r_curve, r_slope,
                                       te_cube_comparison)
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f_direct,
                                    zero_temperature_energy)
@@ -77,11 +76,7 @@ def tm_low_records():
 @pytest.fixture(scope="module")
 def tm_eb1_records():
     grid = list(np.logspace(np.log10(0.02), np.log10(0.3), 14))
-    results = run_points("dF", [PlateSystem(A_M, float(T), SI_EB1, Polarization.TM)
-                                for T in grid])
-    return [SweepRecord(T=mpf(T), F_num=None, F_asym=None, dF_num=res.per_mode["tm"],
-                        dF_th=None, R=None, pol="tm")
-            for T, res in zip(grid, results)]
+    return r_curve(PlateSystem(A_M, 1.0, SI_EB1, Polarization.TM), grid, "tm")
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +122,6 @@ def test_criterion_3_reduced_parameters():
                   f"alpha(1 um) = {mpmath.nstr(al, 4)} (6.67e-3+-0.05e-3)")
 
 
-@pytest.mark.slow
 def test_criterion_4_tm_oracle_equivalence(tm_low_records):
     k = mp_constants()
     d_th = mpmath.pi ** 2 * k.k_B ** 2 / (72 * k.hbar * mpf(SIGMA) * mpf(A_M) ** 2)
@@ -148,7 +142,6 @@ def test_criterion_4_tm_oracle_equivalence(tm_low_records):
            f"|dR/dT| = {mpmath.nstr(slope, 3)} (<0.5 /K)")
 
 
-@pytest.mark.slow
 def test_criterion_5_te_quadratic_and_cubic(te_records):
     c2_th = delta_f_te(SIGMA, A_M, 0.0, eps_bar=11.67).coefficient(2)
     fit = fit_expansion(te_records, extra_powers=TE_FIT_POWERS)
@@ -166,7 +159,6 @@ def test_criterion_5_te_quadratic_and_cubic(te_records):
            f"{mpmath.nstr(max(ratios), 3)}] (needs [0.2, 5] everywhere)")
 
 
-@pytest.mark.slow
 def test_criterion_6_leading_coefficient_eps_bar_independent(tm_records,
                                                              tm_eb1_records):
     d_ref = fit_expansion(tm_records).D
@@ -217,7 +209,6 @@ def test_criterion_8_structural_identities():
            f"static fraction of F(0) = {mpmath.nstr(frac, 4)} (0.994..1)")
 
 
-@pytest.mark.slow
 def test_criterion_9_sign_and_shape(tm_records):
     df = delta_f_direct(PlateSystem(A_M, 0.1, SI_PAPER, Polarization.BOTH))
     d2 = fit_expansion(tm_records).D2

@@ -14,7 +14,7 @@ from casimir_lowt.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
 from casimir_lowt.config import (PRESETS, ConfigError, RunConfig, parse_config,
                                  serialize_config)
 from casimir_lowt.diagnostics import SweepRecord, theory_correction
-from casimir_lowt.lifshitz import FreeEnergyResult, PlateSystem
+from casimir_lowt.lifshitz import PlateSystem
 from casimir_lowt.precision import set_precision
 
 
@@ -198,9 +198,9 @@ def test_sweep_summary_skipped_on_short_grid(tm_config, capsys):
 
 
 def fake_points(monkeypatch):
-    """Every point's dF and F(0) is -1 J/m^2 per polarization: no scan runs."""
-    monkeypatch.setattr(diagnostics, "delta_f", lambda s: FreeEnergyResult(
-        {p: mpmath.mpf(-1) for p in s.polarization.modes()}, 30, 0, 0.0))
+    """Every point's dF and F(0) is -1 J/m^2 per polarization: no table is built."""
+    monkeypatch.setattr(diagnostics, "delta_f_table",
+                        lambda s, ts: {p: [-1.0] * len(ts) for p in s.polarization.modes()})
     monkeypatch.setattr(diagnostics, "zero_temperature_energies",
                         lambda s: {p: mpmath.mpf(-1) for p in s.polarization.modes()})
 
@@ -306,7 +306,7 @@ def test_asymptotics_sigma_zero_is_config_error(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
-def test_precision_failure_exits_3(tm_config, starved_scans, capsys):
+def test_precision_failure_exits_3(tm_config, nan_table, capsys):
     try:
         code = main(["sweep", "--config", tm_config, "--precision", "15", "--no-timestamp"])
     finally:
@@ -314,9 +314,24 @@ def test_precision_failure_exits_3(tm_config, starved_scans, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL
     # after the one ValidityWarning of the grid's closed form
-    assert captured.err.splitlines()[-1].startswith("numerical failure: tm: ")
+    assert captured.err.splitlines()[-1].startswith("numerical failure: tm: H(u = ")
     assert captured.out == ""
     assert multiprocessing.active_children() == []
+
+
+def test_lossless_te_sweep_is_config_error(tmp_path, nan_table, capsys):
+    # sigma = 0 has a TE closed form, but no Abel-Plana table: refused before any H
+    p = tmp_path / "s0.ini"
+    p.write_text(CHEAP_TM.replace("sigma_over_eps0 = 1e12", "sigma_over_eps0 = 0"))
+    assert main(["sweep", "--config", str(p), "--pol", "te", "--no-timestamp"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: the Abel-Plana table needs sigma > 0")
+
+
+def test_asymptotics_of_the_ideal_metal_is_config_error(capsys):
+    assert main(["asymptotics", "--preset", "ideal-metal-check"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: no closed-form correction for the ideal-metal limit\n"
 
 
 def test_cut_off_beyond_limit_is_config_error(tmp_path, monkeypatch, capsys):

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from casimir_lowt import diagnostics
+from casimir_lowt import diagnostics, lifshitz
+from casimir_lowt.abel_plana import delta_f_table
 from casimir_lowt.asymptotics import ValidityWarning, delta_f_te
 from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_grid,
                                       r_curve, r_slope, run_points, te_cube_comparison,
                                       theory_correction)
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
-from casimir_lowt.lifshitz import (FreeEnergyResult, PlateSystem, Polarization,
-                                   PrecisionError, delta_f, delta_f_direct,
+from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError, free_energy,
                                    zero_temperature_energies)
 from casimir_lowt.precision import set_precision
 
@@ -155,14 +155,15 @@ def test_r_curve_structure_and_consistency():
 
 
 def test_r_vanishes_when_theory_equals_numerics(monkeypatch):
+    template = PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM)
+    table = dict(zip([0.5, 0.7], delta_f_table(template, [0.5, 0.7])["tm"]))
+
     class Echo:
         def evaluate(self, T):
-            system = PlateSystem(1e-6, float(T), SI_PAPER, Polarization.TM)
-            return delta_f_direct(system)["tm"]
+            return mpf(table[float(T)])
 
     monkeypatch.setattr(diagnostics, "theory_correction", lambda s, p: Echo())
-    recs = r_curve(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM),
-                   [0.5, 0.7], "tm")
+    recs = r_curve(template, [0.5, 0.7], "tm")
     assert all(r.R == 0 for r in recs)
 
 
@@ -236,8 +237,8 @@ def test_r_curve_builds_each_closed_form_once_and_warns_once(monkeypatch):
         return theory_correction(system, pol)
 
     monkeypatch.setattr(diagnostics, "theory_correction", spy)
-    monkeypatch.setattr(diagnostics, "delta_f",
-                        lambda s: FreeEnergyResult({"tm": mpf(-1), "te": mpf(1)}, 30, 0, 0.0))
+    monkeypatch.setattr(diagnostics, "delta_f_table",
+                        lambda s, ts: {"tm": [-1.0] * len(ts), "te": [1.0] * len(ts)})
     monkeypatch.setattr(diagnostics, "zero_temperature_energies",
                         lambda s: {"tm": mpf(-1), "te": mpf(-1)})
     with warnings.catch_warnings(record=True) as caught:
@@ -264,7 +265,64 @@ def test_log_grid_rejects_points_per_decade_below_one(points):
         log_grid(0.1, 1.0, points)
 
 
-# --- the point pool ----------------------------------------------------------
+# --- the sweep runs in this process, from one table ----------------------------
+
+def test_r_curve_makes_no_mode_scan_and_starts_no_process(monkeypatch):
+    scans = []
+
+    def spy(*args, **kwargs):
+        scans.append(args)
+        return mode_scans(*args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("run_points called")
+
+    mode_scans = lifshitz._mode_scans
+    monkeypatch.setattr(lifshitz, "_mode_scans", spy)
+    monkeypatch.setattr(diagnostics, "run_points", no_pool)
+    recs = r_curve(PlateSystem(1e-6, 1.0, SI_PAPER), [0.5, 0.7], "both")
+    assert len(recs) == 4
+    assert scans == []
+    assert multiprocessing.active_children() == []
+
+
+def test_r_curve_takes_df_from_the_table_and_f0_from_one_pass(monkeypatch):
+    template = PlateSystem(1e-6, 1.0, SI_PAPER)
+    table = delta_f_table(template, [0.5, 0.7])
+    f0 = zero_temperature_energies(template)
+    passes = []
+
+    def spy(system):
+        passes.append(system.polarization)
+        return zero_temperature_energies(system)
+
+    monkeypatch.setattr(diagnostics, "zero_temperature_energies", spy)
+    recs = r_curve(template, [0.5, 0.7], "both")
+    assert passes == [Polarization.BOTH]
+    for rec, df in zip(recs, table["tm"] + table["te"], strict=True):
+        assert type(rec.dF_num) is type(mpf(0)) and rec.dF_num == mpf(df)
+        assert rec.F_num == f0[rec.pol] + rec.dF_num
+        assert rec.F_asym == f0[rec.pol] + rec.dF_th
+
+
+@pytest.mark.parametrize("material, pol, match", [
+    (DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0), "tm", "sigma > 0"),
+    (IDEAL_METAL, "both", "ideal-metal")])
+def test_missing_closed_form_fails_before_any_point(material, pol, match, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("delta_f_table called")
+
+    monkeypatch.setattr(diagnostics, "delta_f_table", no_table)
+    with pytest.raises(ValueError, match=match):
+        r_curve(PlateSystem(1e-6, 1.0, material), [0.1, 0.2], pol)
+
+
+def test_nan_h_is_a_precision_error(nan_table):
+    with pytest.raises(PrecisionError, match="tm: H"):
+        r_curve(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.5, 0.7], "tm")
+
+
+# --- the point pool of `energy` ------------------------------------------------
 
 POOL_TEMPLATE = PlateSystem(1e-6, 1.0, SI_PAPER)
 POOL_GRID = [0.5, 0.7]
@@ -274,91 +332,49 @@ class PointFailure(RuntimeError):
     pass
 
 
-def spied_r_curve(dps):
-    """r_curve of POOL_TEMPLATE on POOL_GRID at dps digits, with the
-    run_points results it was built from."""
-    results = []
-
-    def spy(kind, systems, zero=None):
-        results.extend(run_points(kind, systems, zero))
-        return results
-
-    set_precision(dps)
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(diagnostics, "run_points", spy)
-            return r_curve(POOL_TEMPLATE, POOL_GRID, "both"), results
-    finally:
-        set_precision(33)
-
-
 def pid_per_task(monkeypatch):
-    """run_points of a sweep over three points and F(0), each task returning
-    the process id that ran it and what it was asked for."""
-    monkeypatch.setattr(diagnostics, "delta_f", lambda s: (os.getpid(), s.temperature_T))
-    monkeypatch.setattr(diagnostics, "zero_temperature_energies", lambda s: (os.getpid(), "F0"))
-    systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3)]
-    return run_points("dF", systems, zero=POOL_TEMPLATE)
-
-
-@pytest.fixture(scope="module")
-def pooled_curve():
-    return spied_r_curve(33)
+    """run_points over three points, each task returning the process id
+    that ran it and the temperature it was asked for."""
+    monkeypatch.setattr(diagnostics, "free_energy", lambda s: (os.getpid(), s.temperature_T))
+    return run_points([replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3)])
 
 
 @pytest.mark.parametrize("dps", [33, 20])
-def test_pool_equals_in_process_points(dps, pooled_curve):
-    recs, (*pooled, pooled_f0) = pooled_curve if dps == 33 else spied_r_curve(dps)
-    assert multiprocessing.active_children() == []
+def test_pool_equals_in_process_points(dps):
+    systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in POOL_GRID]
     set_precision(dps)
     try:
-        direct = [delta_f(replace(POOL_TEMPLATE, temperature_T=T)) for T in POOL_GRID]
-        f0 = zero_temperature_energies(POOL_TEMPLATE)
+        pooled = run_points(systems)
+        assert multiprocessing.active_children() == []
+        direct = [free_energy(system) for system in systems]
         for a, b in zip(pooled, direct, strict=True):
             assert a.per_mode == b.per_mode
             assert a.m_truncation == b.m_truncation
             assert a.g_evals == b.g_evals
             assert a.seconds > 0
-        assert pooled_f0 == f0
-        assert [(float(r.T), r.pol) for r in recs] == [(T, p) for p in ("tm", "te")
-                                                       for T in POOL_GRID]
-        for rec in recs:
-            res = direct[POOL_GRID.index(float(rec.T))]
-            assert rec.dF_num == res.per_mode[rec.pol]
-            assert rec.F_num == f0[rec.pol] + rec.dF_num
-            assert rec.F_asym == f0[rec.pol] + rec.dF_th
     finally:
         set_precision(33)
 
 
-def test_one_cpu_runs_in_process_with_the_same_values(monkeypatch, pooled_curve):
+def test_one_cpu_runs_in_process_with_the_same_values(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    recs = r_curve(POOL_TEMPLATE, POOL_GRID, "both")
-    for a, b in zip(recs, pooled_curve[0], strict=True):
-        for field in ("T", "F_num", "F_asym", "dF_num", "dF_th", "R", "pol"):
-            assert getattr(a, field) == getattr(b, field), field
-    f0 = zero_temperature_energies(POOL_TEMPLATE)
-    direct = {T: delta_f(replace(POOL_TEMPLATE, temperature_T=T)) for T in POOL_GRID}
-    for rec in recs:
-        assert rec.dF_num == direct[float(rec.T)].per_mode[rec.pol]
-        assert rec.F_num == f0[rec.pol] + rec.dF_num
     # no child process starts: every task runs in this one
     assert pid_per_task(monkeypatch) == [
-        (os.getpid(), 0.1), (os.getpid(), 0.2), (os.getpid(), 0.3), (os.getpid(), "F0")]
+        (os.getpid(), 0.1), (os.getpid(), 0.2), (os.getpid(), 0.3)]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="the pool needs two CPUs; one runs the tasks in-process")
 def test_pool_runs_each_point_in_a_worker_in_order(monkeypatch):
     results = pid_per_task(monkeypatch)
-    assert [what for _, what in results] == [0.1, 0.2, 0.3, "F0"]
+    assert [what for _, what in results] == [0.1, 0.2, 0.3]
     assert os.getpid() not in {pid for pid, _ in results}
     assert multiprocessing.active_children() == []
 
 
 def test_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
     with pytest.raises(ValueError, match="requires T > 0"):
-        run_points("F", [replace(POOL_TEMPLATE, temperature_T=0.0)] * 2)
+        run_points([replace(POOL_TEMPLATE, temperature_T=0.0)] * 2)
     assert multiprocessing.active_children() == []
 
     def failing(system):
@@ -369,28 +385,5 @@ def test_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
     monkeypatch.setattr(diagnostics, "free_energy", failing)
     systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3, 0.4)]
     with pytest.raises(PointFailure, match="no point at 0.2 K"):
-        run_points("F", systems)
+        run_points(systems)
     assert multiprocessing.active_children() == []
-
-
-def test_precision_error_reaches_the_caller_from_the_pool(starved_scans):
-    # delta_f checks its precision where it runs: in a worker of the pool
-    set_precision(15)
-    try:
-        with pytest.raises(PrecisionError, match="tm: .* cancellation at 15 digits"):
-            r_curve(replace(POOL_TEMPLATE, polarization=Polarization.TM), POOL_GRID, "tm")
-    finally:
-        set_precision(33)
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("material, pol, match", [
-    (DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0), "tm", "sigma > 0"),
-    (IDEAL_METAL, "both", "ideal-metal")])
-def test_missing_closed_form_fails_before_any_point(material, pol, match, monkeypatch):
-    def no_points(*args, **kwargs):
-        raise AssertionError("run_points called")
-
-    monkeypatch.setattr(diagnostics, "run_points", no_points)
-    with pytest.raises(ValueError, match=match):
-        r_curve(PlateSystem(1e-6, 1.0, material), [0.1, 0.2], pol)

@@ -181,6 +181,22 @@ def test_plate_system_rejects_non_finite(name, value):
         PlateSystem(material=SI_PAPER, **fields)
 
 
+@pytest.mark.parametrize("T", [0.3, 1.0])
+def test_ideal_metal_delta_f_is_brown_maclay(T):
+    # F(T) - F(0) of ideal plates, F0 [45 zeta(3)/pi^3 tau^3 - tau^4] with
+    # tau = 2 a k_B T / (hbar c), half per polarization and no scan; the M = 30
+    # scan was 4.5e-8 off it
+    k = mp_constants()
+    a = mpf(1e-6)
+    f0 = -mpmath.pi ** 2 * k.hbar * k.c / (720 * a ** 3)
+    tau = 2 * a * k.k_B * mpf(T) / (k.hbar * k.c)
+    ref = f0 * (45 * mpmath.zeta(3) / mpmath.pi ** 3 * tau ** 3 - tau ** 4)
+    res = delta_f(PlateSystem(1e-6, T, IDEAL_METAL))
+    assert abs(res.total / ref - 1) < 1e-13
+    assert res.per_mode["tm"] == res.per_mode["te"]
+    assert res.g_evals == 0
+
+
 def test_delta_f_requires_positive_t():
     with pytest.raises(ValueError):
         delta_f_direct(PlateSystem(1e-6, 0.0, SI_PAPER, Polarization.TM))
