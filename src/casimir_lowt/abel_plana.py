@@ -34,21 +34,22 @@ at x_lo = 1e-7 min(u, |sqrt(w)|, u / sqrt|eps|), the smallest scale of
 the integrand.  The imaginary-axis piece has panels that halve from u
 down to x_lo.  The real-axis piece has panels that halve from 1 down to
 x_lo, then width-2 panels from 1 to 45 (e^-45 = 2.9e-20).  TE has a branch
-point at x* = sqrt(w); where 4 |Im x*| < Re x* < 0.5 it sits close to the
-real axis, and the panels within Re x*/4 of it are replaced by panels that
-cluster on Re x* from both sides, their edges at distances halving from
-Re x*/4 down to |Im x*|.  The layout is the same whichever polarizations
-are asked for, and each polarization has its own running sum, so each
-one's values are bit-identical whether it is computed alone or with the
-other.  The u-panels have 12 nodes each and double from
-u_lo = 1e-9 xm1(T_min) to past 8 xm1(T_max) (the weight there is
-e^{-16 pi} = 1.4e-22 or less); the piece on [0, u_lo] is added in closed
-form, h1 (u_lo xm1 / (2 pi) - u_lo^2 / 4) with h1 = H(u_1)/u_1 at the
-first node.
+point at x* = sqrt(w); where 4 |Im x*| < Re x* < 45 it sits close to the
+real axis, and the panels, halving or width-2, within Re x*/4 of it are
+replaced by panels that cluster on Re x* from both sides, their edges at
+distances halving from Re x*/4 down to |Im x*|.  The layout is the same
+whichever polarizations are asked for, and each polarization has its own
+running sum, so each one's values are bit-identical whether it is
+computed alone or with the other.  The u-panels have 12 nodes each and
+double from u_lo = 1e-9 xm1(T_min) to past 8 xm1(T_max) (the weight
+there is e^{-16 pi} = 1.4e-22 or less); the piece on [0, u_lo] is added
+in closed form, h1 (u_lo xm1 / (2 pi) - u_lo^2 / 4) with h1 = H(u_1)/u_1
+at the first node.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
 precision: on si-paper and si-fig2 at T <= 0.12 K the table agrees with
-the 33-digit mode scan (`lifshitz.delta_f`) within 1e-11 relative.
+the 33-digit mode scan (`lifshitz.delta_f`) within 1e-11 relative, and on
+si-paper TE at 20 K, where x* lies beyond x = 1, with the scan at M = 240.
 Lossless plates (the ideal metal, sigma = 0) are refused, since
 1 - r^2 e^{-x} can vanish on the path, and so is an oscillator whose
 resonance lies inside the table.
@@ -137,16 +138,15 @@ def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
     x_lo = _X_LO * min(u, abs(root), u / math.sqrt(abs(eps)))
     edges = _halvings(u, x_lo)
     nodes = [n for a, b in zip(edges, edges[1:]) for n in _imaginary_axis_nodes(a, b, gl)]
-    edges = _halvings(1.0, x_lo)
+    edges = _halvings(1.0, x_lo) + list(range(3, _X_END + 1, 2))
     c, im = root.real, abs(root.imag)
-    if 4 * im < c < 0.5:
+    if 4 * im < c < _X_END:
         edges = [e for e in edges if abs(e - c) >= c / 4] + [c]
         d = c / 4
         while d > im:
             edges += [c - d, c + d]
             d /= 2
         edges.sort()
-    edges += range(3, _X_END + 1, 2)
     for a, b in zip(edges, edges[1:]):
         panel = fixed.get((a, b))
         if panel is None:

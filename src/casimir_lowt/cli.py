@@ -29,7 +29,7 @@ from . import asymptotics, diagnostics
 from .config import PRESETS, ConfigError, RunConfig, load_config
 from .constants import alpha_param, reduced_temperature
 from .dielectric import PermittivityMode
-from .lifshitz import PlateSystem, Polarization, PrecisionError
+from .lifshitz import PlateSystem, Polarization, PrecisionError, free_energy
 from .precision import set_precision
 
 EXIT_OK = 0
@@ -100,8 +100,8 @@ def _system(cfg: RunConfig, T: float) -> PlateSystem:
 
 def cmd_energy(cfg: RunConfig, out: Output) -> int:
     rows = []
-    grid = cfg.grid()
-    for T, res in zip(grid, diagnostics.run_points([_system(cfg, T) for T in grid])):
+    for T in cfg.grid():
+        res = free_energy(_system(cfg, T))
         rows.append({"T_K": float(T),
                      **{f"F_{p}": float(v) for p, v in res.per_mode.items()},
                      "F_total": float(res.total),
@@ -214,15 +214,14 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
 def _summary(cfg: RunConfig, curve, pol: str):
     """Write one polarization's summary of its sweep records to stderr: for
     TM R(T_min), dR/dT and the fitted D, D1, D2; for TE the residual vs T^3
-    comparison and the fitted C2; each against the closed form.  A grid too
-    short for the slope or the fit ends it with one `skipped:` line.  When
-    the grid reaches beyond the expansions' regime, t <= 0.1, the first
-    line that is not a `skipped:` line says so.
+    comparison and the fitted C2; each against the closed form that the
+    records carry.  A grid too short for the slope or the fit ends it with
+    one `skipped:` line.  When the grid reaches beyond the expansions'
+    regime, t <= 0.1, the first line that is not a `skipped:` line says so.
 
     Returns the TM dR/dT at T_min, or None when it was not computed.
     """
-    system = _system(cfg, 0.0)
-    th = diagnostics.theory_correction(system, pol)
+    th = curve[0].theory
     sigma = cfg.material.four_pi_sigma
     t_max = reduced_temperature(curve[-1].T, sigma) if sigma > 0 else 0
     regime = (f"; grid reaches t = {_short(t_max)}, outside t <= 0.1"
@@ -239,7 +238,7 @@ def _summary(cfg: RunConfig, curve, pol: str):
             _note(f"tm fit: {_vs_theory('D1', fit.D1, th.coefficient(3) / d)}")
             _note(f"tm fit: D2 = {_short(fit.D2)}")
         else:
-            rows = diagnostics.te_cube_comparison(system, curve)
+            rows = diagnostics.te_cube_comparison(curve)
             ratios = [row["ratio"] for row in rows]
             _note(f"te: residual/|C3 T^3| has the sign of C3 at "
                   f"{sum(row['same_sign'] for row in rows)}/{len(rows)} points, "

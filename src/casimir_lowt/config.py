@@ -1,14 +1,12 @@
 """Run configuration: INI files with material / geometry / run sections.
 
-Kept deliberately flat so a config written by hand, by serialize(), or by
-another tool parses identically; parse(serialize(cfg)) is semantically the
-identity (tested).
+Kept deliberately flat so a config written by hand or by another tool
+parses identically.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass
 
@@ -109,31 +107,6 @@ def parse_config(text: str) -> RunConfig:
     if cfg.precision < 15:
         raise ConfigError("precision must be >= 15 digits")
     return cfg
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp["material"] = {"model": cfg.material.mode.value}
-    if cfg.material.mode is not PermittivityMode.IDEAL_METAL:
-        cp["material"].update({
-            "eps_bar": repr(cfg.material.eps_bar),
-            "omega0": repr(cfg.material.omega0),
-            "sigma_over_eps0": repr(cfg.material.four_pi_sigma)})
-    cp["geometry"] = {"separation_um": repr(cfg.separation_um)}
-    run: dict = {"polarization": cfg.polarization, "precision": str(cfg.precision),
-                 "format": cfg.format, "points_per_decade": str(cfg.points_per_decade)}
-    if cfg.temperatures:
-        run["temperatures"] = " ".join(repr(t) for t in cfg.temperatures)
-    if cfg.t_min is not None:
-        run["t_min"] = repr(cfg.t_min)
-    if cfg.t_max is not None:
-        run["t_max"] = repr(cfg.t_max)
-    if cfg.out:
-        run["out"] = cfg.out
-    cp["run"] = run
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def load_config(path: str) -> RunConfig:

@@ -25,10 +25,10 @@ from mpmath import mpf
 from . import asymptotics
 from .abel_plana import delta_f_table
 from .dielectric import PermittivityMode
-# The program calls the names of the first import; it never calls the two of
+# The program calls the names of the first import; it never calls the three of
 # the second, which are attributes here only so that bench/spans.py's TARGETS resolve.
-from .lifshitz import PlateSystem, Polarization, free_energy, zero_temperature_energies
-from .lifshitz import delta_f_direct, zero_temperature_energy  # noqa: F401
+from .lifshitz import PlateSystem, Polarization, zero_temperature_energies
+from .lifshitz import delta_f_direct, free_energy, zero_temperature_energy  # noqa: F401
 
 
 class FitError(RuntimeError):
@@ -44,6 +44,7 @@ class SweepRecord:
     dF_th: object      # J/m^2, closed-form correction
     R: object          # dimensionless; None when dF_th == 0
     pol: str
+    theory: object = None   # the AsymptoticResult that gave dF_th
 
 
 @dataclass
@@ -78,14 +79,15 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     polarization, or for "both" the TM records, then the TE records.
 
     Each polarization's closed form is built once, at the grid's hottest
-    temperature, before any point is computed: a closed form that cannot
-    exist (TM at sigma = 0, the ideal metal) raises ValueError, and a grid
-    that leaves the expansion regime gives one ValidityWarning per
-    polarization.  Then every dF_num comes from one Abel-Plana table
-    (`abel_plana.delta_f_table`, float64, stored as mpf) and F(0) from one
-    `zero_temperature_energies` pass at the working precision, both
-    serving every polarization, in this process; F_num is F(0) + dF_num.
-    No mode scan runs and no process starts.
+    temperature, before any point is computed, and each record carries
+    it as `theory`: a closed form that cannot exist (TM at sigma = 0, the
+    ideal metal) raises ValueError, and a grid that leaves the expansion
+    regime gives one ValidityWarning per polarization.  Then every dF_num
+    comes from one Abel-Plana table (`abel_plana.delta_f_table`, float64,
+    stored as mpf) and F(0) from one `zero_temperature_energies` pass at
+    the working precision, both serving every polarization, in this
+    process; F_num is F(0) + dF_num.  No mode scan runs and no process
+    starts.
     """
     ts = [mpf(T) for T in t_grid]
     if not ts:
@@ -107,44 +109,8 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
             df_th = th.evaluate(T)
             r = None if df_th == 0 else (df_th - df_num) / df_th
             records.append(SweepRecord(T=T, F_num=f0[p] + df_num, F_asym=f0[p] + df_th,
-                                       dF_num=df_num, dF_th=df_th, R=r, pol=p))
+                                       dF_num=df_num, dF_th=df_th, R=r, pol=p, theory=th))
     return records
-
-
-def run_points(systems) -> list:
-    """`free_energy` of each system, in order.
-
-    The points are independent, so each is one task of a process pool made
-    for this call: forked, so the workers inherit the working precision,
-    and sized to the CPUs this process may use.  The tasks are taken in the
-    order given.  Every result is the one an in-process call gives, bit for
-    bit.  With one CPU, one task or no fork start method the same tasks run
-    in this process.  When a task raises, the pending ones are cancelled
-    and its exception reaches the caller with its type; no worker outlives
-    the call.
-    """
-    # imported here: only `energy` loads the pool's modules
-    import multiprocessing
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(systems), cpus)
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_point(system) for system in systems]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            return list(pool.map(_point, systems))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
-def _point(system):
-    """One task of `run_points`.  It calls the module global free_energy,
-    which the pool never pickles, so a wrapper swapped in for it works in
-    a worker too."""
-    return free_energy(system)
 
 
 TM_FIT_POWERS = (2.0, 3.0, 4.0, 5.0)
@@ -213,18 +179,17 @@ def r_slope(records, index: int = 0):
     return (r[1] * h2 * h2 - r[2] * h1 * h1 - r[0] * (h2 * h2 - h1 * h1)) / (h1 * h2 * (h2 - h1))
 
 
-def te_cube_comparison(template: PlateSystem, records) -> list:
+def te_cube_comparison(records) -> list:
     """(dF_num - C2 T^2 residual) vs the magnitude of the T^3 TE term, read
-    from the TE SweepRecords of `r_curve` (no scan is repeated).
+    from the TE SweepRecords of `r_curve` and the closed form each carries
+    (nothing is computed again).
 
     The residual mixes the T^{5/2} and T^3 corrections; the comparison is
     an order-of-magnitude statement, not a digit-level one.
     """
-    th = theory_correction(replace(template, temperature_T=0.0), "te")
-    c2 = th.coefficient(2)
-    c3 = th.coefficient(3)
     rows = []
     for rec in records:
+        c2, c3 = rec.theory.coefficient(2), rec.theory.coefficient(3)
         T = mpf(rec.T)
         residual = rec.dF_num - c2 * T * T
         t3 = abs(c3) * T ** 3

@@ -130,7 +130,7 @@ class FreeEnergyResult:
     per_mode: dict                # {"tm": ..., "te": ...} J/m^2
     m_truncation: int
     g_evals: int                  # g(m) evaluations of the scan, each serving every mode
-    seconds: float                # wall time of the call, in the process that ran it
+    seconds: float                # wall time of the call
 
     @property
     def total(self):

@@ -4,7 +4,7 @@
 import pytest
 from mpmath import mpf
 
-from casimir_lowt import abel_plana
+from casimir_lowt import abel_plana, lifshitz
 from casimir_lowt.abel_plana import delta_f_table
 from casimir_lowt.dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel
 from casimir_lowt.lifshitz import PlateSystem, Polarization, PrecisionError, delta_f
@@ -25,6 +25,16 @@ def test_table_matches_the_scan(material):
         scan = delta_f(PlateSystem(1e-6, T, material)).per_mode
         for pol in ("tm", "te"):
             assert abs(mpf(table[pol][k]) / scan[pol] - 1) < 1e-11, (pol, T)
+
+
+def test_table_clusters_on_the_te_branch_point_far_from_zero(monkeypatch):
+    # at 20 K the branch point x* = sqrt(w) of si-paper's TE integrand lies
+    # near the real axis beyond x = 1; the scan's own M = 30 is too short here,
+    # so the oracle runs at M = 240
+    monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
+    template = PlateSystem(1e-6, 20.0, SI_PAPER, Polarization.TE)
+    scan = delta_f(template).per_mode["te"]
+    assert abs(mpf(delta_f_table(template, [20.0])["te"][0]) / scan - 1) < 1e-11
 
 
 def test_each_polarization_is_the_same_alone_or_with_the_other():

@@ -1,22 +1,20 @@
 """Sweep records, coefficient fitting, and the R consistency diagnostic."""
 
 import multiprocessing
-import os
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from mpmath import mpf
 
-from casimir_lowt import diagnostics, lifshitz
+from casimir_lowt import cli, diagnostics, lifshitz
 from casimir_lowt.abel_plana import delta_f_table
 from casimir_lowt.asymptotics import ValidityWarning, delta_f_te
 from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_grid,
-                                      r_curve, r_slope, run_points, te_cube_comparison,
+                                      r_curve, r_slope, te_cube_comparison,
                                       theory_correction)
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
-from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError, free_energy,
+from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError,
                                    zero_temperature_energies)
 from casimir_lowt.precision import set_precision
 
@@ -192,9 +190,8 @@ def test_te_cube_comparison_rows():
     T = mpf(0.05)
     q = c2 * T * T
     records = [SweepRecord(T=0.05, F_num=None, F_asym=None, dF_num=df, dF_th=None,
-                           R=None, pol="te") for df in (mpf(0), q, 2 * q)]
-    template = PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TE)
-    rows = te_cube_comparison(template, records)
+                           R=None, pol="te", theory=th) for df in (mpf(0), q, 2 * q)]
+    rows = te_cube_comparison(records)
     t3 = abs(c3) * T ** 3
     assert [row["T"] for row in rows] == [T] * 3
     assert [row["t3_term"] for row in rows] == [t3] * 3
@@ -227,7 +224,7 @@ def test_r_curve_both_is_tm_then_te():
             assert getattr(a, field) == getattr(b, field), field
 
 
-def test_r_curve_builds_each_closed_form_once_and_warns_once(monkeypatch):
+def test_r_curve_builds_each_closed_form_once_and_warns_once(monkeypatch, capsys):
     # faked points; the grid reaches t = 0.41 and 0.58 on si-paper, and each
     # polarization's closed form is built once, at the hottest point
     built = []
@@ -249,6 +246,11 @@ def test_r_curve_builds_each_closed_form_once_and_warns_once(monkeypatch):
             if issubclass(w.category, ValidityWarning)] == ["t = 0.5758", "t = 0.5758"]
     th = {p: theory_correction(PlateSystem(1e-6, 0.0, SI_PAPER), p) for p in ("tm", "te")}
     assert [r.dF_th for r in recs] == [th[r.pol].evaluate(r.T) for r in recs]
+    # a whole CLI sweep, summaries included, builds no closed form again
+    built.clear()
+    assert cli.main(["sweep", "--preset", "si-paper", "--no-timestamp"]) == cli.EXIT_OK
+    assert built == [(1.0, "tm"), (1.0, "te")]
+    assert capsys.readouterr().err.count("# te: residual/|C3 T^3|") == 1
 
 
 def test_log_grid_ends_are_the_configured_ends():
@@ -274,12 +276,8 @@ def test_r_curve_makes_no_mode_scan_and_starts_no_process(monkeypatch):
         scans.append(args)
         return mode_scans(*args, **kwargs)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("run_points called")
-
     mode_scans = lifshitz._mode_scans
     monkeypatch.setattr(lifshitz, "_mode_scans", spy)
-    monkeypatch.setattr(diagnostics, "run_points", no_pool)
     recs = r_curve(PlateSystem(1e-6, 1.0, SI_PAPER), [0.5, 0.7], "both")
     assert len(recs) == 4
     assert scans == []
@@ -320,70 +318,3 @@ def test_missing_closed_form_fails_before_any_point(material, pol, match, monkey
 def test_nan_h_is_a_precision_error(nan_table):
     with pytest.raises(PrecisionError, match="tm: H"):
         r_curve(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.5, 0.7], "tm")
-
-
-# --- the point pool of `energy` ------------------------------------------------
-
-POOL_TEMPLATE = PlateSystem(1e-6, 1.0, SI_PAPER)
-POOL_GRID = [0.5, 0.7]
-
-
-class PointFailure(RuntimeError):
-    pass
-
-
-def pid_per_task(monkeypatch):
-    """run_points over three points, each task returning the process id
-    that ran it and the temperature it was asked for."""
-    monkeypatch.setattr(diagnostics, "free_energy", lambda s: (os.getpid(), s.temperature_T))
-    return run_points([replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3)])
-
-
-@pytest.mark.parametrize("dps", [33, 20])
-def test_pool_equals_in_process_points(dps):
-    systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in POOL_GRID]
-    set_precision(dps)
-    try:
-        pooled = run_points(systems)
-        assert multiprocessing.active_children() == []
-        direct = [free_energy(system) for system in systems]
-        for a, b in zip(pooled, direct, strict=True):
-            assert a.per_mode == b.per_mode
-            assert a.m_truncation == b.m_truncation
-            assert a.g_evals == b.g_evals
-            assert a.seconds > 0
-    finally:
-        set_precision(33)
-
-
-def test_one_cpu_runs_in_process_with_the_same_values(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    # no child process starts: every task runs in this one
-    assert pid_per_task(monkeypatch) == [
-        (os.getpid(), 0.1), (os.getpid(), 0.2), (os.getpid(), 0.3)]
-
-
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="the pool needs two CPUs; one runs the tasks in-process")
-def test_pool_runs_each_point_in_a_worker_in_order(monkeypatch):
-    results = pid_per_task(monkeypatch)
-    assert [what for _, what in results] == [0.1, 0.2, 0.3]
-    assert os.getpid() not in {pid for pid, _ in results}
-    assert multiprocessing.active_children() == []
-
-
-def test_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
-    with pytest.raises(ValueError, match="requires T > 0"):
-        run_points([replace(POOL_TEMPLATE, temperature_T=0.0)] * 2)
-    assert multiprocessing.active_children() == []
-
-    def failing(system):
-        if system.temperature_T == 0.2:
-            raise PointFailure(f"no point at {system.temperature_T} K")
-        return system.temperature_T
-
-    monkeypatch.setattr(diagnostics, "free_energy", failing)
-    systems = [replace(POOL_TEMPLATE, temperature_T=T) for T in (0.1, 0.2, 0.3, 0.4)]
-    with pytest.raises(PointFailure, match="no point at 0.2 K"):
-        run_points(systems)
-    assert multiprocessing.active_children() == []

@@ -52,8 +52,8 @@ def test_no_unused_imports():
 def test_cli_does_not_import_scipy():
     # neither numpy nor scipy, in a fresh interpreter, so no other test's
     # imports are counted: either would add its import time and memory to
-    # every CLI run, and numpy's BLAS starts a thread, which the fork pool
-    # of `energy` must not inherit; one OS thread is what makes the fork safe
+    # every CLI run, and numpy's BLAS starts a thread pool, which a CLI run
+    # has no use for; the package's imports leave the process one OS thread
     code = ("import os, sys, casimir_lowt.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))); "
             "status = '/proc/self/status'; "
