@@ -47,7 +47,9 @@ in closed form, h1 (u_lo xm1 / (2 pi) - u_lo^2 / 4) with h1 = H(u_1)/u_1
 at the first node.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
-precision: on si-paper and si-fig2 at T <= 0.12 K the table agrees with
+precision; the Gauss-Legendre rules are `lifshitz.gauss_legendre` at 53
+bits and eps is `dielectric.permittivity` at zeta = i v, both in floats.
+On si-paper and si-fig2 at T <= 0.12 K the table agrees with
 the 33-digit mode scan (`lifshitz.delta_f`) within 1e-11 relative, and on
 si-paper TE at 20 K, where x* lies beyond x = 1, with the scan at M = 240.
 Lossless plates (the ideal metal, sigma = 0) are refused, since
@@ -60,9 +62,11 @@ from __future__ import annotations
 import cmath
 import math
 
+from mpmath import mp
+
 from .constants import float_constants
-from .dielectric import DielectricModel, PermittivityMode
-from .lifshitz import PlateSystem, PrecisionError
+from .dielectric import PermittivityMode, permittivity
+from .lifshitz import PlateSystem, PrecisionError, gauss_legendre
 
 _NX = 16          # Gauss-Legendre nodes per x-panel
 _NU = 12          # per u-panel
@@ -70,26 +74,6 @@ _X_LO = 1e-7      # share of the integrand's smallest scale where the x-panels s
 _X_END = 45       # end of the real-axis piece
 _U_LO = 1e-9      # share of xm1(T_min) where the u-panels start
 _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
-
-
-def _gauss_legendre(n: int) -> list:
-    """Float Gauss-Legendre nodes (ascending) and weights on [-1, 1]:
-    Newton steps on the Legendre recurrence from the cosine estimate."""
-    def legendre(x):
-        p0, p1 = 1.0, x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, n * (x * p1 - p0) / (x * x - 1)
-
-    nodes = []
-    for i in range(n):
-        x = -math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(6):
-            p, dp = legendre(x)
-            x -= p / dp
-        _, dp = legendre(x)
-        nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
-    return nodes
 
 
 def _panel(a, b, gl) -> list:
@@ -120,15 +104,6 @@ def _halvings(top, lo) -> list:
         edges.append(edges[-1] / 2)
     edges.append(lo)
     return edges[::-1]
-
-
-def _eps(material: DielectricModel, v: float) -> complex:
-    """eps at zeta = i v: `dielectric.permittivity` continued to the
-    imaginary zeta axis, in complex floats."""
-    pole = -1j * material.four_pi_sigma / v
-    if material.mode is PermittivityMode.LOW_FREQ:
-        return material.eps_bar + pole
-    return 1 + (material.eps_bar - 1) / (1 - (v / material.omega0) ** 2) + pole
 
 
 def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
@@ -218,14 +193,15 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     def xm1(T):
         return 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
 
-    gl_x, gl_u = _gauss_legendre(_NX), _gauss_legendre(_NU)
+    with mp.workprec(53):   # the package's Gauss-Legendre rules, as floats
+        gl_x, gl_u = ([(float(x), float(w)) for x, w in gauss_legendre(n)] for n in (_NX, _NU))
     fixed = {}
     u_lo, u_hi = _U_LO * xm1(min(ts)), _U_HI * xm1(max(ts))
     nodes, hs = [], {pol: [] for pol in pols}
     b = u_lo
     while b < u_hi:
         for u, wt in _panel(b, 2 * b, gl_u):
-            eps = _eps(mat, u * k.c / (2 * a))
+            eps = permittivity(mat, complex(0, u * k.c / (2 * a)))
             for pol, h in zip(pols, _h(u, eps, pols, gl_x, fixed)):
                 if not math.isfinite(h):
                     raise PrecisionError(f"{pol}: H(u = {u:.6g}) = {h} in the Abel-Plana table")

@@ -73,23 +73,12 @@ def _resolve_config(args) -> RunConfig:
     if args.config:
         cfg = load_config(args.config)
     elif args.preset:
-        try:
-            cfg = PRESETS[args.preset]
-        except KeyError:
-            raise ConfigError(f"unknown preset {args.preset!r}; "
-                              f"choose from {', '.join(sorted(PRESETS))}") from None
+        cfg = PRESETS[args.preset]   # the parser admits only PRESETS' names
     else:
         raise ConfigError("a --config file or --preset is required")
-    updates = {}
-    if args.pol:
-        updates["polarization"] = args.pol
-    if args.out:
-        updates["out"] = args.out
-    if args.format:
-        updates["format"] = args.format
-    if args.precision is not None:
-        updates["precision"] = args.precision
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    updates = {"polarization": args.pol, "out": args.out, "format": args.format,
+               "precision": args.precision}
+    return dataclasses.replace(cfg, **{k: v for k, v in updates.items() if v is not None})
 
 
 def _system(cfg: RunConfig, T: float) -> PlateSystem:

@@ -55,20 +55,24 @@ IDEAL_METAL = DielectricModel(eps_bar=1.0, omega0=1.0, four_pi_sigma=0.0,
 
 
 def permittivity(model: DielectricModel, zeta):
-    """eps(i zeta) for zeta > 0 (or zeta = 0 when there is no conductivity)."""
-    zeta = mpf(zeta)
+    """eps(i zeta) for real zeta > 0 (or zeta = 0 without conductivity), in
+    mpf; for complex zeta = i v, eps continued to the real frequency v > 0,
+    in complex floats: one formula on the model's fields in zeta's type."""
     if model.mode is PermittivityMode.IDEAL_METAL:
         raise ValueError("ideal metal has no finite permittivity")
-    if zeta < 0:
-        raise ValueError("zeta must be nonnegative")
-    if zeta == 0:
-        if model.four_pi_sigma > 0:
-            raise ZeroDivisionError("eps diverges at zero frequency")
-        return mpf(model.eps_bar)
+    eps_bar, omega0, four_pi_sigma = model.eps_bar, model.omega0, model.four_pi_sigma
+    if not isinstance(zeta, complex):
+        zeta = mpf(zeta)
+        if zeta < 0:
+            raise ValueError("zeta must be nonnegative")
+        if zeta == 0:
+            if four_pi_sigma > 0:
+                raise ZeroDivisionError("eps diverges at zero frequency")
+            return mpf(eps_bar)
+        eps_bar, omega0, four_pi_sigma = mpf(eps_bar), mpf(omega0), mpf(four_pi_sigma)
     if model.mode is PermittivityMode.LOW_FREQ:
-        return mpf(model.eps_bar) + mpf(model.four_pi_sigma) / zeta
-    return (1 + (mpf(model.eps_bar) - 1) / (1 + (zeta / mpf(model.omega0)) ** 2)
-            + mpf(model.four_pi_sigma) / zeta)
+        return eps_bar + four_pi_sigma / zeta
+    return 1 + (eps_bar - 1) / (1 + (zeta / omega0) ** 2) + four_pi_sigma / zeta
 
 
 def mpf_reflections(eps, zs, pols, prec: int) -> list:

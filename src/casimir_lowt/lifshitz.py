@@ -70,6 +70,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
                           mpf_neg, mpf_sub, mpf_sum, round_nearest)
 
+from .asymptotics import ideal_metal
 from .constants import alpha_param, mp_constants, reduced_temperature
 from .dielectric import (DielectricModel, PermittivityMode, mpf_reflections, permittivity,
                          reflection_limits_zero_frequency)
@@ -339,8 +340,14 @@ def _m_integral(f, s, end, spec: QuadratureSpec) -> list:
     """
     total = _gl_panels(lambda v: [2 * v * y for y in f(v * v)], mpf(0), mpmath.sqrt(s),
                        gauss_legendre(spec.nm_unit))
+    return _doubling_panels(f, total, s, end, spec)
+
+
+def _doubling_panels(f, total, b, end, spec: QuadratureSpec) -> list:
+    """total plus integral_b^end f(m) dm of each component, panel by panel:
+    `spec.nm_geo`-node panels double from b, the last one clipped at end."""
     geo = gauss_legendre(spec.nm_geo)
-    b = mpf(s)
+    b = mpf(b)
     while b < end:
         nb = min(2 * b, mpf(end))
         total = [t + p for t, p in zip(total, _gl_panels(f, b, nb, geo))]
@@ -365,16 +372,13 @@ def _mode_scans(system: PlateSystem, pols, tail: bool) -> tuple[dict, int]:
         return _g_modes(system, m, pols)
     gv = [g(m) for m in range(M + 4)]
     if tail:
-        # g decays like e^{-x_min(m)}; stop once x_min > 60
+        # g decays like e^{-x_min(m)}; stop at the first M 2^k with x_min >= 60
         k = mp_constants()
         xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
-        geo = gauss_legendre(system.quadrature.nm_geo)
-        integ = [mpf(0)] * len(pols)
-        b = mpf(M)
-        while xm1 * b < 60:
-            nb = 2 * b
-            integ = [t + p for t, p in zip(integ, _gl_panels(g, b, nb, geo))]
-            b = nb
+        end = mpf(M)
+        while xm1 * end < 60:
+            end *= 2
+        integ = _doubling_panels(g, [mpf(0)] * len(pols), M, end, system.quadrature)
     else:
         integ = _m_integral(g, 1, M, system.quadrature)
 
@@ -402,57 +406,63 @@ def _prefactor(system: PlateSystem):
     return mp_constants().k_B * mpf(system.temperature_T) / (8 * mpmath.pi * a * a)
 
 
+def _energy(system: PlateSystem, tail: bool) -> FreeEnergyResult:
+    """F (tail) or dF of every polarization from one joint mode scan, or from
+    the ideal metal's closed forms where they serve (g_evals 0, m_truncation 0)."""
+    if system.temperature_T <= 0:
+        raise ValueError("F and dF require T > 0; F(0) is zero_temperature_energy")
+    start = time.perf_counter()
+    pols = system.polarization.modes()
+    forms = (system.material.mode is PermittivityMode.IDEAL_METAL
+             and ideal_metal(system.separation_a, system.temperature_T))
+    if forms:
+        closed = forms[0] + forms[1] if tail else forms[1]
+        per_mode, M, g_evals = {pol: closed / 2 for pol in pols}, 0, 0
+    else:
+        pref = _prefactor(system)
+        scans, g_evals = _mode_scans(system, pols, tail)
+        per_mode = {pol: pref * (scan.endpoint_sum + scan.integral if tail
+                                 else _checked_delta_gamma(pol, scan))
+                    for pol, scan in scans.items()}
+        M = max(scan.M for scan in scans.values())
+    return FreeEnergyResult(per_mode=per_mode, m_truncation=M, g_evals=g_evals,
+                            seconds=time.perf_counter() - start)
+
+
+def _checked_delta_gamma(pol: str, scan: ModeScan):
+    """The scan's delta_gamma, or the PrecisionError of `delta_f`."""
+    dg = scan.delta_gamma
+    guard = scan.cancellation_guard
+    if dg != 0 and guard * mpf(10) ** (3 - mp.dps) > abs(dg) * mpf("1e-3"):
+        raise PrecisionError(f"{pol}: ~{mpmath.nstr(guard / abs(dg), 3)}x cancellation at "
+                             f"{mp.dps} digits; raise the working precision")
+    return dg
+
+
 def free_energy(system: PlateSystem) -> FreeEnergyResult:
-    """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m).
+    """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m), T > 0.
 
     One joint mode scan serves every polarization: its endpoint-corrected
     sum plus the tail integral over [M, inf); the m-integral over [0, M],
-    which only dF needs, is never evaluated.
+    which only dF needs, is never evaluated.  The ideal metal needs no scan
+    where `asymptotics.ideal_metal` serves: F is its F(0) + dF.
     """
-    if system.temperature_T <= 0:
-        raise ValueError("free_energy requires T > 0; use zero_temperature_energy")
-    start = time.perf_counter()
-    pref = _prefactor(system)
-    scans, g_evals = _mode_scans(system, system.polarization.modes(), tail=True)
-    per_mode = {pol: pref * (scan.endpoint_sum + scan.integral) for pol, scan in scans.items()}
-    return FreeEnergyResult(per_mode=per_mode, m_truncation=max(scan.M for scan in scans.values()),
-                            g_evals=g_evals, seconds=time.perf_counter() - start)
+    return _energy(system, tail=True)
 
 
 def delta_f(system: PlateSystem) -> FreeEnergyResult:
-    """Thermal correction of every polarization from one joint mode scan:
-    its sum minus the m-integral over [0, M], with the endpoint correction
-    at M; the tail integral, which only F needs, is never evaluated.
-
+    """Thermal correction of every polarization, T > 0, from one joint mode
+    scan: its sum minus the m-integral over [0, M], with the endpoint
+    correction at M; the tail integral, which only F needs, is never evaluated.
     Raises PrecisionError when cancellation leaves fewer than ~3
     trustworthy digits at the current precision.
 
-    The ideal metal needs no scan: its correction is the closed form
-    -zeta(3) k_B^3 T^3 / (2 pi hbar^2 c^2) + pi^2 a k_B^4 T^4 / (45 hbar^3 c^3),
-    half per polarization (g_evals 0, m_truncation 0).
+    The ideal metal at tau = 2 a k_B T / (hbar c) <= IDEAL_METAL_TAU_MAX
+    needs no scan: its correction is Brown-Maclay's closed form
+    (`asymptotics.ideal_metal`), half per polarization; above that tau the
+    form's dropped e^{-2 pi / tau} terms outgrow the scan's error.
     """
-    start = time.perf_counter()
-    if system.material.mode is PermittivityMode.IDEAL_METAL:
-        if system.temperature_T <= 0:
-            raise ValueError("delta_f requires T > 0")
-        k = mp_constants()
-        kT, a = k.k_B * mpf(system.temperature_T), mpf(system.separation_a)
-        half = (-mpmath.zeta(3) * kT ** 3 / (2 * mpmath.pi * k.hbar ** 2 * k.c ** 2)
-                + mpmath.pi ** 2 * a * kT ** 4 / (45 * k.hbar ** 3 * k.c ** 3)) / 2
-        return FreeEnergyResult(per_mode={pol: half for pol in system.polarization.modes()},
-                                m_truncation=0, g_evals=0, seconds=time.perf_counter() - start)
-    scans, g_evals = _mode_scans(system, system.polarization.modes(), tail=False)
-    pref = _prefactor(system)
-    per_mode = {}
-    for pol, scan in scans.items():
-        dg = scan.delta_gamma
-        guard = scan.cancellation_guard
-        if dg != 0 and guard * mpf(10) ** (3 - mp.dps) > abs(dg) * mpf("1e-3"):
-            raise PrecisionError(f"{pol}: ~{mpmath.nstr(guard / abs(dg), 3)}x cancellation at "
-                                 f"{mp.dps} digits; raise the working precision")
-        per_mode[pol] = pref * dg
-    return FreeEnergyResult(per_mode=per_mode, m_truncation=max(scan.M for scan in scans.values()),
-                            g_evals=g_evals, seconds=time.perf_counter() - start)
+    return _energy(system, tail=False)
 
 
 def delta_f_direct(system: PlateSystem) -> dict:

@@ -3,6 +3,14 @@
 import pytest
 
 from casimir_lowt import abel_plana
+from casimir_lowt.precision import set_precision
+
+
+@pytest.fixture(autouse=True)
+def default_precision():
+    """Every test starts at the default 33 digits, whatever the one before
+    it left behind."""
+    set_precision(33)
 
 
 @pytest.fixture

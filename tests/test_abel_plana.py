@@ -13,10 +13,6 @@ from casimir_lowt.precision import set_precision
 GRID = [0.015, 0.1]
 
 
-def setup_module():
-    set_precision(33)
-
-
 @pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1], ids=["si-paper", "si-fig2"])
 def test_table_matches_the_scan(material):
     # one table for both polarizations; the scan of each point is the oracle
@@ -48,10 +44,7 @@ def test_table_is_float64_at_any_working_precision():
     template = PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM)
     at_33 = delta_f_table(template, GRID)
     set_precision(20)
-    try:
-        assert delta_f_table(template, GRID) == at_33
-    finally:
-        set_precision(33)
+    assert delta_f_table(template, GRID) == at_33
     assert all(type(v) is float for v in at_33["tm"])
 
 
@@ -73,12 +66,3 @@ def test_refused_before_any_h(material, pol, match, monkeypatch):
 def test_nan_h_raises_precision_error(nan_table):
     with pytest.raises(PrecisionError, match=r"te: H\(u = .*\) = nan"):
         delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TE), GRID)
-
-
-def test_gauss_legendre_is_exact_for_polynomials():
-    for n in (1, 2, 12, 16):
-        nodes = abel_plana._gauss_legendre(n)
-        assert [x for x, _ in nodes] == sorted(x for x, _ in nodes)
-        for k in range(2 * n):
-            exact = 2 / (k + 1) if k % 2 == 0 else 0
-            assert abs(sum(w * x ** k for x, w in nodes) - exact) < 1e-14

@@ -32,7 +32,6 @@ from casimir_lowt.diagnostics import (TE_FIT_POWERS, fit_expansion, r_curve, r_s
                                       te_cube_comparison)
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f_direct,
                                    zero_temperature_energy)
-from casimir_lowt.precision import set_precision
 from oracles import (constant_a_integral, half_power_series_terms, levin_u_sum,
                      log_power_series_terms, psi_from_borel, te_closed_form_g1,
                      te_g1_quadrature)
@@ -40,10 +39,6 @@ from oracles import (constant_a_integral, half_power_series_terms, levin_u_sum,
 A_M = 1e-6
 SIGMA = 1e12
 SI_EB1 = DielectricModel(eps_bar=1.0, omega0=8e15, four_pi_sigma=SIGMA)
-
-
-def setup_module():
-    set_precision(33)
 
 
 def in_regime_curve(grid, pol):

@@ -23,12 +23,7 @@ from casimir_lowt.asymptotics import (SmallMExpansion, ValidityWarning,
 from casimir_lowt.constants import alpha_param, mp_constants, reduced_temperature
 from casimir_lowt.dielectric import SI_PAPER
 from casimir_lowt.lifshitz import PlateSystem, Polarization, g_of_m
-from casimir_lowt.precision import set_precision
 from oracles import a_mu, te_closed_form_g1, te_closed_form_g2, te_g1_quadrature
-
-
-def setup_module():
-    set_precision(33)
 
 
 A_REF = 1e-6

@@ -16,10 +16,6 @@ from casimir_lowt.lifshitz import PlateSystem
 from casimir_lowt.precision import set_precision
 
 
-def teardown_module():
-    set_precision(33)
-
-
 CHEAP_TM = """\
 [material]
 eps_bar = 11.67
@@ -290,10 +286,7 @@ def test_asymptotics_sigma_zero_is_config_error(tmp_path, capsys):
 
 
 def test_precision_failure_exits_3(tm_config, nan_table, capsys):
-    try:
-        code = main(["sweep", "--config", tm_config, "--precision", "15", "--no-timestamp"])
-    finally:
-        set_precision(33)
+    code = main(["sweep", "--config", tm_config, "--precision", "15", "--no-timestamp"])
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL
     # after the one ValidityWarning of the grid's closed form
@@ -357,11 +350,8 @@ def test_precision_comes_from_config_not_environment(tmp_path, monkeypatch):
     assert set_precision() == 33
     p = tmp_path / "p.ini"
     p.write_text(CHEAP_TM + "precision = 25\n")
-    try:
-        assert main(["asymptotics", "--config", str(p), "--no-timestamp"]) == EXIT_OK
-        assert mpmath.mp.dps == 25
-    finally:
-        set_precision(33)
+    assert main(["asymptotics", "--config", str(p), "--no-timestamp"]) == EXIT_OK
+    assert mpmath.mp.dps == 25
 
 
 def test_anomaly_rejects_ideal_metal(capsys):

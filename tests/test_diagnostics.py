@@ -16,11 +16,6 @@ from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError,
                                    zero_temperature_energies)
-from casimir_lowt.precision import set_precision
-
-
-def setup_module():
-    set_precision(33)
 
 
 def synthetic_records(D=2.53e-17, D1=0.366, D2=-0.5, sign=-1, n=12,

@@ -7,12 +7,7 @@ from mpmath import mpf
 from casimir_lowt.dielectric import (IDEAL_METAL, SI_PAPER, DielectricModel,
                                      PermittivityMode, permittivity,
                                      reflection_limits_zero_frequency)
-from casimir_lowt.precision import set_precision
 from oracles import a_mu, reflection
-
-
-def setup_module():
-    set_precision(33)
 
 
 def test_permittivity_pole_at_zero_frequency():
@@ -34,6 +29,19 @@ def test_permittivity_oscillator_rolloff():
 def test_low_freq_model_drops_oscillator():
     lo = DielectricModel(11.67, 8e15, 1e12, mode=PermittivityMode.LOW_FREQ)
     assert abs(permittivity(lo, 1e10) - (mpf("11.67") + 100)) < 1e-15
+
+
+@pytest.mark.parametrize("v", [1e3, 1e12, 1e15, 1e16, 1e17])
+def test_permittivity_continued_to_real_frequency(v):
+    # zeta = i v: eps at the real frequency v, in complex floats
+    lo = DielectricModel(11.67, 8e15, 1e12, mode=PermittivityMode.LOW_FREQ)
+    for model, ref in ((lo, 11.67 - 1j * 1e12 / v),
+                       (SI_PAPER, 1 + (11.67 - 1) / (1 - v * v / 8e15 ** 2) - 1j * 1e12 / v)):
+        eps = permittivity(model, complex(0, v))
+        assert type(eps) is complex
+        assert abs(eps - ref) <= 1e-15 * abs(ref), model.mode
+    with pytest.raises(ValueError, match="ideal metal"):
+        permittivity(IDEAL_METAL, complex(0, v))
 
 
 def test_model_validation():

@@ -14,15 +14,10 @@ from casimir_lowt import lifshitz
 from casimir_lowt.constants import mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
 from casimir_lowt.lifshitz import ModeScan, delta_f, g_of_m
-from casimir_lowt.precision import set_precision
 from oracles import constant_a_integral, gl_panel
 
 SIGMA0_SI = DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0)
 VACUUM = DielectricModel(eps_bar=1.0, omega0=8e15, four_pi_sigma=0.0)
-
-
-def setup_module():
-    set_precision(33)
 
 
 def _hbar_c():
@@ -181,20 +176,47 @@ def test_plate_system_rejects_non_finite(name, value):
         PlateSystem(material=SI_PAPER, **fields)
 
 
-@pytest.mark.parametrize("T", [0.3, 1.0])
-def test_ideal_metal_delta_f_is_brown_maclay(T):
-    # F(T) - F(0) of ideal plates, F0 [45 zeta(3)/pi^3 tau^3 - tau^4] with
-    # tau = 2 a k_B T / (hbar c), half per polarization and no scan; the M = 30
-    # scan was 4.5e-8 off it
+def _brown_maclay(T):
+    """F(0) and F(T) - F(0) = F0 [45 zeta(3)/pi^3 tau^3 - tau^4] of ideal plates
+    1 um apart, tau = 2 a k_B T / (hbar c), exponentially small terms dropped."""
     k = mp_constants()
     a = mpf(1e-6)
     f0 = -mpmath.pi ** 2 * k.hbar * k.c / (720 * a ** 3)
     tau = 2 * a * k.k_B * mpf(T) / (k.hbar * k.c)
-    ref = f0 * (45 * mpmath.zeta(3) / mpmath.pi ** 3 * tau ** 3 - tau ** 4)
+    return f0, f0 * (45 * mpmath.zeta(3) / mpmath.pi ** 3 * tau ** 3 - tau ** 4)
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0])
+def test_ideal_metal_delta_f_is_brown_maclay(T):
+    # half per polarization and no scan; the M = 30 scan was 4.5e-8 off it
+    _, ref = _brown_maclay(T)
     res = delta_f(PlateSystem(1e-6, T, IDEAL_METAL))
     assert abs(res.total / ref - 1) < 1e-13
     assert res.per_mode["tm"] == res.per_mode["te"]
     assert res.g_evals == 0
+
+
+@pytest.mark.parametrize("T", [300.0, 600.0])
+def test_ideal_metal_delta_f_above_the_tau_bound_is_the_scan(T, monkeypatch):
+    # tau = 0.26 and 0.52: Brown-Maclay drops terms of order e^{-2 pi/tau},
+    # 1.9e-9 and 1.9e-4 of dF here, so the M = 30 scan runs; the oracle is
+    # the scan at M = 240
+    res = delta_f(PlateSystem(1e-6, T, IDEAL_METAL))
+    system = PlateSystem(1e-6, T, IDEAL_METAL, Polarization.TM)
+    monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
+    ref = lifshitz._prefactor(system) * lifshitz.mode_scan(system, "tm").delta_gamma
+    for pol in ("tm", "te"):
+        assert abs(res.per_mode[pol] / ref - 1) < 1e-13, pol
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0])
+def test_ideal_metal_free_energy_is_brown_maclay(T):
+    # F(0) + dF from the closed forms, no scan; the M = 30 scan was 1.4e-18
+    # (0.3 K) and 5.2e-17 (1 K) off
+    f0, df = _brown_maclay(T)
+    res = free_energy(PlateSystem(1e-6, T, IDEAL_METAL))
+    assert abs(res.total / (f0 + df) - 1) < 1e-25
+    assert res.g_evals == 0 and res.m_truncation == 0
 
 
 def test_delta_f_requires_positive_t():
@@ -212,11 +234,8 @@ def test_precision_guard_raises(monkeypatch):
     monkeypatch.setattr(lif, "_mode_scans",
                         lambda s, pols, tail: ({p: starved for p in pols}, 0))
     mp.dps = 15
-    try:
-        with pytest.raises(PrecisionError):
-            delta_f_direct(PlateSystem(1e-6, 0.1, SI_PAPER, Polarization.TM))
-    finally:
-        mp.dps = 33
+    with pytest.raises(PrecisionError):
+        delta_f_direct(PlateSystem(1e-6, 0.1, SI_PAPER, Polarization.TM))
 
 
 def test_cut_off_beyond_limit_is_rejected_before_any_g(monkeypatch):
@@ -406,27 +425,31 @@ def test_precision_change_rebuilds_node_tables():
     # the panel order alone, would serve nodes of another precision
     si = PlateSystem(1e-6, 0.015, SI_PAPER)
     xm1 = _xmin_per_m(si)
-    try:
-        for attr, value in (("dps", 33), ("dps", 50), ("dps", 20), ("dps", 33),
-                            ("prec", 112)):
-            setattr(mp, attr, value)
-            for sys_, m, pol in ((si, 3, "tm"), (si, 3, "te"), (si, mpf("1.7") / xm1, "tm")):
-                assert g_of_m(sys_, m, pol) == _reference_g(sys_, m, pol), (attr, value)
-    finally:
-        set_precision(33)
+    for attr, value in (("dps", 33), ("dps", 50), ("dps", 20), ("dps", 33), ("prec", 112)):
+        setattr(mp, attr, value)
+        for sys_, m, pol in ((si, 3, "tm"), (si, 3, "te"), (si, mpf("1.7") / xm1, "tm")):
+            assert g_of_m(sys_, m, pol) == _reference_g(sys_, m, pol), (attr, value)
 
 
-@pytest.mark.parametrize("dps", [33, 150])
+@pytest.mark.parametrize("dps", [33, 150, "float"])
 def test_gauss_legendre_exact_to_working_precision(dps):
     # n nodes integrate x^k over [-1, 1] exactly for k < 2n; at 150 digits
-    # the Newton steps from the cosine seed must go on past six
-    with mp.workdps(dps):
-        for n in (1, 2, 5, 16, 48):
-            nodes = lifshitz.gauss_legendre(n)
-            assert [x for x, _ in nodes] == sorted(x for x, _ in nodes)
-            for k in range(2 * n):
-                exact = mpf(2) / (k + 1) if k % 2 == 0 else 0
-                assert abs(mpmath.fsum(w * x ** k for x, w in nodes) - exact) < mpf(10) ** (3 - dps)
+    # the Newton steps from the cosine seed must go on past six.  "float" is
+    # the rule at 53 bits in floats, as the Abel-Plana table takes it
+    if dps == "float":
+        with mp.workprec(53):
+            rules = {n: [(float(x), float(w)) for x, w in lifshitz.gauss_legendre(n)]
+                     for n in (1, 2, 12, 16)}
+        one, total, tol = 1.0, sum, 1e-14
+    else:
+        mp.dps = dps
+        rules = {n: lifshitz.gauss_legendre(n) for n in (1, 2, 5, 16, 48)}
+        one, total, tol = mpf(1), mpmath.fsum, mpf(10) ** (3 - dps)
+    for n, nodes in rules.items():
+        assert [x for x, _ in nodes] == sorted(x for x, _ in nodes)
+        for k in range(2 * n):
+            exact = 2 * one / (k + 1) if k % 2 == 0 else 0
+            assert abs(total(w * x ** k for x, w in nodes) - exact) < tol
 
 
 # --- one kernel pass for every polarization -----------------------------------

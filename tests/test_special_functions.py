@@ -15,15 +15,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from casimir_lowt.asymptotics import phi_constant, psi_constant
-from casimir_lowt.precision import set_precision
 from oracles import (SummationError, bernoulli_b2n, borel_sum_psi_tilde,
                      constant_a_integral, half_power_derivative, half_power_series_terms,
                      levin_u_sum, log_power_derivative, log_power_series_terms,
                      psi_from_borel)
-
-
-def setup_module():
-    set_precision(33)
 
 
 # --- Bernoulli and derivative tables ---------------------------------------

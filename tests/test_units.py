@@ -5,11 +5,6 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from casimir_lowt.constants import alpha_param, mp_constants, reduced_temperature
-from casimir_lowt.precision import set_precision
-
-
-def setup_module():
-    set_precision(33)
 
 
 def test_constant_values():
@@ -23,7 +18,6 @@ def test_mp_constants_track_precision():
     mp.dps = 40
     k = mp_constants()
     assert k.hbar == mpf("1.054571817e-34")
-    mp.dps = 33
 
 
 def test_reduced_temperature_at_one_kelvin():
