@@ -194,7 +194,7 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
         return 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
 
     with mp.workprec(53):   # the package's Gauss-Legendre rules, as floats
-        gl_x, gl_u = ([(float(x), float(w)) for x, w in gauss_legendre(n)] for n in (_NX, _NU))
+        gl_x, gl_u = [[(float(x), float(w)) for x, w in gauss_legendre(n)] for n in (_NX, _NU)]
     fixed = {}
     u_lo, u_hi = _U_LO * xm1(min(ts)), _U_HI * xm1(max(ts))
     nodes, hs = [], {pol: [] for pol in pols}
