@@ -33,7 +33,8 @@ Layout.  Every x-panel has 16 Gauss-Legendre nodes, and both pieces start
 at x_lo = 1e-7 min(u, |sqrt(w)|, u / sqrt|eps|), the smallest scale of
 the integrand.  The imaginary-axis piece has panels that halve from u
 down to x_lo.  The real-axis piece has panels that halve from 1 down to
-x_lo, then width-2 panels from 1 to 45 (e^-45 = 2.9e-20).  TE has a branch
+x_lo, then width-2 panels from 1 to 45 (e^-45 = 2.9e-20): `lifshitz`'s
+real-axis panels, which F(0) walks from x = y as well.  TE has a branch
 point at x* = sqrt(w); where 4 |Im x*| < Re x* < 45 it sits close to the
 real axis, and the panels, halving or width-2, within Re x*/4 of it are
 replaced by panels that cluster on Re x* from both sides, their edges at
@@ -47,8 +48,9 @@ in closed form, h1 (u_lo xm1 / (2 pi) - u_lo^2 / 4) with h1 = H(u_1)/u_1
 at the first node.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
-precision; the Gauss-Legendre rules are `lifshitz.gauss_legendre` at 53
-bits and eps is `dielectric.permittivity` at zeta = i v, both in floats.
+precision; the Gauss-Legendre rules are `lifshitz.float_gauss_legendre`
+(the package's rule at 53 bits) and eps is `dielectric.permittivity` at
+zeta = i v, both in floats.
 On si-paper and si-fig2 at T <= 0.12 K the table agrees with
 the 33-digit mode scan (`lifshitz.delta_f`) within 1e-11 relative, and on
 si-paper TE at 20 K, where x* lies beyond x = 1, with the scan at M = 240.
@@ -62,29 +64,16 @@ from __future__ import annotations
 import cmath
 import math
 
-from mpmath import mp
-
 from .constants import float_constants
 from .dielectric import PermittivityMode, permittivity
-from .lifshitz import PlateSystem, PrecisionError, gauss_legendre
+from .lifshitz import (_X_END, PlateSystem, PrecisionError, _halvings, _panel,
+                       _real_axis_edges, _real_axis_panels, float_gauss_legendre)
 
 _NX = 16          # Gauss-Legendre nodes per x-panel
 _NU = 12          # per u-panel
 _X_LO = 1e-7      # share of the integrand's smallest scale where the x-panels start
-_X_END = 45       # end of the real-axis piece
 _U_LO = 1e-9      # share of xm1(T_min) where the u-panels start
 _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
-
-
-def _panel(a, b, gl) -> list:
-    """(node, weight) of the Gauss-Legendre panel [a, b]."""
-    h, mid = (b - a) / 2, (b + a) / 2
-    return [(mid + h * t, h * wt) for t, wt in gl]
-
-
-def _real_axis_nodes(a, b, gl) -> list:
-    """(weight x, X, X^2, expm1(-X)) at the nodes of [a, b] on the real axis."""
-    return [(wt * x, x, x * x, math.expm1(-x)) for x, wt in _panel(a, b, gl)]
 
 
 def _imaginary_axis_nodes(a, b, gl) -> list:
@@ -96,16 +85,6 @@ def _imaginary_axis_nodes(a, b, gl) -> list:
     return nodes
 
 
-def _halvings(top, lo) -> list:
-    """Ascending panel edges lo, ..., top/4, top/2, top: each panel but the
-    first is half of the next."""
-    edges = [top]
-    while edges[-1] / 2 > lo:
-        edges.append(edges[-1] / 2)
-    edges.append(lo)
-    return edges[::-1]
-
-
 def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
     """The nodes of both pieces of G(iu) (see the module docstring).
     `fixed` keeps the real-axis panels that do not depend on u."""
@@ -113,7 +92,7 @@ def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
     x_lo = _X_LO * min(u, abs(root), u / math.sqrt(abs(eps)))
     edges = _halvings(u, x_lo)
     nodes = [n for a, b in zip(edges, edges[1:]) for n in _imaginary_axis_nodes(a, b, gl)]
-    edges = _halvings(1.0, x_lo) + list(range(3, _X_END + 1, 2))
+    edges = _real_axis_edges(x_lo)
     c, im = root.real, abs(root.imag)
     if 4 * im < c < _X_END:
         edges = [e for e in edges if abs(e - c) >= c / 4] + [c]
@@ -122,14 +101,7 @@ def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
             edges += [c - d, c + d]
             d /= 2
         edges.sort()
-    for a, b in zip(edges, edges[1:]):
-        panel = fixed.get((a, b))
-        if panel is None:
-            panel = _real_axis_nodes(a, b, gl)
-            if b == a + 2 or (b == 2 * a and math.frexp(b)[0] == 0.5):
-                fixed[(a, b)] = panel
-        nodes += panel
-    return nodes
+    return nodes + _real_axis_panels(edges, gl, fixed)
 
 
 def _h(u: float, eps: complex, pols, gl, fixed: dict) -> tuple:
@@ -193,8 +165,7 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     def xm1(T):
         return 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
 
-    with mp.workprec(53):   # the package's Gauss-Legendre rules, as floats
-        gl_x, gl_u = [[(float(x), float(w)) for x, w in gauss_legendre(n)] for n in (_NX, _NU)]
+    gl_x, gl_u = float_gauss_legendre(_NX), float_gauss_legendre(_NU)
     fixed = {}
     u_lo, u_hi = _U_LO * xm1(min(ts)), _U_HI * xm1(max(ts))
     nodes, hs = [], {pol: [] for pol in pols}

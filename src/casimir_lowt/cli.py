@@ -269,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="PATH")
         sp.add_argument("--format", choices=["csv", "json"])
         sp.add_argument("--pol", choices=["tm", "te", "both"])
-        sp.add_argument("--precision", type=int, metavar="DIGITS")
+        sp.add_argument("--precision", type=int, metavar="DIGITS",
+                        help="mpmath working digits of energy's mode scan, the closed "
+                             "forms and the fit; a sweep's dF and F(0) are float64 "
+                             "whatever it is")
         sp.add_argument("--no-timestamp", action="store_true")
         if name == "rdiag":
             sp.add_argument("--assert", dest="check", action="store_true",

@@ -83,10 +83,10 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     it as `theory`: a closed form that cannot exist (TM at sigma = 0, the
     ideal metal) raises ValueError, and a grid that leaves the expansion
     regime gives one ValidityWarning per polarization.  Then every dF_num
-    comes from one Abel-Plana table (`abel_plana.delta_f_table`, float64,
-    stored as mpf) and F(0) from one `zero_temperature_energies` pass at
-    the working precision, both serving every polarization, in this
-    process; F_num is F(0) + dF_num.  No mode scan runs and no process
+    comes from one Abel-Plana table (`abel_plana.delta_f_table`) and F(0)
+    from one `zero_temperature_energies` pass, both float64 stored as mpf
+    and both serving every polarization, in this process; F_num is
+    F(0) + dF_num.  No mode scan runs and no process
     starts.
     """
     ts = [mpf(T) for T in t_grid]

@@ -21,8 +21,12 @@ the sum tail beyond a cutoff M handled by endpoint derivative corrections
 (Euler-Maclaurin with 7-point finite-difference derivatives at M).  F adds
 the m-integral over [M, inf) and dF subtracts the one over [0, M]; each
 scan integrates only its own side.  One x-panel layout serves every g of a
-dielectric, and one m-panel layout serves both the scan's m-integral and
-the y-integral of F(0).
+dielectric.
+
+F(0) runs in float64 instead (`zero_temperature_energies`): the same
+x-integral at x_min = y, with eps real there, on the real-axis x-panels
+that `abel_plana`'s table also walks, so it is the same float whatever
+the working precision.
 
 Each pass of the kernel serves every polarization the caller asks for:
 at each x node, x, e^{-x}, eps, z = (x_min/x)^2 (eps - 1) and sqrt(1 + z)
@@ -34,7 +38,8 @@ its g is -[x_min Li_2(e^{-x_min}) + Li_3(e^{-x_min})] in both, which is
 -zeta(3) at m = 0.  F, dF and F(0) make one such pass over their m (or y)
 nodes for all of `PlateSystem.polarization.modes()`; `g_of_m` and
 `mode_scan` (dF's scan) are the one-polarization views, and
-`zero_temperature_energies` gives F(0) per polarization from its one pass.
+`zero_temperature_energies` gives F(0) per polarization from its one pass
+(for the ideal metal, `asymptotics.ideal_metal`'s -pi^2 hbar c / (720 a^3)).
 
 The x-panel loop runs on mpmath's raw arithmetic (mpmath.libmp on mpf
 tuples at mp.prec, round-nearest), skipping the per-operation wrapper of
@@ -54,7 +59,7 @@ m^2 ln m endpoint behaviour into polynomials times ln v, geometric panels
 on the exponential tails).  Against the same layout at doubled panel
 orders (`QuadratureSpec().refined()`, 40 digits), the benchmark's traced
 runs measure at the default 33 digits a relative error of 2.0e-18 in dF
-and 3.9e-20 in F(0) + dF on the TM 15-120 mK sweep, and 5.1e-20 in F near 1 K.
+on the TM 15-120 mK sweep and 5.1e-20 in F near 1 K.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_m
                           mpf_neg, mpf_sub, mpf_sum, round_nearest)
 
 from .asymptotics import ideal_metal
-from .constants import alpha_param, mp_constants, reduced_temperature
+from .constants import float_constants, mp_constants, reduced_temperature
 from .dielectric import (DielectricModel, PermittivityMode, mpf_reflections, permittivity,
                          reflection_limits_zero_frequency)
 
@@ -167,6 +172,60 @@ def _gauss_legendre_cached(n: int, prec: int):
         _, dp = legendre(x)
         nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
     return tuple(nodes)
+
+
+_X_END = 45          # end of the float64 kernels' real x axis: e^-45 = 2.9e-20
+
+
+def float_gauss_legendre(n: int) -> list:
+    """`gauss_legendre(n)` at 53 bits as (node, weight) floats: the rule of
+    the float64 kernels, whatever the working precision."""
+    with mp.workprec(53):
+        return [(float(x), float(w)) for x, w in gauss_legendre(n)]
+
+
+def _panel(a, b, gl) -> list:
+    """(node, weight) of the float Gauss-Legendre panel [a, b]."""
+    h, mid = (b - a) / 2, (b + a) / 2
+    return [(mid + h * t, h * wt) for t, wt in gl]
+
+
+def _real_axis_nodes(a, b, gl) -> list:
+    """(weight x, X, X^2, expm1(-X)) at the nodes of [a, b] on the real axis."""
+    return [(wt * x, x, x * x, math.expm1(-x)) for x, wt in _panel(a, b, gl)]
+
+
+def _halvings(top, lo) -> list:
+    """Ascending panel edges lo, ..., top/4, top/2, top: each panel but the
+    first is half of the next."""
+    edges = [top]
+    while edges[-1] / 2 > lo:
+        edges.append(edges[-1] / 2)
+    edges.append(lo)
+    return edges[::-1]
+
+
+def _real_axis_edges(lo) -> list:
+    """Ascending x-panel edges from lo to _X_END: halving from 1 down to lo,
+    then width 2 on the odd integers (from lo itself when lo >= 1)."""
+    if lo < 1:
+        return _halvings(1.0, lo) + list(range(3, _X_END + 1, 2))
+    return [lo] + [e for e in range(3, _X_END + 1, 2) if e > lo]
+
+
+def _real_axis_panels(edges, gl, fixed: dict) -> list:
+    """`_real_axis_nodes` of the panels between consecutive edges.  `fixed`
+    keeps the panels whose edges do not depend on the lower limit (width
+    2, or halving between powers of 2), for the next call that shares it."""
+    nodes = []
+    for a, b in zip(edges, edges[1:]):
+        panel = fixed.get((a, b))
+        if panel is None:
+            panel = _real_axis_nodes(a, b, gl)
+            if b == a + 2 or (b == 2 * a and math.frexp(b)[0] == 0.5):
+                fixed[(a, b)] = panel
+        nodes += panel
+    return nodes
 
 
 def _gl_panels(f, a, b, nodes) -> list:
@@ -332,7 +391,7 @@ def _truncation_m(system: PlateSystem) -> int:
 
 def _m_integral(f, s, end, spec: QuadratureSpec) -> list:
     """integral_0^end f(m) dm of each component of the tuple-valued f, on
-    the m layout shared by the scan and F(0).
+    the scan's m layout (which F(0) takes in y, in floats).
 
     On [0, s] the substitution m = v^2 turns the m^{3/2} and m^2 ln m
     endpoint terms into v^3 and v^4 ln v, mild enough for one high-order
@@ -471,27 +530,82 @@ def delta_f_direct(system: PlateSystem) -> dict:
 
 
 def zero_temperature_energies(system: PlateSystem) -> dict:
-    """T = 0 limit per polarization: the Matsubara sum becomes a frequency
-    integral.
+    """T = 0 limit per polarization, {pol: mpf J/m^2}, from one float64 pass
+    over the y nodes for every polarization of the system.
 
-    With y = 2 a zeta / c,  F(0) = hbar c / (32 pi^2 a^3) integral_0^inf g(y) dy.
-    The first m-layout panel ends at the conductivity knee y = alpha =
-    2 a (4 pi sigma) / c (at y = 1 without conductivity or above alpha = 1),
-    where the TM reflection coefficient falls from 1 to its dielectric value.
-    Returns {pol: J/m^2} for every polarization of the system, from one pass
-    over the y nodes.
+    With y = 2 a zeta / c,  F(0) = hbar c / (32 pi^2 a^3) integral_0^inf G(y) dy,
+    on the scan's m layout in y: an `nm_unit`-node panel in v = sqrt(y) on
+    [0, knee], then `nm_geo`-node panels doubling to _X_END.  The knee is
+    the conductivity scale y = alpha = 2 a (4 pi sigma) / c, where r_TM
+    falls from 1 to its dielectric value (y = 1 without conductivity or
+    above alpha = 1).  Each G is `_g_real_axis`; PrecisionError when one is
+    not finite.  The ideal metal's F(0) is `asymptotics.ideal_metal`'s
+    closed form, half per polarization.
     """
-    k = mp_constants()
-    a = mpf(system.separation_a)
-    mat = system.material
-    knee = mpf(1)
-    if mat.mode is not PermittivityMode.IDEAL_METAL and mat.four_pi_sigma > 0:
-        knee = min(alpha_param(a, mat.four_pi_sigma), knee)
     pols = system.polarization.modes()
-    pref = k.hbar * k.c / (32 * mpmath.pi ** 2 * a ** 3)
-    integrals = _m_integral(lambda y: _g_at_frequency(system, y * k.c / (2 * a), pols),
-                            knee, 60, system.quadrature)
-    return {pol: pref * integral for pol, integral in zip(pols, integrals)}
+    mat = system.material
+    if mat.mode is PermittivityMode.IDEAL_METAL:
+        f0 = ideal_metal(system.separation_a, 0)[0]
+        return {pol: f0 / 2 for pol in pols}
+    k = float_constants()
+    a = float(system.separation_a)
+    spec = system.quadrature
+    knee = min(2 * a * mat.four_pi_sigma / k.c, 1.0) if mat.four_pi_sigma > 0 else 1.0
+    # (y, weight): v^2 panel on [0, knee], then doubling panels to _X_END
+    nodes = [(v * v, 2 * v * wt) for v, wt in _panel(0.0, math.sqrt(knee),
+                                                    float_gauss_legendre(spec.nm_unit))]
+    gl_geo = float_gauss_legendre(spec.nm_geo)
+    b = knee
+    while b < _X_END:
+        nb = min(2 * b, _X_END)
+        nodes += _panel(b, nb, gl_geo)
+        b = nb
+    with mp.workprec(53):   # eps(i zeta) on float64 arithmetic
+        epss = [float(permittivity(mat, y * k.c / (2 * a))) for y, _ in nodes]
+    gl_x, fixed = float_gauss_legendre(spec.nx), {}
+    terms = {pol: [] for pol in pols}
+    for (y, wt), eps in zip(nodes, epss):
+        for pol, g in zip(pols, _g_real_axis(y, eps, pols, gl_x, fixed)):
+            if not math.isfinite(g):
+                raise PrecisionError(f"{pol}: G(y = {y:.6g}) = {g} in F(0)")
+            terms[pol].append(wt * g)
+    pref = k.hbar * k.c / (32 * math.pi ** 2 * a ** 3)
+    return {pol: mpf(pref * math.fsum(t)) for pol, t in terms.items()}
+
+
+def _g_real_axis(y: float, eps: float, pols, gl, fixed: dict) -> tuple:
+    """G(y) = integral_y^45 x L(x) dx of each polarization in pols, in that
+    order, in float64, with eps = eps(i zeta) at y = 2 a zeta / c.
+
+    z = (y/x)^2 (eps - 1) and s = sqrt(1 + z) are shared by TM and TE;
+    r_TM = (eps - s)/(eps + s), 1 - r_TM^2 = 4 eps s / (eps + s)^2, r_TE =
+    -z/(1 + s)^2 and 1 - r_TE^2 = 4 s / (1 + s)^2.  L is log1p(-r^2 e^-x)
+    where r^2 e^-x < 1/2, and log((1 - r^2) - r^2 expm1(-x)) elsewhere, so
+    neither a small r^2 e^-x nor an r^2 close to 1 loses digits.  The
+    x-panels are `_real_axis_panels` from x = y.
+    """
+    zfac = y * y * (eps - 1)
+    tm, te = "tm" in pols, "te" in pols
+    g_tm = g_te = 0.0
+    sqrt, exp, log, log1p = math.sqrt, math.exp, math.log, math.log1p
+    for wx, x, x2, em in _real_axis_panels(_real_axis_edges(y), gl, fixed):
+        z = zfac / x2
+        s = sqrt(1 + z)
+        ex = exp(-x)
+        if tm:
+            d = eps + s
+            r = (eps - s) / d
+            r2 = r * r
+            q = r2 * ex
+            g_tm += wx * (log1p(-q) if q < 0.5 else log(4 * eps * s / (d * d) - r2 * em))
+        if te:
+            d = 1 + s
+            dd = d * d
+            r = -z / dd
+            r2 = r * r
+            q = r2 * ex
+            g_te += wx * (log1p(-q) if q < 0.5 else log(4 * s / dd - r2 * em))
+    return tuple(g_tm if pol == "tm" else g_te for pol in pols)
 
 
 def zero_temperature_energy(system: PlateSystem):

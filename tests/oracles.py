@@ -13,6 +13,9 @@ for the tests.
   reflection, against the analytic -Li_3 of the m = 0 mode.
 * `gl_panel`, one Gauss-Legendre panel on mpf values: the arithmetic that
   the kernel's raw x-panel loop reproduces bit for bit.
+* `zero_temperature_energies`, F(0) per polarization as the y-integral of
+  the mode scan's kernel at the working precision, on the scan's m layout:
+  the oracle of the package's float64 F(0).
 
 All routines work at the current mpmath precision.
 """
@@ -28,7 +31,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import fone, mpf_log, mpf_mul, mpf_sub, round_nearest
 
 from casimir_lowt import lifshitz
-from casimir_lowt.dielectric import mpf_reflections
+from casimir_lowt.constants import alpha_param, mp_constants
+from casimir_lowt.dielectric import PermittivityMode, mpf_reflections
 from casimir_lowt.lifshitz import QuadratureSpec, gauss_legendre
 
 
@@ -290,3 +294,25 @@ def constant_a_integral(a_sq):
                                             prec, round_nearest), prec, round_nearest),
                          prec, round_nearest) for x, ex in zip(xs, exs)]]
     return mp.make_mpf(lifshitz._x_integral(f, mpmath.exp(mpf(-40)), QuadratureSpec().nx, 1)[0])
+
+
+# --- F(0) at the working precision -----------------------------------------------
+
+def zero_temperature_energies(system):
+    """{pol: F(0)} in J/m^2 from the mode scan's kernel `_g_at_frequency`:
+    hbar c / (32 pi^2 a^3) integral_0^60 g(y) dy at y = 2 a zeta / c, on
+    `_m_integral`'s layout with its first panel ending at the conductivity
+    knee y = min(alpha, 1) (y = 1 without conductivity), in one pass over
+    the y nodes for every polarization of the system."""
+    k = mp_constants()
+    a = mpf(system.separation_a)
+    mat = system.material
+    knee = mpf(1)
+    if mat.mode is not PermittivityMode.IDEAL_METAL and mat.four_pi_sigma > 0:
+        knee = min(alpha_param(a, mat.four_pi_sigma), knee)
+    pols = system.polarization.modes()
+    pref = k.hbar * k.c / (32 * mpmath.pi ** 2 * a ** 3)
+    integrals = lifshitz._m_integral(
+        lambda y: lifshitz._g_at_frequency(system, y * k.c / (2 * a), pols),
+        knee, 60, system.quadrature)
+    return {pol: pref * integral for pol, integral in zip(pols, integrals)}

@@ -15,6 +15,7 @@ from casimir_lowt.constants import mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
 from casimir_lowt.lifshitz import ModeScan, delta_f, g_of_m
 from oracles import constant_a_integral, gl_panel
+from oracles import zero_temperature_energies as zero_temperature_oracle
 
 SIGMA0_SI = DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0)
 VACUUM = DielectricModel(eps_bar=1.0, omega0=8e15, four_pi_sigma=0.0)
@@ -404,7 +405,7 @@ def test_zero_temperature_g_bit_identical_to_reference(monkeypatch):
             per_pol[pol].append((zeta, pol, g))
         return gs
     monkeypatch.setattr(lifshitz, "_g_at_frequency", spy)
-    zero_temperature_energy(sys_)
+    zero_temperature_oracle(sys_)
     calls = per_pol["tm"] + per_pol["te"]
     assert len(calls) == 768
     for zeta, pol, g in calls[::6]:
@@ -435,11 +436,9 @@ def test_precision_change_rebuilds_node_tables():
 def test_gauss_legendre_exact_to_working_precision(dps):
     # n nodes integrate x^k over [-1, 1] exactly for k < 2n; at 150 digits
     # the Newton steps from the cosine seed must go on past six.  "float" is
-    # the rule at 53 bits in floats, as the Abel-Plana table takes it
+    # the rule at 53 bits in floats, as the Abel-Plana table and F(0) take it
     if dps == "float":
-        with mp.workprec(53):
-            rules = {n: [(float(x), float(w)) for x, w in lifshitz.gauss_legendre(n)]
-                     for n in (1, 2, 12, 16)}
+        rules = {n: lifshitz.float_gauss_legendre(n) for n in (1, 2, 12, 16, 24, 48)}
         one, total, tol = 1.0, sum, 1e-14
     else:
         mp.dps = dps
@@ -478,6 +477,49 @@ def test_joint_zero_temperature_energy_is_tm_plus_te():
         # the one joint pass gives each polarization its one-polarization F(0)
         joint = lifshitz.zero_temperature_energies(PlateSystem(1e-6, 0.0, material))
         assert joint == {"tm": f0[Polarization.TM], "te": f0[Polarization.TE]}
+
+
+# --- F(0) on the float64 real-axis kernel ---------------------------------------
+
+F0_CASES = {
+    "si-paper": (1e-6, SI_PAPER),
+    "si-fig2": (1e-6, SI_EPSBAR1),
+    "sigma-0": (1e-6, SIGMA0_SI),
+    "a-0.1um": (1e-7, SI_PAPER),
+    "alpha-above-1": (1e-6, DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e16)),
+}
+
+
+@pytest.mark.parametrize("case", list(F0_CASES))
+def test_zero_temperature_energy_matches_the_oracle(case):
+    # the float64 F(0) against the y-integral of the scan's kernel at 33 digits
+    a, material = F0_CASES[case]
+    sys_ = PlateSystem(a, 0.0, material)
+    f0 = lifshitz.zero_temperature_energies(sys_)
+    ref = zero_temperature_oracle(sys_)
+    for pol in ("tm", "te"):
+        assert abs(f0[pol] / ref[pol] - 1) < 1e-13, pol
+
+
+def test_zero_temperature_energy_is_float64_at_any_working_precision():
+    sys_ = PlateSystem(1e-6, 0.0, SI_PAPER)
+    at_33 = lifshitz.zero_temperature_energies(sys_)
+    assert all(v == float(v) for v in at_33.values())
+    mp.dps = 20
+    assert lifshitz.zero_temperature_energies(sys_) == at_33
+
+
+def test_ideal_metal_zero_temperature_is_the_closed_form():
+    a = 1e-6
+    f0 = zero_temperature_energy(PlateSystem(a, 0.0, IDEAL_METAL))
+    ref = -mpmath.pi ** 2 * _hbar_c() / (720 * mpf(a) ** 3)
+    assert abs(f0 / ref - 1) < 1e-30
+
+
+def test_non_finite_g_in_zero_temperature_energy_is_a_precision_error(monkeypatch):
+    monkeypatch.setattr(lifshitz, "permittivity", lambda model, zeta: mpf("nan"))
+    with pytest.raises(PrecisionError, match=r"tm: G\(y = .*\) = nan in F\(0\)"):
+        zero_temperature_energy(PlateSystem(1e-6, 0.0, SI_PAPER, Polarization.TM))
 
 
 def test_ideal_metal_g_same_for_both_polarizations():
