@@ -242,7 +242,7 @@ def ideal_metal(a, T):
     """(F(0), F(T) - F(0)) of ideal-metal plates, J/m^2: -pi^2 hbar c / (720 a^3) and
     Brown-Maclay's F(0) [45 zeta(3) tau^3 / pi^3 - tau^4]; None above IDEAL_METAL_TAU_MAX,
     where the terms of order e^{-2 pi / tau} that the latter drops (1.6e-14 of it at
-    tau = 0.175, 1.9e-9 at 0.26) exceed the error of the mode scan at M = 30."""
+    tau = 0.175, 1.9e-9 at 0.26) exceed the error of the Matsubara sum at M = 30."""
     k = mp_constants()
     kT, a = k.k_B * mpf(T), mpf(a)
     if 2 * a * kT / (k.hbar * k.c) > IDEAL_METAL_TAU_MAX:

@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["csv", "json"])
         sp.add_argument("--pol", choices=["tm", "te", "both"])
         sp.add_argument("--precision", type=int, metavar="DIGITS",
-                        help="mpmath working digits of energy's mode scan, the closed "
-                             "forms and the fit; a sweep's dF and F(0) are float64 "
+                        help="mpmath working digits of delta_f, the closed forms and "
+                             "the fit; energy's F and a sweep's dF and F(0) are float64 "
                              "whatever it is")
         sp.add_argument("--no-timestamp", action="store_true")
         if name == "rdiag":

@@ -6,51 +6,54 @@ Everything here is built around the dimensionless per-mode integral
 
 with x = 2 kappa a and x_min = 2 a zeta_m / c, in terms of which the free
 energy per unit area is F = k_B T / (8 pi a^2) * sum' g(m) (prime: the
-m = 0 term enters with half weight).  The thermal correction studied by
-the diagnostics is the sum-minus-integral difference
+m = 0 term enters with half weight).  eps has no T in it, so g(m) =
+G(m xm1) for one G(y), with xm1 = 4 pi a k_B T / (hbar c).
+
+F and F(0) run in float64 on one real-axis kernel (`_g_real_axis`, the
+x-panels that `abel_plana`'s table also walks), fed by one node loop
+(`_real_axis_gs`), so they are the same floats whatever the working
+precision.  F (`free_energy`) is the sum as it always was: g(0) in closed
+form, G at m = 1..M+3, the trapezoid sum to the cut-off M with
+Euler-Maclaurin endpoint terms (7-point finite-difference derivatives at
+M), and the m-integral over [M, inf) on doubling panels that end where
+m xm1 reaches x = 45, past which G is exactly 0; the parts are added
+with `math.fsum`.  F(0) (`zero_temperature_energies`) is the y-integral
+of G.  The ideal metal, where r^2 = 1 in both modes, needs no
+x-integral: its G is -[y Li_2(e^{-y}) + Li_3(e^{-y})] in both, which is
+-zeta(3) at m = 0.
+
+The thermal correction is the sum-minus-integral difference
 
     delta Gamma = [sum'_m g(m)] - integral_0^inf dm g(m),
 
 which cancels leading digits: the benchmark measures 4.7 for TM at 15 mK
-and 7.5 for TE at 12.5 mK on si-paper, and up to 7.9 near 1 K, where the
-correction is a small part of F.  (A sweep takes it from `abel_plana`'s
-table instead, which cancels nothing; `delta_f` is the 33-digit oracle
-that table is tested against.)  So the sum and the integral are
-evaluated from the *same* g values in one scan at extended precision, with
-the sum tail beyond a cutoff M handled by endpoint derivative corrections
-(Euler-Maclaurin with 7-point finite-difference derivatives at M).  F adds
-the m-integral over [M, inf) and dF subtracts the one over [0, M]; each
-scan integrates only its own side.  One x-panel layout serves every g of a
-dielectric.
+and 7.5 for TE at 12.5 mK on si-paper, and up to 7.9 near 1 K.  A sweep
+takes it from `abel_plana`'s table, which cancels nothing; `delta_f` is
+the 33-digit oracle that table is tested against.  It evaluates the sum
+and the integral over [0, M] from the *same* g values in one mode scan
+at extended precision, with the same endpoint terms at M.  One x-panel
+layout serves every g of a dielectric.
 
-F(0) runs in float64 instead (`zero_temperature_energies`): the same
-x-integral at x_min = y, with eps real there, on the real-axis x-panels
-that `abel_plana`'s table also walks, so it is the same float whatever
-the working precision.
-
-Each pass of the kernel serves every polarization the caller asks for:
-at each x node, x, e^{-x}, eps, z = (x_min/x)^2 (eps - 1) and sqrt(1 + z)
+Each pass of a kernel serves every polarization the caller asks for: at
+each x node, x, e^{-x}, eps, z = (x_min/x)^2 (eps - 1) and sqrt(1 + z)
 are computed once, and only r_TM or r_TE and the log term are done per
 polarization, each into its own running sum with the operations of a
 one-polarization pass in the same order (so every value is bit-identical
-to it).  The ideal metal, where r^2 = 1 in both modes, needs no x-integral:
-its g is -[x_min Li_2(e^{-x_min}) + Li_3(e^{-x_min})] in both, which is
--zeta(3) at m = 0.  F, dF and F(0) make one such pass over their m (or y)
-nodes for all of `PlateSystem.polarization.modes()`; `g_of_m` and
-`mode_scan` (dF's scan) are the one-polarization views, and
-`zero_temperature_energies` gives F(0) per polarization from its one pass
-(for the ideal metal, `asymptotics.ideal_metal`'s -pi^2 hbar c / (720 a^3)).
+to it).  F, dF and F(0) make one such pass over their m (or y) nodes for
+all of `PlateSystem.polarization.modes()`; `g_of_m` and `mode_scan`
+(dF's scan) are the one-polarization views of the extended-precision
+kernel.
 
-The x-panel loop runs on mpmath's raw arithmetic (mpmath.libmp on mpf
-tuples at mp.prec, round-nearest), skipping the per-operation wrapper of
-mpf objects, and takes the nodes, weights and e^{-x} of the m-independent
-panels above x = 1 from a table built once per (panel order, precision).
-Its operations and their order are those of a Gauss-Legendre panel sum on
-mpf values (h times the fsum of w f, panel by panel), and the tests check
-every g bit for bit against that mpf reference.  The panels stop at the
-precision horizon x = (prec + 1) ln 2 (79.0 at 33 digits), past which
-1 - r^2 e^{-x} rounds to 1 and every integrand value is exactly 0, so no
-cut-off error is made there.
+The extended-precision x-panel loop runs on mpmath's raw arithmetic
+(mpmath.libmp on mpf tuples at mp.prec, round-nearest), skipping the
+per-operation wrapper of mpf objects, and takes the nodes, weights and
+e^{-x} of the m-independent panels above x = 1 from a table built once
+per (panel order, precision).  Its operations and their order are those
+of a Gauss-Legendre panel sum on mpf values (h times the fsum of w f,
+panel by panel), and the tests check every g bit for bit against that
+mpf reference.  The panels stop at the precision horizon x = (prec + 1)
+ln 2 (79.0 at 33 digits), past which 1 - r^2 e^{-x} rounds to 1 and
+every integrand value is exactly 0, so no cut-off error is made there.
 
 Quadrature is non-adaptive by design: fixed Gauss-Legendre panels whose
 layout is matched to the known shape of the integrands (logarithmic panels
@@ -58,8 +61,10 @@ near the x lower limit, an m = v^2 substitution that turns the m^{3/2} and
 m^2 ln m endpoint behaviour into polynomials times ln v, geometric panels
 on the exponential tails).  Against the same layout at doubled panel
 orders (`QuadratureSpec().refined()`, 40 digits), the benchmark's traced
-runs measure at the default 33 digits a relative error of 2.0e-18 in dF
-on the TM 15-120 mK sweep and 5.1e-20 in F near 1 K.
+runs measure at the default 33 digits a relative error of 2.0e-18 in the
+scan's dF on the TM 15-120 mK sweep.  F agrees with the 33-digit scan it
+replaced (`tests/oracles.py`) within 2.6e-15 on si-paper and si-fig2 at
+0.72-1 K.
 """
 
 from __future__ import annotations
@@ -135,7 +140,7 @@ class FreeEnergyResult:
     """F or dF of one point: J/m^2 per polarization, and `total` their sum."""
     per_mode: dict                # {"tm": ..., "te": ...} J/m^2
     m_truncation: int
-    g_evals: int                  # g(m) evaluations of the scan, each serving every mode
+    g_evals: int                  # g(m) evaluations, each serving every mode
     seconds: float                # wall time of the call
 
     @property
@@ -343,22 +348,17 @@ def g_of_m(system: PlateSystem, m, pol: str):
 
 @dataclass
 class ModeScan:
-    """What one pass over g(m) gives for one polarization: the
+    """What dF's pass over g(m) gives for one polarization: the
     trapezoid-weighted partial sum to M, the odd derivatives of g at M for
-    the Euler-Maclaurin endpoint correction, and the m-integral over one
-    side of M, [0, M] for dF or [M, inf) for F (see `_mode_scans`).
+    the Euler-Maclaurin endpoint correction, and the m-integral over [0, M]
+    (see `_mode_scans`).
     """
     M: int
     sum_part: object       # g0/2 + sum_1^{M-1} + gM/2
-    integral: object       # integral_0^M, or integral_M^inf on free_energy's scans
+    integral: object       # integral_0^M
     d1: object
     d3: object
     d5: object
-
-    @property
-    def endpoint_sum(self):
-        """sum'_{m>=0} g - integral_M^inf g dm."""
-        return self.sum_part - self.d1 / 12 + self.d3 / 720 - self.d5 / 30240
 
     @property
     def delta_gamma(self):
@@ -389,6 +389,22 @@ def _truncation_m(system: PlateSystem) -> int:
     return 30
 
 
+def _endpoint_derivatives(s) -> tuple:
+    """g', g''' and g^(5) at M from s = g(M-3..M+3): 7-point central
+    differences at unit spacing, in s's own number type."""
+    d1 = (-s[0] + 9 * s[1] - 45 * s[2] + 45 * s[4] - 9 * s[5] + s[6]) / 60
+    d3 = (s[0] - 8 * s[1] + 13 * s[2] - 13 * s[4] + 8 * s[5] - s[6]) / 8
+    d5 = (-s[0] + 4 * s[1] - 5 * s[2] + 5 * s[4] - 4 * s[5] + s[6]) / 2
+    return d1, d3, d5
+
+
+def _scan(M: int, gp: list, integral) -> ModeScan:
+    """The ModeScan of one polarization's g(0..M+3) and its m-integral."""
+    d1, d3, d5 = _endpoint_derivatives(gp[M - 3:M + 4])
+    return ModeScan(M=M, sum_part=gp[0] / 2 + mpmath.fsum(gp[1:M]) + gp[M] / 2,
+                    integral=integral, d1=d1, d3=d3, d5=d5)
+
+
 def _m_integral(f, s, end, spec: QuadratureSpec) -> list:
     """integral_0^end f(m) dm of each component of the tuple-valued f, on
     the scan's m layout (which F(0) takes in y, in floats).
@@ -414,14 +430,12 @@ def _doubling_panels(f, total, b, end, spec: QuadratureSpec) -> list:
     return total
 
 
-def _mode_scans(system: PlateSystem, pols, tail: bool) -> tuple[dict, int]:
-    """One pass over the m nodes serving every polarization in pols: g at
-    m = 0..M+3, then the m-integral over [M, inf) when `tail` (for F) and
-    over [0, M] otherwise (for dF).  Returns ({pol: ModeScan}, the number of
-    g(m) evaluations made); each evaluation is one kernel pass for all pols.
+def _mode_scans(system: PlateSystem, pols) -> tuple[dict, int]:
+    """dF's pass over the m nodes serving every polarization in pols: g at
+    m = 0..M+3, then the m-integral over [0, M], all at the working
+    precision.  Returns ({pol: ModeScan}, the number of g(m) evaluations
+    made); each evaluation is one kernel pass for all pols.
     """
-    if system.temperature_T <= 0:
-        raise ValueError("mode scan requires T > 0")
     M = _truncation_m(system)
     evals = 0
 
@@ -430,33 +444,13 @@ def _mode_scans(system: PlateSystem, pols, tail: bool) -> tuple[dict, int]:
         evals += 1
         return _g_modes(system, m, pols)
     gv = [g(m) for m in range(M + 4)]
-    if tail:
-        # g decays like e^{-x_min(m)}; stop at the first M 2^k with x_min >= 60
-        k = mp_constants()
-        xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
-        end = mpf(M)
-        while xm1 * end < 60:
-            end *= 2
-        integ = _doubling_panels(g, [mpf(0)] * len(pols), M, end, system.quadrature)
-    else:
-        integ = _m_integral(g, 1, M, system.quadrature)
-
-    scans = {}
-    for i, pol in enumerate(pols):
-        gp = [v[i] for v in gv]
-        # 7-point central differences at unit spacing around M
-        s = gp[M - 3:M + 4]
-        d1 = (-s[0] + 9 * s[1] - 45 * s[2] + 45 * s[4] - 9 * s[5] + s[6]) / 60
-        d3 = (s[0] - 8 * s[1] + 13 * s[2] - 13 * s[4] + 8 * s[5] - s[6]) / 8
-        d5 = (-s[0] + 4 * s[1] - 5 * s[2] + 5 * s[4] - 4 * s[5] + s[6]) / 2
-        scans[pol] = ModeScan(M=M, sum_part=gp[0] / 2 + mpmath.fsum(gp[1:M]) + gp[M] / 2,
-                              integral=integ[i], d1=d1, d3=d3, d5=d5)
-    return scans, evals
+    integ = _m_integral(g, 1, M, system.quadrature)
+    return {pol: _scan(M, [v[i] for v in gv], integ[i]) for i, pol in enumerate(pols)}, evals
 
 
 def mode_scan(system: PlateSystem, pol: str) -> ModeScan:
     """The scan behind one polarization's dF: its view of `_mode_scans`."""
-    return _mode_scans(system, (pol,), tail=False)[0][pol]
+    return _mode_scans(system, (pol,))[0][pol]
 
 
 def _prefactor(system: PlateSystem):
@@ -465,9 +459,10 @@ def _prefactor(system: PlateSystem):
     return mp_constants().k_B * mpf(system.temperature_T) / (8 * mpmath.pi * a * a)
 
 
-def _energy(system: PlateSystem, tail: bool) -> FreeEnergyResult:
-    """F (tail) or dF of every polarization from one joint mode scan, or from
-    the ideal metal's closed forms where they serve (g_evals 0, m_truncation 0)."""
+def _energy(system: PlateSystem, correction: bool) -> FreeEnergyResult:
+    """dF (`correction`) of every polarization from one joint mode scan, or F
+    from one float64 Matsubara sum, or either from the ideal metal's closed
+    forms where they serve (g_evals 0, m_truncation 0)."""
     if system.temperature_T <= 0:
         raise ValueError("F and dF require T > 0; F(0) is zero_temperature_energy")
     start = time.perf_counter()
@@ -475,17 +470,48 @@ def _energy(system: PlateSystem, tail: bool) -> FreeEnergyResult:
     forms = (system.material.mode is PermittivityMode.IDEAL_METAL
              and ideal_metal(system.separation_a, system.temperature_T))
     if forms:
-        closed = forms[0] + forms[1] if tail else forms[1]
+        closed = forms[1] if correction else forms[0] + forms[1]
         per_mode, M, g_evals = {pol: closed / 2 for pol in pols}, 0, 0
-    else:
+    elif correction:
         pref = _prefactor(system)
-        scans, g_evals = _mode_scans(system, pols, tail)
-        per_mode = {pol: pref * (scan.endpoint_sum + scan.integral if tail
-                                 else _checked_delta_gamma(pol, scan))
-                    for pol, scan in scans.items()}
+        scans, g_evals = _mode_scans(system, pols)
+        per_mode = {pol: pref * _checked_delta_gamma(pol, scan) for pol, scan in scans.items()}
         M = max(scan.M for scan in scans.values())
+    else:
+        per_mode, M, g_evals = _matsubara_sum(system, pols)
     return FreeEnergyResult(per_mode=per_mode, m_truncation=M, g_evals=g_evals,
                             seconds=time.perf_counter() - start)
+
+
+def _matsubara_sum(system: PlateSystem, pols) -> tuple[dict, int, int]:
+    """({pol: F}, M, G evaluations) in float64: g(0) in closed form, G at
+    m = 1..M+3, and the tail over [M, inf) on `nm_geo`-node panels that
+    double from M up to the first M 2^k with xm1 M 2^k >= _X_END (G is
+    exactly 0 beyond); the trapezoid sum to M, the Euler-Maclaurin endpoint
+    terms and the tail's weighted G are added with one `math.fsum` per
+    polarization."""
+    M = _truncation_m(system)
+    k = float_constants()
+    a, T = float(system.separation_a), float(system.temperature_T)
+    xm1 = 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
+    gl_geo = float_gauss_legendre(system.quadrature.nm_geo)
+    tail, b = [], M
+    while xm1 * b < _X_END:
+        tail += _panel(b, 2 * b, gl_geo)
+        b *= 2
+    gs = _real_axis_gs(system, [m * xm1 for m in range(1, M + 4)] + [m * xm1 for m, _ in tail],
+                       pols, "F")
+    with mp.workprec(53):
+        g0 = [float(_g_zero(system, pol)) for pol in pols]
+    pref = k.k_B * T / (8 * math.pi * a * a)
+    per_mode = {}
+    for i, pol in enumerate(pols):
+        g = [g0[i]] + [v[i] for v in gs[:M + 3]]
+        d1, d3, d5 = _endpoint_derivatives(g[M - 3:M + 4])
+        parts = [g[0] / 2, *g[1:M], g[M] / 2, -d1 / 12, d3 / 720, -d5 / 30240]
+        parts += [wt * v[i] for (_, wt), v in zip(tail, gs[M + 3:])]
+        per_mode[pol] = mpf(pref * math.fsum(parts))
+    return per_mode, M, M + 4 + len(tail)
 
 
 def _checked_delta_gamma(pol: str, scan: ModeScan):
@@ -499,29 +525,33 @@ def _checked_delta_gamma(pol: str, scan: ModeScan):
 
 
 def free_energy(system: PlateSystem) -> FreeEnergyResult:
-    """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m), T > 0.
+    """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m), T > 0,
+    in float64 whatever the working precision.
 
-    One joint mode scan serves every polarization: its endpoint-corrected
-    sum plus the tail integral over [M, inf); the m-integral over [0, M],
-    which only dF needs, is never evaluated.  The ideal metal needs no scan
-    where `asymptotics.ideal_metal` serves: F is its F(0) + dF.
+    One pass of the real-axis kernel over G at m = 1..M+3 and the tail
+    nodes serves every polarization (`_matsubara_sum`): the
+    endpoint-corrected sum to the cut-off M plus the tail integral over
+    [M, inf); `g_evals` is M + 4 (the integers, m = 0 in closed form) plus
+    the tail nodes.  A G that is not finite is a PrecisionError.  The ideal
+    metal needs no sum where `asymptotics.ideal_metal` serves: F is its
+    F(0) + dF; above that tau its G is the closed form in 53 bits.
     """
-    return _energy(system, tail=True)
+    return _energy(system, correction=False)
 
 
 def delta_f(system: PlateSystem) -> FreeEnergyResult:
     """Thermal correction of every polarization, T > 0, from one joint mode
-    scan: its sum minus the m-integral over [0, M], with the endpoint
-    correction at M; the tail integral, which only F needs, is never evaluated.
-    Raises PrecisionError when cancellation leaves fewer than ~3
-    trustworthy digits at the current precision.
+    scan at the working precision: its sum minus the m-integral over [0, M],
+    with the endpoint correction at M.  Raises PrecisionError when
+    cancellation leaves fewer than ~3 trustworthy digits at the current
+    precision.
 
     The ideal metal at tau = 2 a k_B T / (hbar c) <= IDEAL_METAL_TAU_MAX
     needs no scan: its correction is Brown-Maclay's closed form
     (`asymptotics.ideal_metal`), half per polarization; above that tau the
     form's dropped e^{-2 pi / tau} terms outgrow the scan's error.
     """
-    return _energy(system, tail=False)
+    return _energy(system, correction=True)
 
 
 def delta_f_direct(system: PlateSystem) -> dict:
@@ -538,9 +568,9 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
     [0, knee], then `nm_geo`-node panels doubling to _X_END.  The knee is
     the conductivity scale y = alpha = 2 a (4 pi sigma) / c, where r_TM
     falls from 1 to its dielectric value (y = 1 without conductivity or
-    above alpha = 1).  Each G is `_g_real_axis`; PrecisionError when one is
-    not finite.  The ideal metal's F(0) is `asymptotics.ideal_metal`'s
-    closed form, half per polarization.
+    above alpha = 1).  The G come from F's node loop, `_real_axis_gs`;
+    PrecisionError when one is not finite.  The ideal metal's F(0) is
+    `asymptotics.ideal_metal`'s closed form, half per polarization.
     """
     pols = system.polarization.modes()
     mat = system.material
@@ -560,17 +590,38 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
         nb = min(2 * b, _X_END)
         nodes += _panel(b, nb, gl_geo)
         b = nb
-    with mp.workprec(53):   # eps(i zeta) on float64 arithmetic
-        epss = [float(permittivity(mat, y * k.c / (2 * a))) for y, _ in nodes]
-    gl_x, fixed = float_gauss_legendre(spec.nx), {}
-    terms = {pol: [] for pol in pols}
-    for (y, wt), eps in zip(nodes, epss):
-        for pol, g in zip(pols, _g_real_axis(y, eps, pols, gl_x, fixed)):
-            if not math.isfinite(g):
-                raise PrecisionError(f"{pol}: G(y = {y:.6g}) = {g} in F(0)")
-            terms[pol].append(wt * g)
+    gs = _real_axis_gs(system, [y for y, _ in nodes], pols, "F(0)")
     pref = k.hbar * k.c / (32 * math.pi ** 2 * a ** 3)
-    return {pol: mpf(pref * math.fsum(t)) for pol, t in terms.items()}
+    return {pol: mpf(pref * math.fsum([wt * g[i] for (_, wt), g in zip(nodes, gs)]))
+            for i, pol in enumerate(pols)}
+
+
+def _real_axis_gs(system: PlateSystem, ys, pols, where: str) -> list:
+    """(G(y) of each polarization in pols) at each y of ys, in float64: the
+    node loop of F and F(0).  For a dielectric, G is `_g_real_axis` with eps
+    = `permittivity` at zeta = y c / (2a) on 53 bits; for the ideal metal,
+    -[y Li_2(e^-y) + Li_3(e^-y)] on 53 bits.  G is 0 from y = _X_END on.
+    PrecisionError, naming `where`, when a G is not finite."""
+    mat = system.material
+    ideal = mat.mode is PermittivityMode.IDEAL_METAL
+    c, a = float_constants().c, float(system.separation_a)
+    gl, fixed = float_gauss_legendre(system.quadrature.nx), {}
+    out = []
+    with mp.workprec(53):
+        for y in ys:
+            if y >= _X_END:
+                gs = (0.0,) * len(pols)
+            elif ideal:
+                q = mpmath.exp(-y)
+                gs = (float(-(y * mpmath.polylog(2, q) + mpmath.polylog(3, q))),) * len(pols)
+            else:
+                eps = float(permittivity(mat, y * c / (2 * a)))
+                gs = _g_real_axis(y, eps, pols, gl, fixed)
+            for pol, g in zip(pols, gs):
+                if not math.isfinite(g):
+                    raise PrecisionError(f"{pol}: G(y = {y:.6g}) = {g} in {where}")
+            out.append(gs)
+    return out
 
 
 def _g_real_axis(y: float, eps: float, pols, gl, fixed: dict) -> tuple:

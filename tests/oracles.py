@@ -16,6 +16,9 @@ for the tests.
 * `zero_temperature_energies`, F(0) per polarization as the y-integral of
   the mode scan's kernel at the working precision, on the scan's m layout:
   the oracle of the package's float64 F(0).
+* `free_energy_scans` and `free_energy`, F at the working precision from
+  one mode scan over g(0..M+3) and the tail integral over [M, inf): the
+  oracle of the package's float64 `lifshitz.free_energy`.
 
 All routines work at the current mpmath precision.
 """
@@ -316,3 +319,41 @@ def zero_temperature_energies(system):
         lambda y: lifshitz._g_at_frequency(system, y * k.c / (2 * a), pols),
         knee, 60, system.quadrature)
     return {pol: pref * integral for pol, integral in zip(pols, integrals)}
+
+
+# --- F at the working precision ---------------------------------------------------
+
+def free_energy_scans(system, pols):
+    """({pol: ModeScan}, g evaluations) of F's mode scan at the working
+    precision: g at m = 0..M+3 from the scan's kernel (`_g_modes`), with
+    `integral` the tail over [M, inf), on doubling panels up to the first
+    M 2^k with x_min >= 60."""
+    M = lifshitz._truncation_m(system)
+    evals = 0
+
+    def g(m):
+        nonlocal evals
+        evals += 1
+        return lifshitz._g_modes(system, m, pols)
+    gv = [g(m) for m in range(M + 4)]
+    k = mp_constants()
+    xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
+    end = mpf(M)
+    while xm1 * end < 60:
+        end *= 2
+    integ = lifshitz._doubling_panels(g, [mpf(0)] * len(pols), M, end, system.quadrature)
+    return {pol: lifshitz._scan(M, [v[i] for v in gv], integ[i])
+            for i, pol in enumerate(pols)}, evals
+
+
+def endpoint_sum(scan):
+    """sum'_{m>=0} g - integral_M^inf g dm of one scan."""
+    return scan.sum_part - scan.d1 / 12 + scan.d3 / 720 - scan.d5 / 30240
+
+
+def free_energy(system):
+    """{pol: F} in J/m^2 at the working precision: the prefactor times the
+    endpoint-corrected sum plus the tail integral of `free_energy_scans`."""
+    scans, _ = free_energy_scans(system, system.polarization.modes())
+    pref = lifshitz._prefactor(system)
+    return {pol: pref * (endpoint_sum(scan) + scan.integral) for pol, scan in scans.items()}

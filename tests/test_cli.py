@@ -295,6 +295,24 @@ def test_precision_failure_exits_3(tm_config, nan_table, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_non_finite_g_in_energy_exits_3(tm_config, monkeypatch, capsys):
+    monkeypatch.setattr(lifshitz, "permittivity", lambda model, zeta: mpmath.mpf("nan"))
+    assert main(["energy", "--config", tm_config, "--no-timestamp"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: tm: G(y = ")
+
+
+def test_energy_does_not_depend_on_the_working_precision(tm_config, capsys):
+    # F is float64: --precision sets the closed forms and the fit, not energy
+    outs = []
+    for digits in ("15", "33"):
+        assert main(["energy", "--config", tm_config, "--precision", digits,
+                     "--no-timestamp"]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_lossless_te_sweep_is_config_error(tmp_path, nan_table, capsys):
     # sigma = 0 has a TE closed form, but no Abel-Plana table: refused before any H
     p = tmp_path / "s0.ini"

@@ -14,7 +14,8 @@ from casimir_lowt import lifshitz
 from casimir_lowt.constants import mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
 from casimir_lowt.lifshitz import ModeScan, delta_f, g_of_m
-from oracles import constant_a_integral, gl_panel
+from oracles import constant_a_integral, endpoint_sum, free_energy_scans, gl_panel
+from oracles import free_energy as free_energy_oracle
 from oracles import zero_temperature_energies as zero_temperature_oracle
 
 SIGMA0_SI = DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0)
@@ -233,7 +234,7 @@ def test_precision_guard_raises(monkeypatch):
     # nothing trustworthy survives
     starved.sum_part = mpf("-250") + mpf("1e-18")
     monkeypatch.setattr(lif, "_mode_scans",
-                        lambda s, pols, tail: ({p: starved for p in pols}, 0))
+                        lambda s, pols: ({p: starved for p in pols}, 0))
     mp.dps = 15
     with pytest.raises(PrecisionError):
         delta_f_direct(PlateSystem(1e-6, 0.1, SI_PAPER, Polarization.TM))
@@ -255,20 +256,20 @@ def test_cut_off_beyond_limit_is_rejected_before_any_g(monkeypatch):
 
 def test_shared_kernel_consistency():
     # F and dF rest on the same endpoint-corrected sum of the integer-m
-    # pass: F / pref minus the tail integral, dF / pref plus the m-integral
-    # over [0, M]
+    # pass: the oracle's F / pref minus its tail integral, dF / pref plus
+    # the m-integral over [0, M]
     sys_ = PlateSystem(1e-6, 0.3, SI_PAPER, Polarization.TM)
     pref = lifshitz._prefactor(sys_)
     head = lifshitz.mode_scan(sys_, "tm")
-    tail = lifshitz._mode_scans(sys_, ("tm",), tail=True)[0]["tm"]
+    tail = free_energy_scans(sys_, ("tm",))[0]["tm"]
     assert (head.M, head.sum_part, head.d1, head.d3, head.d5) == \
         (tail.M, tail.sum_part, tail.d1, tail.d3, tail.d5)
     df = delta_f(sys_).per_mode["tm"]
     assert df == pref * head.delta_gamma
-    from_f = free_energy(sys_).per_mode["tm"] / pref - tail.integral
+    from_f = free_energy_oracle(sys_)["tm"] / pref - tail.integral
     from_df = df / pref + head.integral
-    assert abs(from_f - head.endpoint_sum) < 1e-25 * abs(head.endpoint_sum)
-    assert abs(from_df - head.endpoint_sum) < 1e-25 * abs(head.endpoint_sum)
+    assert abs(from_f - endpoint_sum(head)) < 1e-25 * abs(endpoint_sum(head))
+    assert abs(from_df - endpoint_sum(head)) < 1e-25 * abs(endpoint_sum(head))
 
 
 def test_each_route_integrates_only_its_side_of_m():
@@ -527,3 +528,55 @@ def test_ideal_metal_g_same_for_both_polarizations():
     xm1 = _xmin_per_m(sys_)
     for m in [0, 1, 7, 40] + [c / xm1 for c in (0.6, 2.5, 47.1)]:
         assert g_of_m(sys_, m, "tm") == g_of_m(sys_, m, "te"), m
+
+
+# --- F on the float64 real-axis kernel -------------------------------------------
+
+@pytest.mark.parametrize("T", [0.015, 0.3, 0.85])
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1, SIGMA0_SI],
+                         ids=["si-paper", "si-fig2", "sigma-0"])
+def test_free_energy_matches_the_oracle(material, T):
+    # the float64 sum against the 33-digit mode scan it replaced, at the
+    # same cut-off M (406 at 15 mK on si-paper and si-fig2, else 30)
+    sys_ = PlateSystem(1e-6, T, material)
+    res = free_energy(sys_)
+    ref = free_energy_oracle(sys_)
+    for pol in ("tm", "te"):
+        assert abs(res.per_mode[pol] / ref[pol] - 1) < 1e-13, pol
+
+
+@pytest.mark.parametrize("T", [300.0, 600.0])
+def test_ideal_metal_free_energy_above_the_tau_bound_is_the_scan(T, monkeypatch):
+    # G in closed form on the float sum at M = 30, against the oracle at M = 240
+    res = free_energy(PlateSystem(1e-6, T, IDEAL_METAL))
+    monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
+    ref = free_energy_oracle(PlateSystem(1e-6, T, IDEAL_METAL))
+    for pol in ("tm", "te"):
+        assert abs(res.per_mode[pol] / ref[pol] - 1) < 1e-13, pol
+    assert res.m_truncation == 30
+
+
+@pytest.mark.parametrize("case", [(0.85, SI_PAPER), (300.0, IDEAL_METAL)],
+                         ids=["si-paper", "ideal-metal-check"])
+def test_free_energy_is_float64_at_any_working_precision(case):
+    sys_ = PlateSystem(1e-6, *case)
+    at_33 = free_energy(sys_).per_mode
+    assert all(v == float(v) for v in at_33.values())
+    mp.dps = 20
+    assert free_energy(sys_).per_mode == at_33
+
+
+def test_free_energy_never_calls_the_mode_scan_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("_g_at_frequency called")
+
+    monkeypatch.setattr(lifshitz, "_g_at_frequency", no_kernel)
+    for material in (SI_PAPER, SIGMA0_SI):
+        assert free_energy(PlateSystem(1e-6, 0.85, material)).total < 0
+    assert free_energy(PlateSystem(1e-6, 300.0, IDEAL_METAL)).total < 0
+
+
+def test_non_finite_g_in_free_energy_is_a_precision_error(monkeypatch):
+    monkeypatch.setattr(lifshitz, "permittivity", lambda model, zeta: mpf("nan"))
+    with pytest.raises(PrecisionError, match=r"tm: G\(y = .*\) = nan in F$"):
+        free_energy(PlateSystem(1e-6, 0.85, SI_PAPER, Polarization.TM))
