@@ -1,6 +1,6 @@
 """Low-temperature Casimir-Lifshitz free energy between weakly conducting
-plates: high-precision Matsubara numerics, closed-form asymptotic
-corrections, and the diagnostics that compare the two."""
+plates: float64 Matsubara numerics, closed-form asymptotic corrections,
+and the diagnostics that compare the two."""
 
 from .constants import alpha_param, reduced_temperature
 from .dielectric import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,

@@ -51,9 +51,12 @@ All of it is float64 arithmetic (`math`, `cmath`), whatever the working
 precision; the Gauss-Legendre rules are `lifshitz.float_gauss_legendre`
 (the package's rule at 53 bits) and eps is `dielectric.permittivity` at
 zeta = i v, both in floats.
-On si-paper and si-fig2 at T <= 0.12 K the table agrees with
-the 33-digit mode scan (`lifshitz.delta_f`) within 1e-11 relative, and on
-si-paper TE at 20 K, where x* lies beyond x = 1, with the scan at M = 240.
+On si-paper and si-fig2 the table agrees within 1e-11 relative with the
+33-digit mode scan of `tests/oracles.py`: at T <= 0.12 K with the scan at
+its own cut-off M, at 0.3 and 1 K with the scan at M = 240, and on
+si-paper TE at 20 K, where x* lies beyond x = 1, with the scan at M = 240
+too.  One point of the table is the package's dF
+(`lifshitz.delta_f_direct`).
 Lossless plates (the ideal metal, sigma = 0) are refused, since
 1 - r^2 e^{-x} can vanish on the path, and so is an oscillator whose
 resonance lies inside the table.

@@ -76,8 +76,7 @@ def _resolve_config(args) -> RunConfig:
         cfg = PRESETS[args.preset]   # the parser admits only PRESETS' names
     else:
         raise ConfigError("a --config file or --preset is required")
-    updates = {"polarization": args.pol, "out": args.out, "format": args.format,
-               "precision": args.precision}
+    updates = {"polarization": args.pol, "out": args.out, "format": args.format}
     return dataclasses.replace(cfg, **{k: v for k, v in updates.items() if v is not None})
 
 
@@ -269,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="PATH")
         sp.add_argument("--format", choices=["csv", "json"])
         sp.add_argument("--pol", choices=["tm", "te", "both"])
-        sp.add_argument("--precision", type=int, metavar="DIGITS",
-                        help="mpmath working digits of delta_f, the closed forms and "
-                             "the fit; energy's F and a sweep's dF and F(0) are float64 "
-                             "whatever it is")
         sp.add_argument("--no-timestamp", action="store_true")
         if name == "rdiag":
             sp.add_argument("--assert", dest="check", action="store_true",
@@ -286,8 +281,8 @@ def main(argv=None) -> int:
         # one stderr line per warning, without the package's source location
         warnings.showwarning = lambda msg, *rest, **kw: print(f"warning: {msg}", file=sys.stderr)
         try:
-            cfg = _resolve_config(args)    # --precision overrides the config's precision
-            set_precision(cfg.precision)
+            cfg = _resolve_config(args)
+            set_precision()
             out = Output(args.out or cfg.out, timestamp=not args.no_timestamp)
             if args.command == "energy":
                 code = cmd_energy(cfg, out)

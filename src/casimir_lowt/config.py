@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel, PermittivityMode
-from .precision import DEFAULT_DPS
 
 
 class ConfigError(ValueError):
@@ -29,7 +28,6 @@ class RunConfig:
     t_max: float | None = None
     points_per_decade: int = 25
     polarization: str = "both"       # tm | te | both
-    precision: int = DEFAULT_DPS
     out: str | None = None
     format: str = "csv"              # csv | json
 
@@ -91,7 +89,6 @@ def parse_config(text: str) -> RunConfig:
             temperatures=temps, t_min=t_min, t_max=t_max,
             points_per_decade=cp.getint("run", "points_per_decade", fallback=25),
             polarization=cp.get("run", "polarization", fallback="both").lower(),
-            precision=cp.getint("run", "precision", fallback=DEFAULT_DPS),
             out=cp.get("run", "out", fallback=None),
             format=cp.get("run", "format", fallback="csv").lower())
     except (ValueError, configparser.Error) as exc:
@@ -104,8 +101,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"separation_um must be positive and finite, got {cfg.separation_um}")
     if cfg.points_per_decade < 1:
         raise ConfigError(f"points_per_decade must be >= 1, got {cfg.points_per_decade}")
-    if cfg.precision < 15:
-        raise ConfigError("precision must be >= 15 digits")
     return cfg
 
 

@@ -26,7 +26,9 @@ from . import asymptotics
 from .abel_plana import delta_f_table
 from .dielectric import PermittivityMode
 # The program calls the names of the first import; it never calls the three of
-# the second, which are attributes here only so that bench/spans.py's TARGETS resolve.
+# the second, which are attributes here only so that bench/spans.py's TARGETS
+# resolve, as `lifshitz.g_of_m` and `lifshitz.mode_scan` are (one stub, which
+# raises: the 33-digit g(m) and mode scan are tests/oracles.py's).
 from .lifshitz import PlateSystem, Polarization, zero_temperature_energies
 from .lifshitz import delta_f_direct, free_energy, zero_temperature_energy  # noqa: F401
 

@@ -1,5 +1,7 @@
-"""Permittivity along the imaginary frequency axis and the TE/TM
-reflection coefficients of two identical halfspaces.
+"""Permittivity along the imaginary frequency axis and the zero-frequency
+limits of the TE/TM reflection coefficients of two identical halfspaces
+(the coefficients themselves are computed inline by the float64 kernels,
+`lifshitz._g_real_axis` and `abel_plana._h`).
 
 The material model is a static dielectric constant eps_bar, a single
 oscillator at omega0, and a Drude-type conductivity pole 4*pi*sigma/zeta.
@@ -16,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mpf
-from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub,
-                          round_nearest)
 
 
 class PermittivityMode(enum.Enum):
@@ -73,35 +73,6 @@ def permittivity(model: DielectricModel, zeta):
     if model.mode is PermittivityMode.LOW_FREQ:
         return eps_bar + four_pi_sigma / zeta
     return 1 + (eps_bar - 1) / (1 + (zeta / omega0) ** 2) + four_pi_sigma / zeta
-
-
-def mpf_reflections(eps, zs, pols, prec: int) -> list:
-    """For each pol in pols, the list of r_pol of one halfspace at
-    imaginary frequency at each z in zs, on raw mpf tuples, with
-    s = sqrt(1 + z) taken once per z for all of them.
-
-    This is the form the kernel calls once per x-panel: mpmath.libmp
-    arithmetic at `prec` bits, round-nearest.  z = (zeta/kappa)^2 (eps - 1)
-    >= 0, so that s/kappa = sqrt(1 + z) with s^2 = kappa^2 + zeta^2 (eps - 1);
-    factoring out kappa keeps the huge eps of the conductivity pole near
-    zeta = 0 from overflowing.  r_TE is taken as -z/(1 + sqrt(1+z))^2, which
-    equals (1 - sqrt(1+z))/(1 + sqrt(1+z)) without its cancellation at
-    small z.  r_TE lies in [-1, 0], r_TM in [0, 1] for eps >= 1 and
-    kappa >= zeta.
-    """
-    ss = [mpf_sqrt(mpf_add(z, fone, prec, round_nearest), prec, round_nearest) for z in zs]
-    rs = []
-    for pol in pols:
-        if pol == "tm":
-            rs.append([mpf_div(mpf_sub(eps, s, prec, round_nearest),
-                               mpf_add(eps, s, prec, round_nearest), prec, round_nearest)
-                       for s in ss])
-        else:
-            s1s = [mpf_add(s, fone, prec, round_nearest) for s in ss]
-            rs.append([mpf_div(mpf_neg(z, prec, round_nearest),
-                               mpf_mul(s1, s1, prec, round_nearest), prec, round_nearest)
-                       for z, s1 in zip(zs, s1s)])
-    return rs
 
 
 def reflection_limits_zero_frequency(model: DielectricModel):

@@ -1,5 +1,5 @@
 """The Abel-Plana table of a sweep's thermal correction, against the
-33-digit mode scan that it replaces in `r_curve`."""
+33-digit mode scan of `tests/oracles.py` that it replaced."""
 
 import pytest
 from mpmath import mpf
@@ -7,8 +7,9 @@ from mpmath import mpf
 from casimir_lowt import abel_plana, lifshitz
 from casimir_lowt.abel_plana import delta_f_table
 from casimir_lowt.dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel
-from casimir_lowt.lifshitz import PlateSystem, Polarization, PrecisionError, delta_f
+from casimir_lowt.lifshitz import PlateSystem, Polarization, PrecisionError
 from casimir_lowt.precision import set_precision
+from oracles import delta_f
 
 GRID = [0.015, 0.1]
 
@@ -18,7 +19,7 @@ def test_table_matches_the_scan(material):
     # one table for both polarizations; the scan of each point is the oracle
     table = delta_f_table(PlateSystem(1e-6, 1.0, material), GRID)
     for k, T in enumerate(GRID):
-        scan = delta_f(PlateSystem(1e-6, T, material)).per_mode
+        scan = delta_f(PlateSystem(1e-6, T, material))
         for pol in ("tm", "te"):
             assert abs(mpf(table[pol][k]) / scan[pol] - 1) < 1e-11, (pol, T)
 
@@ -29,7 +30,7 @@ def test_table_clusters_on_the_te_branch_point_far_from_zero(monkeypatch):
     # so the oracle runs at M = 240
     monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
     template = PlateSystem(1e-6, 20.0, SI_PAPER, Polarization.TE)
-    scan = delta_f(template).per_mode["te"]
+    scan = delta_f(template)["te"]
     assert abs(mpf(delta_f_table(template, [20.0])["te"][0]) / scan - 1) < 1e-11
 
 

@@ -22,8 +22,8 @@ from casimir_lowt.asymptotics import (SmallMExpansion, ValidityWarning,
                                       tm_small_m_expansion)
 from casimir_lowt.constants import alpha_param, mp_constants, reduced_temperature
 from casimir_lowt.dielectric import SI_PAPER
-from casimir_lowt.lifshitz import PlateSystem, Polarization, g_of_m
-from oracles import a_mu, te_closed_form_g1, te_closed_form_g2, te_g1_quadrature
+from casimir_lowt.lifshitz import PlateSystem, Polarization
+from oracles import a_mu, g_of_m, te_closed_form_g1, te_closed_form_g2, te_g1_quadrature
 
 
 A_REF = 1e-6

@@ -13,7 +13,6 @@ from casimir_lowt.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
 from casimir_lowt.config import PRESETS, ConfigError, RunConfig, parse_config
 from casimir_lowt.diagnostics import SweepRecord, theory_correction
 from casimir_lowt.lifshitz import PlateSystem
-from casimir_lowt.precision import set_precision
 
 
 CHEAP_TM = """\
@@ -211,7 +210,7 @@ def test_sweep_prints_tm_fit_summary(tmp_path, capsys):
     p = tmp_path / "fit.ini"
     p.write_text(CHEAP_TM.replace("temperatures = 0.5 0.7",
                                   "t_min = 0.1\nt_max = 1.0\npoints_per_decade = 6"))
-    code = main(["sweep", "--config", str(p), "--precision", "20", "--no-timestamp"])
+    code = main(["sweep", "--config", str(p), "--no-timestamp"])
     captured = capsys.readouterr()
     assert code == EXIT_OK
     assert len(captured.out.splitlines()) == 8
@@ -286,7 +285,7 @@ def test_asymptotics_sigma_zero_is_config_error(tmp_path, capsys):
 
 
 def test_precision_failure_exits_3(tm_config, nan_table, capsys):
-    code = main(["sweep", "--config", tm_config, "--precision", "15", "--no-timestamp"])
+    code = main(["sweep", "--config", tm_config, "--no-timestamp"])
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL
     # after the one ValidityWarning of the grid's closed form
@@ -301,16 +300,6 @@ def test_non_finite_g_in_energy_exits_3(tm_config, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: tm: G(y = ")
-
-
-def test_energy_does_not_depend_on_the_working_precision(tm_config, capsys):
-    # F is float64: --precision sets the closed forms and the fit, not energy
-    outs = []
-    for digits in ("15", "33"):
-        assert main(["energy", "--config", tm_config, "--precision", digits,
-                     "--no-timestamp"]) == EXIT_OK
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
 
 
 def test_lossless_te_sweep_is_config_error(tmp_path, nan_table, capsys):
@@ -333,7 +322,7 @@ def test_cut_off_beyond_limit_is_config_error(tmp_path, monkeypatch, capsys):
     def no_g(*args):
         raise AssertionError("g(m) evaluated")
 
-    monkeypatch.setattr(lifshitz, "_g_modes", no_g)
+    monkeypatch.setattr(lifshitz, "_real_axis_gs", no_g)
     p = tmp_path / "m.ini"
     p.write_text(CHEAP_TM.replace("sigma_over_eps0 = 1e12",
                                   "sigma_over_eps0 = 1e18\nmodel = lowfreq")
@@ -342,13 +331,6 @@ def test_cut_off_beyond_limit_is_config_error(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cut-off M = 12156625 at t = 4.113e-7 exceeds 100000")
-
-
-@pytest.mark.parametrize("command", ["asymptotics"])
-def test_precision_zero_rejected(command, capsys):
-    argv = [command, "--precision", "0", "--preset", "si-paper"]
-    assert main(argv) == EXIT_CONFIG
-    assert "working precision must be >= 15 digits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, value", [("temperatures = 0.5 0.7", "inf"),
@@ -363,13 +345,13 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, line, value):
     assert "must be" in captured.err and "finite" in captured.err
 
 
-def test_precision_comes_from_config_not_environment(tmp_path, monkeypatch):
+def test_run_works_at_33_digits_whatever_the_environment(tm_config, monkeypatch):
+    # the closed forms and the fit run at the default 33 digits, whatever
+    # the process held before and whatever the environment says
     monkeypatch.setenv("CASIMIR_PRECISION", "20")
-    assert set_precision() == 33
-    p = tmp_path / "p.ini"
-    p.write_text(CHEAP_TM + "precision = 25\n")
-    assert main(["asymptotics", "--config", str(p), "--no-timestamp"]) == EXIT_OK
-    assert mpmath.mp.dps == 25
+    mpmath.mp.dps = 15
+    assert main(["asymptotics", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
+    assert mpmath.mp.dps == 33
 
 
 def test_anomaly_rejects_ideal_metal(capsys):
@@ -381,8 +363,6 @@ def test_anomaly_rejects_ideal_metal(capsys):
 def test_parse_validation():
     with pytest.raises(ConfigError):
         parse_config("[geometry]\nseparation_um = -1\n")
-    with pytest.raises(ConfigError):
-        parse_config("[run]\nprecision = 10\n")
     with pytest.raises(ConfigError):
         parse_config("[run]\nformat = yaml\n")
     with pytest.raises(ConfigError):

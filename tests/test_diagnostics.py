@@ -265,14 +265,17 @@ def test_log_grid_rejects_points_per_decade_below_one(points):
 # --- the sweep runs in this process, from one table ----------------------------
 
 def test_r_curve_makes_no_mode_scan_and_starts_no_process(monkeypatch):
+    # the mode scan is the oracles' now; what r_curve must not make either
+    # is a dF per point, each with a one-point table of its own
     scans = []
 
     def spy(*args, **kwargs):
         scans.append(args)
-        return mode_scans(*args, **kwargs)
+        return delta_f_direct(*args, **kwargs)
 
-    mode_scans = lifshitz._mode_scans
-    monkeypatch.setattr(lifshitz, "_mode_scans", spy)
+    delta_f_direct = lifshitz.delta_f_direct
+    monkeypatch.setattr(lifshitz, "delta_f_direct", spy)
+    monkeypatch.setattr(diagnostics, "delta_f_direct", spy)
     recs = r_curve(PlateSystem(1e-6, 1.0, SI_PAPER), [0.5, 0.7], "both")
     assert len(recs) == 4
     assert scans == []

@@ -1,5 +1,6 @@
 """Every name a module of the package or of the tests imports is used in
-that module, and the CLI starts without numpy or scipy, in one OS thread.
+that module, the package's numerics do without mpmath's raw `libmp`
+layer, and the CLI starts without numpy or scipy, in one OS thread.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
 import statement whose line carries `# noqa: F401` is exempt, and a name
@@ -47,6 +48,24 @@ def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert modules
     assert [msg for path in modules for msg in _unused_imports(path)] == []
+
+
+def test_package_does_not_import_mpmath_libmp():
+    # the 33-digit kernel on raw mpf tuples is the tests' oracle
+    # (tests/oracles.py); the package computes F, F(0) and dF in float64
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                # `from mpmath import libmp` as well as `from mpmath.libmp import ...`
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if (name + ".").startswith("mpmath.libmp.")]
+    assert found == []
 
 
 def test_cli_does_not_import_scipy():

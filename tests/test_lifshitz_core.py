@@ -10,11 +10,13 @@ from mpmath import mp, mpf
 from casimir_lowt import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
                           PlateSystem, Polarization, PrecisionError, QuadratureSpec,
                           delta_f_direct, free_energy, zero_temperature_energy)
-from casimir_lowt import lifshitz
+from casimir_lowt import abel_plana, lifshitz
 from casimir_lowt.constants import mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
-from casimir_lowt.lifshitz import ModeScan, delta_f, g_of_m
-from oracles import constant_a_integral, endpoint_sum, free_energy_scans, gl_panel
+import oracles
+from oracles import (CancellationError, ModeScan, constant_a_integral, endpoint_sum,
+                     free_energy_scans, g_of_m, gl_panel)
+from oracles import delta_f as delta_f_oracle
 from oracles import free_energy as free_energy_oracle
 from oracles import zero_temperature_energies as zero_temperature_oracle
 
@@ -133,13 +135,15 @@ def test_sigma0_has_no_linear_thermal_term():
                          ids=["0.015", "0.3", "0.3-si-fig2"])
 @pytest.mark.parametrize("pol", ["tm", "te"])
 def test_zero_t_energy_matches_scan_at_conductivity_knee(pol, T, material):
-    # F(0) = F(T) - dF(T) holds exactly in the continuum, and F - dF is the
-    # scans' tail plus m-integral, accurate to ~1e-18 here; so F(0)'s
-    # y-layout must resolve the conductivity knee at y = alpha = 6.7e-3
-    # just as well.  A sweep's F_num = F(0) + dF rests on this agreement,
-    # on si-paper and on the eps_bar = 1 plate that criterion 6 sweeps.
+    # F(0) = F(T) - dF(T) holds exactly in the continuum, and the oracle's
+    # F - dF at one cut-off M is its scans' tail plus m-integral, accurate
+    # to ~1e-18 here; so F(0)'s y-layout must resolve the conductivity
+    # knee at y = alpha = 6.7e-3 just as well.  A sweep's F_num = F(0) + dF
+    # rests on this agreement, on si-paper and on the eps_bar = 1 plate
+    # that criterion 6 sweeps.  (The float64 F minus the table would bring
+    # in F's M = 30 error, up to 1.5e-12 on si-fig2 at 0.3 K.)
     sys_ = PlateSystem(1e-6, T, material, Polarization(pol))
-    via_scan = free_energy(sys_).per_mode[pol] - delta_f(sys_).per_mode[pol]
+    via_scan = free_energy_oracle(sys_)[pol] - delta_f_oracle(sys_)[pol]
     f0 = zero_temperature_energy(sys_)
     assert abs(f0 / via_scan - 1) < 1e-13
 
@@ -190,25 +194,46 @@ def _brown_maclay(T):
 
 @pytest.mark.parametrize("T", [0.3, 1.0])
 def test_ideal_metal_delta_f_is_brown_maclay(T):
-    # half per polarization and no scan; the M = 30 scan was 4.5e-8 off it
+    # half per polarization, from the closed forms; the M = 30 scan was
+    # 4.5e-8 off it
     _, ref = _brown_maclay(T)
-    res = delta_f(PlateSystem(1e-6, T, IDEAL_METAL))
-    assert abs(res.total / ref - 1) < 1e-13
-    assert res.per_mode["tm"] == res.per_mode["te"]
-    assert res.g_evals == 0
+    res = delta_f_direct(PlateSystem(1e-6, T, IDEAL_METAL))
+    assert abs((res["tm"] + res["te"]) / ref - 1) < 1e-13
+    assert res["tm"] == res["te"]
 
 
 @pytest.mark.parametrize("T", [300.0, 600.0])
 def test_ideal_metal_delta_f_above_the_tau_bound_is_the_scan(T, monkeypatch):
     # tau = 0.26 and 0.52: Brown-Maclay drops terms of order e^{-2 pi/tau},
-    # 1.9e-9 and 1.9e-4 of dF here, so the M = 30 scan runs; the oracle is
-    # the scan at M = 240
-    res = delta_f(PlateSystem(1e-6, T, IDEAL_METAL))
-    system = PlateSystem(1e-6, T, IDEAL_METAL, Polarization.TM)
+    # 1.9e-9 and 1.9e-4 of dF here, so dF is the float sum's F minus the
+    # closed-form F(0); the oracle is the scan at M = 240
+    res = delta_f_direct(PlateSystem(1e-6, T, IDEAL_METAL))
     monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
-    ref = lifshitz._prefactor(system) * lifshitz.mode_scan(system, "tm").delta_gamma
+    ref = delta_f_oracle(PlateSystem(1e-6, T, IDEAL_METAL, Polarization.TM))["tm"]
     for pol in ("tm", "te"):
-        assert abs(res.per_mode[pol] / ref - 1) < 1e-13, pol
+        assert abs(res[pol] / ref - 1) < 1e-13, pol
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0])
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1], ids=["si-paper", "si-fig2"])
+def test_delta_f_matches_the_oracle_at_m_240(material, T, monkeypatch):
+    # the one-point Abel-Plana table against the scan with its cut-off
+    # raised from 30 to 240; the scan at M = 30 is up to 1.3e-8 off (TE, 1 K)
+    res = delta_f_direct(PlateSystem(1e-6, T, material))
+    monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
+    ref = delta_f_oracle(PlateSystem(1e-6, T, material))
+    for pol in ("tm", "te"):
+        assert abs(res[pol] / ref[pol] - 1) < 1e-11, pol
+
+
+def test_delta_f_requires_conductivity(monkeypatch):
+    # no Abel-Plana table for lossless plates, refused before any H
+    def no_h(*args):
+        raise AssertionError("H computed")
+
+    monkeypatch.setattr(abel_plana, "_h", no_h)
+    with pytest.raises(ValueError, match="sigma > 0"):
+        delta_f_direct(PlateSystem(1e-6, 0.3, SIGMA0_SI))
 
 
 @pytest.mark.parametrize("T", [0.3, 1.0])
@@ -227,17 +252,16 @@ def test_delta_f_requires_positive_t():
 
 
 def test_precision_guard_raises(monkeypatch):
-    import casimir_lowt.lifshitz as lif
     starved = ModeScan(M=30, sum_part=mpf("-250"), integral=mpf("-250"),
                        d1=mpf(0), d3=mpf(0), d5=mpf(0))
     # fabricate a scan whose difference is ~1e-20 of its parts: at 15 digits
     # nothing trustworthy survives
     starved.sum_part = mpf("-250") + mpf("1e-18")
-    monkeypatch.setattr(lif, "_mode_scans",
+    monkeypatch.setattr(oracles, "_mode_scans",
                         lambda s, pols: ({p: starved for p in pols}, 0))
     mp.dps = 15
-    with pytest.raises(PrecisionError):
-        delta_f_direct(PlateSystem(1e-6, 0.1, SI_PAPER, Polarization.TM))
+    with pytest.raises(CancellationError):
+        delta_f_oracle(PlateSystem(1e-6, 0.1, SI_PAPER, Polarization.TM))
 
 
 def test_cut_off_beyond_limit_is_rejected_before_any_g(monkeypatch):
@@ -245,13 +269,12 @@ def test_cut_off_beyond_limit_is_rejected_before_any_g(monkeypatch):
     def no_g(*args):
         raise AssertionError("g(m) evaluated")
 
-    monkeypatch.setattr(lifshitz, "_g_modes", no_g)
+    monkeypatch.setattr(lifshitz, "_real_axis_gs", no_g)
     mat = DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e18,
                           mode=PermittivityMode.LOW_FREQ)
-    for route in (free_energy, delta_f):
-        with pytest.raises(ValueError,
-                           match=r"cut-off M = 12156625 at t = 4\.113e-7 exceeds 100000"):
-            route(PlateSystem(1e-6, 0.5, mat))
+    with pytest.raises(ValueError,
+                       match=r"cut-off M = 12156625 at t = 4\.113e-7 exceeds 100000"):
+        free_energy(PlateSystem(1e-6, 0.5, mat))
 
 
 def test_shared_kernel_consistency():
@@ -259,12 +282,12 @@ def test_shared_kernel_consistency():
     # pass: the oracle's F / pref minus its tail integral, dF / pref plus
     # the m-integral over [0, M]
     sys_ = PlateSystem(1e-6, 0.3, SI_PAPER, Polarization.TM)
-    pref = lifshitz._prefactor(sys_)
-    head = lifshitz.mode_scan(sys_, "tm")
+    pref = oracles._prefactor(sys_)
+    head = oracles.mode_scan(sys_, "tm")
     tail = free_energy_scans(sys_, ("tm",))[0]["tm"]
     assert (head.M, head.sum_part, head.d1, head.d3, head.d5) == \
         (tail.M, tail.sum_part, tail.d1, tail.d3, tail.d5)
-    df = delta_f(sys_).per_mode["tm"]
+    df = delta_f_oracle(sys_)["tm"]
     assert df == pref * head.delta_gamma
     from_f = free_energy_oracle(sys_)["tm"] / pref - tail.integral
     from_df = df / pref + head.integral
@@ -274,17 +297,19 @@ def test_shared_kernel_consistency():
 
 def test_each_route_integrates_only_its_side_of_m():
     # g(m) evaluations: the integers 0..M+3 (34 at M = 30), then F adds its
-    # tail nodes (216) and dF its [0, M] nodes (168); at 15 mK TM's dF makes
-    # 410 + 264 (M = 406).  Either route evaluating the other's side fails.
+    # tail nodes (216) and the oracle's dF scan its [0, M] nodes (168); at
+    # 15 mK TM's scan makes 410 + 264 (M = 406).  Either route evaluating
+    # the other's side fails.
     both = PlateSystem(1e-6, 0.85, SI_PAPER)
     assert free_energy(both).g_evals == 250
-    assert delta_f(both).g_evals == 202
-    assert delta_f(PlateSystem(1e-6, 0.015, SI_PAPER, Polarization.TM)).g_evals == 674
+    assert oracles._mode_scans(both, ("tm", "te"))[1] == 202
+    tm_cold = PlateSystem(1e-6, 0.015, SI_PAPER, Polarization.TM)
+    assert oracles._mode_scans(tm_cold, ("tm",))[1] == 674
 
 
 # --- bit-identity of the raw x-panel loop -------------------------------------
 #
-# lifshitz._x_integral runs on mpmath.libmp tuples over a per-precision node
+# oracles._x_integral runs on mpmath.libmp tuples over a per-precision node
 # table.  The reference below is the same layout and integrand written with
 # mpf objects and gl_panel; the kernel must reproduce it bit for bit.  The
 # ideal metal has no x-quadrature in the kernel: its g is in closed form and
@@ -376,8 +401,8 @@ def test_g_below_x_one_matches_refined_panels(xmin):
     zeta = mpf(xmin) * k.c / (2 * mpf(1e-6))
     sys_ = PlateSystem(1e-6, 0.3, SI_EPSBAR1)
     fine = PlateSystem(1e-6, 0.3, SI_EPSBAR1, quadrature=QuadratureSpec(nx=32))
-    g, = lifshitz._g_at_frequency(sys_, zeta, ("te",))
-    ref, = lifshitz._g_at_frequency(fine, zeta, ("te",))
+    g, = oracles._g_at_frequency(sys_, zeta, ("te",))
+    ref, = oracles._g_at_frequency(fine, zeta, ("te",))
     assert abs(g / ref - 1) < 1e-14
 
 
@@ -398,14 +423,14 @@ def test_ideal_metal_g_closed_form_matches_refined_reference(T):
 def test_zero_temperature_g_bit_identical_to_reference(monkeypatch):
     sys_ = PlateSystem(1e-6, 0.0, SI_PAPER)
     per_pol = {"tm": [], "te": []}
-    kernel = lifshitz._g_at_frequency
+    kernel = oracles._g_at_frequency
 
     def spy(system, zeta, pols):
         gs = kernel(system, zeta, pols)
         for pol, g in zip(pols, gs):
             per_pol[pol].append((zeta, pol, g))
         return gs
-    monkeypatch.setattr(lifshitz, "_g_at_frequency", spy)
+    monkeypatch.setattr(oracles, "_g_at_frequency", spy)
     zero_temperature_oracle(sys_)
     calls = per_pol["tm"] + per_pol["te"]
     assert len(calls) == 768
@@ -459,15 +484,14 @@ def test_gauss_legendre_exact_to_working_precision(dps):
                          ids=["si-paper", "si-fig2", "ideal-metal-check"])
 def test_joint_scan_equals_single_polarization_scans(material, T):
     both = free_energy(PlateSystem(1e-6, T, material, Polarization.BOTH))
-    both_df = delta_f(PlateSystem(1e-6, T, material, Polarization.BOTH))
+    both_df = delta_f_direct(PlateSystem(1e-6, T, material, Polarization.BOTH))
     for pol in ("tm", "te"):
         single = free_energy(PlateSystem(1e-6, T, material, Polarization(pol)))
-        single_df = delta_f(PlateSystem(1e-6, T, material, Polarization(pol)))
+        single_df = delta_f_direct(PlateSystem(1e-6, T, material, Polarization(pol)))
         assert both.per_mode[pol] == single.per_mode[pol]
-        assert both_df.per_mode[pol] == single_df.per_mode[pol]
+        assert both_df[pol] == single_df[pol]
         # one g(m) evaluation serves both polarizations
         assert both.g_evals == single.g_evals
-        assert both_df.g_evals == single_df.g_evals
 
 
 def test_joint_zero_temperature_energy_is_tm_plus_te():
@@ -567,10 +591,12 @@ def test_free_energy_is_float64_at_any_working_precision(case):
 
 
 def test_free_energy_never_calls_the_mode_scan_kernel(monkeypatch):
+    # the 33-digit kernel is the oracles' now; F must not reach for the
+    # other kernel the package has either, the Abel-Plana table's H
     def no_kernel(*args):
-        raise AssertionError("_g_at_frequency called")
+        raise AssertionError("H computed")
 
-    monkeypatch.setattr(lifshitz, "_g_at_frequency", no_kernel)
+    monkeypatch.setattr(abel_plana, "_h", no_kernel)
     for material in (SI_PAPER, SIGMA0_SI):
         assert free_energy(PlateSystem(1e-6, 0.85, material)).total < 0
     assert free_energy(PlateSystem(1e-6, 300.0, IDEAL_METAL)).total < 0
