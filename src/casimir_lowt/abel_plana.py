@@ -41,11 +41,19 @@ replaced by panels that cluster on Re x* from both sides, their edges at
 distances halving from Re x*/4 down to |Im x*|.  The layout is the same
 whichever polarizations are asked for, and each polarization has its own
 running sum, so each one's values are bit-identical whether it is
-computed alone or with the other.  The u-panels have 12 nodes each and
-double from u_lo = 1e-9 xm1(T_min) to past 8 xm1(T_max) (the weight
+computed alone or with the other.  The u-panels have 10 nodes each and
+double from u_lo = 1e-7 xm1(T_min) to past 8 xm1(T_max) (the weight
 there is e^{-16 pi} = 1.4e-22 or less); the piece on [0, u_lo] is added
 in closed form, h1 (u_lo xm1 / (2 pi) - u_lo^2 / 4) with h1 = H(u_1)/u_1
-at the first node.
+at the first node.  That head takes H as linear in u, and the error it
+leaves in dF grows with u_lo: about as u_lo^{3/2} on si-fig2 at
+0.02-1 K (3e-14, 8e-13 and 3.4e-11 relative at u_lo = 1e-7, 1e-6 and
+1e-5 xm1(T_min)), about as u_lo^2 on si-paper TE at 20 K (3.8e-13,
+2.9e-11 and 2.6e-9).  Against the same table at doubled orders (32
+nodes per x-panel, 24 per u-panel, u_lo = 1e-9 xm1(T_min)) dF agrees
+within 4e-13 relative on si-paper and si-fig2 at 2 mK-1 K, on si-paper
+TM down to 10 uK and on si-paper TE at 20 K; 8 nodes per u-panel would
+give up to 6.3e-12.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
 precision; the Gauss-Legendre rules are `lifshitz.float_gauss_legendre`
@@ -73,9 +81,9 @@ from .lifshitz import (_X_END, PlateSystem, PrecisionError, _halvings, _panel,
                        _real_axis_edges, _real_axis_panels, float_gauss_legendre)
 
 _NX = 16          # Gauss-Legendre nodes per x-panel
-_NU = 12          # per u-panel
+_NU = 10          # per u-panel
 _X_LO = 1e-7      # share of the integrand's smallest scale where the x-panels start
-_U_LO = 1e-9      # share of xm1(T_min) where the u-panels start
+_U_LO = 1e-7      # share of xm1(T_min) where the u-panels start
 _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
 
 
@@ -143,7 +151,8 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     t_grid (K, positive) for each polarization of the template:
     {pol: [dF per T]}, from one table of H.
 
-    Raises ValueError, before any H is computed, for the ideal metal, for
+    Raises ValueError, before any H is computed, for an empty grid, for a
+    temperature that is not positive and finite, for the ideal metal, for
     sigma = 0 and for an oscillator with omega0 <= 8 zeta_1(T_max), whose
     resonance lies inside the table; PrecisionError when an H is not
     finite.
@@ -155,8 +164,12 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     if not mat.four_pi_sigma > 0:
         raise ValueError("the Abel-Plana table needs sigma > 0: at sigma = 0 the plate "
                          "is lossless, and 1 - r^2 e^-x can vanish on the path")
-    k = float_constants()
     ts = [float(T) for T in t_grid]
+    if not ts:
+        raise ValueError("the Abel-Plana table needs at least one temperature")
+    if not all(0 < T < math.inf for T in ts):
+        raise ValueError(f"the Abel-Plana table needs positive finite temperatures, got {ts}")
+    k = float_constants()
     zeta1 = 2 * math.pi * k.k_B * max(ts) / k.hbar
     if mat.mode is PermittivityMode.FULL_OSCILLATOR and mat.omega0 <= 8 * zeta1:
         raise ValueError(f"omega0 = {mat.omega0:.4g} s^-1 is within 8 zeta_1 = "

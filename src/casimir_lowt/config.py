@@ -63,12 +63,32 @@ PRESETS = {
 }
 
 
+# every key parse_config reads, by section; any other key or section is refused,
+# so a typo cannot silently fall back to a default
+_KEYS = {
+    "material": ("model", "eps_bar", "omega0", "sigma_over_eps0"),
+    "geometry": ("separation_um",),
+    "run": ("temperatures", "t_min", "t_max", "points_per_decade", "polarization",
+            "out", "format"),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config syntax: {exc}") from exc
+    if cp.defaults():
+        raise ConfigError(f"unknown section [{cp.default_section}]; "
+                          f"sections are {', '.join(_KEYS)}")
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]; sections are {', '.join(_KEYS)}")
+        for key in cp[section]:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]; "
+                                  f"its keys are {', '.join(_KEYS[section])}")
     try:
         mat_mode = PermittivityMode(cp.get("material", "model", fallback="full"))
         if mat_mode is PermittivityMode.IDEAL_METAL:

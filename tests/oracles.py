@@ -27,7 +27,9 @@ for the tests.
   of the package's float64 F(0).
 * `free_energy_scans` and `free_energy`, F at the working precision from
   one mode scan over g(0..M+3) and the tail integral over [M, inf): the
-  oracle of the package's float64 `lifshitz.free_energy`.
+  oracle of the package's float64 `lifshitz.free_energy`;
+  `free_energy_and_delta_f`, F and dF from one shared integer-m pass
+  (`_mode_pass`).
 
 All routines work at the current mpmath precision.  The scans take their
 cut-off M from `lifshitz._truncation_m`, so a test that patches it there
@@ -557,11 +559,13 @@ def _doubling_panels(f, total, b, end, spec) -> list:
     return total
 
 
-def _mode_scans(system, pols) -> tuple[dict, int]:
-    """dF's pass over the m nodes serving every polarization in pols: g at
-    m = 0..M+3, then the m-integral over [0, M], all at the working
-    precision.  Returns ({pol: ModeScan}, the number of g(m) evaluations
-    made); each evaluation is one kernel pass for all pols.
+def _mode_pass(system, pols, *integrals) -> tuple[list, int]:
+    """One pass over g at m = 0..M+3 for every polarization in pols, then
+    each m-integral in `integrals` (a function of the system, the counting
+    g, M and pols), all at the working precision.  Returns ([{pol:
+    ModeScan} per integral], the number of g(m) evaluations made); each
+    evaluation is one kernel pass for all pols, and the scans of one pass
+    share their integer-m values.
     """
     M = lifshitz._truncation_m(system)
     evals = 0
@@ -571,8 +575,37 @@ def _mode_scans(system, pols) -> tuple[dict, int]:
         evals += 1
         return _g_modes(system, m, pols)
     gv = [g(m) for m in range(M + 4)]
-    integ = _m_integral(g, 1, M, system.quadrature)
-    return {pol: _scan(M, [v[i] for v in gv], integ[i]) for i, pol in enumerate(pols)}, evals
+    scans = []
+    for integral in integrals:
+        integ = integral(system, g, M, pols)
+        scans.append({pol: _scan(M, [v[i] for v in gv], integ[i]) for i, pol in enumerate(pols)})
+    return scans, evals
+
+
+def _head_integral(system, g, M, pols) -> list:
+    """dF's m-integral over [0, M], for `_mode_pass`."""
+    return _m_integral(g, 1, M, system.quadrature)
+
+
+def _tail_integral(system, g, M, pols) -> list:
+    """F's m-integral over [M, inf): doubling panels up to the first M 2^k
+    with x_min >= 60, for `_mode_pass`."""
+    k = mp_constants()
+    xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
+    end = mpf(M)
+    while xm1 * end < 60:
+        end *= 2
+    return _doubling_panels(g, [mpf(0)] * len(pols), M, end, system.quadrature)
+
+
+def _mode_scans(system, pols) -> tuple[dict, int]:
+    """dF's pass over the m nodes serving every polarization in pols: g at
+    m = 0..M+3, then the m-integral over [0, M], all at the working
+    precision.  Returns ({pol: ModeScan}, the number of g(m) evaluations
+    made); each evaluation is one kernel pass for all pols.
+    """
+    (scans,), evals = _mode_pass(system, pols, _head_integral)
+    return scans, evals
 
 
 def mode_scan(system, pol: str) -> ModeScan:
@@ -636,22 +669,8 @@ def free_energy_scans(system, pols):
     precision: g at m = 0..M+3 from the scan's kernel (`_g_modes`), with
     `integral` the tail over [M, inf), on doubling panels up to the first
     M 2^k with x_min >= 60."""
-    M = lifshitz._truncation_m(system)
-    evals = 0
-
-    def g(m):
-        nonlocal evals
-        evals += 1
-        return _g_modes(system, m, pols)
-    gv = [g(m) for m in range(M + 4)]
-    k = mp_constants()
-    xm1 = 4 * mpmath.pi * mpf(system.separation_a) * k.k_B * mpf(system.temperature_T) / (k.hbar * k.c)
-    end = mpf(M)
-    while xm1 * end < 60:
-        end *= 2
-    integ = _doubling_panels(g, [mpf(0)] * len(pols), M, end, system.quadrature)
-    return {pol: _scan(M, [v[i] for v in gv], integ[i])
-            for i, pol in enumerate(pols)}, evals
+    (scans,), evals = _mode_pass(system, pols, _tail_integral)
+    return scans, evals
 
 
 def endpoint_sum(scan):
@@ -659,9 +678,25 @@ def endpoint_sum(scan):
     return scan.sum_part - scan.d1 / 12 + scan.d3 / 720 - scan.d5 / 30240
 
 
+def _energy(pref, scan):
+    """F of one polarization from its F scan."""
+    return pref * (endpoint_sum(scan) + scan.integral)
+
+
 def free_energy(system):
     """{pol: F} in J/m^2 at the working precision: the prefactor times the
     endpoint-corrected sum plus the tail integral of `free_energy_scans`."""
     scans, _ = free_energy_scans(system, system.polarization.modes())
     pref = _prefactor(system)
-    return {pol: pref * (endpoint_sum(scan) + scan.integral) for pol, scan in scans.items()}
+    return {pol: _energy(pref, scan) for pol, scan in scans.items()}
+
+
+def free_energy_and_delta_f(system):
+    """({pol: F}, {pol: dF}) of `free_energy` and `delta_f` from one
+    integer-m pass: the two scans share g(0..M+3) and differ only in their
+    m-integrals."""
+    pols = system.polarization.modes()
+    (f_scans, df_scans), _ = _mode_pass(system, pols, _tail_integral, _head_integral)
+    pref = _prefactor(system)
+    return ({pol: _energy(pref, scan) for pol, scan in f_scans.items()},
+            {pol: pref * _checked_delta_gamma(pol, scan) for pol, scan in df_scans.items()})

@@ -49,21 +49,70 @@ def test_table_is_float64_at_any_working_precision():
     assert all(type(v) is float for v in at_33["tm"])
 
 
-@pytest.mark.parametrize("material, pol, match", [
-    (IDEAL_METAL, "both", "ideal metal"),
-    (DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0), "te", "sigma > 0"),
-    (DielectricModel(eps_bar=11.67, omega0=1e12, four_pi_sigma=1e12), "tm",
-     "resonance lies inside")], ids=["ideal-metal", "sigma-0-te", "omega0-inside"])
-def test_refused_before_any_h(material, pol, match, monkeypatch):
-    # 8 zeta_1 at 0.2 K is 1.3e12 s^-1, above omega0 = 1e12 s^-1
+@pytest.mark.parametrize("material, pol, grid, match", [
+    (IDEAL_METAL, "both", [0.1, 0.2], "ideal metal"),
+    (DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0), "te", [0.1, 0.2],
+     "sigma > 0"),
+    (DielectricModel(eps_bar=11.67, omega0=1e12, four_pi_sigma=1e12), "tm", [0.1, 0.2],
+     "resonance lies inside"),
+    (SI_PAPER, "tm", [], "at least one temperature"),
+    (SI_PAPER, "tm", [-0.1, 0.1], "positive finite"),
+    (SI_PAPER, "tm", [0.0, 0.1], "positive finite"),
+    (SI_PAPER, "tm", [float("nan"), 0.1], "positive finite"),
+    (SI_PAPER, "tm", [0.1, float("inf")], "positive finite")],
+    ids=["ideal-metal", "sigma-0-te", "omega0-inside", "empty-grid", "negative-T", "zero-T",
+         "nan-T", "inf-T"])
+def test_refused_before_any_h(material, pol, grid, match, monkeypatch):
+    # 8 zeta_1 at 0.2 K is 1.3e12 s^-1, above omega0 = 1e12 s^-1.  A negative
+    # or infinite T would otherwise double the u-panels forever, T = 0 divide
+    # by zero in eps and a NaN T give a silent NaN dF.
     def no_h(*args):
         raise AssertionError("H computed")
 
     monkeypatch.setattr(abel_plana, "_h", no_h)
     with pytest.raises(ValueError, match=match):
-        delta_f_table(PlateSystem(1e-6, 1.0, material, Polarization(pol)), [0.1, 0.2])
+        delta_f_table(PlateSystem(1e-6, 1.0, material, Polarization(pol)), grid)
 
 
 def test_nan_h_raises_precision_error(nan_table):
     with pytest.raises(PrecisionError, match=r"te: H\(u = .*\) = nan"):
         delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TE), GRID)
+
+
+def _doubled_order_table(template, grid, monkeypatch):
+    # the same table with both node orders doubled and the u-panels started
+    # 100 times lower, so its head error drops at least 1000-fold
+    with monkeypatch.context() as m:
+        m.setattr(abel_plana, "_NX", 32)
+        m.setattr(abel_plana, "_NU", 24)
+        m.setattr(abel_plana, "_U_LO", 1e-9)
+        return delta_f_table(template, grid)
+
+
+@pytest.mark.parametrize("pol, grid", [("both", GRID), ("te", [20.0])],
+                         ids=["15-100mK", "te-20K"])
+def test_layout_matches_the_doubled_order_table(pol, grid, monkeypatch):
+    # the table's quadrature error: 4e-13 at most on these cases; 8 nodes
+    # per u-panel or u_lo = 1e-5 xm1(T_min) would fail
+    template = PlateSystem(1e-6, 1.0, SI_PAPER, Polarization(pol))
+    table = delta_f_table(template, grid)
+    ref = _doubled_order_table(template, grid, monkeypatch)
+    for p in template.polarization.modes():
+        for k, T in enumerate(grid):
+            assert abs(table[p][k] / ref[p][k] - 1) < 1e-12, (p, T)
+
+
+def test_table_makes_300_h_on_the_tm_sweep_grid(monkeypatch):
+    # 10 u-nodes per doubling panel from 1e-7 xm1(15 mK) past 8 xm1(120 mK):
+    # 30 panels.  Only the grid's ends set the panels, so the interior
+    # points of a sweep move nothing.
+    h = abel_plana._h
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0])
+        return h(*args)
+
+    monkeypatch.setattr(abel_plana, "_h", spy)
+    delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
+    assert len(calls) == 300

@@ -372,6 +372,24 @@ def test_parse_validation():
             parse_config(f"[run]\nt_min = 0.1\nt_max = 1.0\npoints_per_decade = {points}\n")
 
 
+@pytest.mark.parametrize("text, match", [
+    ("[run]\npolarisation = tm\ntemperatures = 0.5\n", "unknown key 'polarisation' in \\[run\\]"),
+    ("[run]\nprecision = 10\ntemperatures = 0.5\n", "unknown key 'precision' in \\[run\\]"),
+    ("[geometery]\nseparation_um = 2\n", "unknown section \\[geometery\\]"),
+    ("[DEFAULT]\npolarization = tm\n", "unknown section \\[DEFAULT\\]")],
+    ids=["typo", "old-precision-key", "misspelt-section", "default-section"])
+def test_unknown_keys_and_sections_refused(text, match, tmp_path, capsys):
+    # a key or section the program does not read would otherwise run as
+    # its default without a word: `polarisation = tm` as both
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+    p = tmp_path / "typo.ini"
+    p.write_text(text)
+    assert main(["sweep", "--config", str(p), "--no-timestamp"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown" in captured.err
+
+
 @pytest.mark.parametrize("field, value", [("temperatures", (0.5, float("nan"))),
                                           ("temperatures", (float("inf"),)),
                                           ("t_min", float("nan")),

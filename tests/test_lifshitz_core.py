@@ -141,9 +141,11 @@ def test_zero_t_energy_matches_scan_at_conductivity_knee(pol, T, material):
     # knee at y = alpha = 6.7e-3 just as well.  A sweep's F_num = F(0) + dF
     # rests on this agreement, on si-paper and on the eps_bar = 1 plate
     # that criterion 6 sweeps.  (The float64 F minus the table would bring
-    # in F's M = 30 error, up to 1.5e-12 on si-fig2 at 0.3 K.)
+    # in F's M = 30 error, up to 1.5e-12 on si-fig2 at 0.3 K.)  F and dF
+    # come from one integer-m pass, which they share.
     sys_ = PlateSystem(1e-6, T, material, Polarization(pol))
-    via_scan = free_energy_oracle(sys_)[pol] - delta_f_oracle(sys_)[pol]
+    f, df = oracles.free_energy_and_delta_f(sys_)
+    via_scan = f[pol] - df[pol]
     f0 = zero_temperature_energy(sys_)
     assert abs(f0 / via_scan - 1) < 1e-13
 
