@@ -56,9 +56,9 @@ TM down to 10 uK and on si-paper TE at 20 K; 8 nodes per u-panel would
 give up to 6.3e-12.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
-precision; the Gauss-Legendre rules are `lifshitz.float_gauss_legendre`
-(the package's rule at 53 bits) and eps is `dielectric.permittivity` at
-zeta = i v, both in floats.
+precision; the Gauss-Legendre rules are `lifshitz.gauss_legendre`, the
+package's one rule, and eps is `dielectric.permittivity` at zeta = i v,
+both in floats.
 On si-paper and si-fig2 the table agrees within 1e-11 relative with the
 33-digit mode scan of `tests/oracles.py`: at T <= 0.12 K with the scan at
 its own cut-off M, at 0.3 and 1 K with the scan at M = 240, and on
@@ -78,7 +78,7 @@ import math
 from .constants import float_constants
 from .dielectric import PermittivityMode, permittivity
 from .lifshitz import (_X_END, PlateSystem, PrecisionError, _halvings, _panel,
-                       _real_axis_edges, _real_axis_panels, float_gauss_legendre)
+                       _real_axis_edges, _real_axis_panels, gauss_legendre)
 
 _NX = 16          # Gauss-Legendre nodes per x-panel
 _NU = 10          # per u-panel
@@ -181,7 +181,7 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     def xm1(T):
         return 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
 
-    gl_x, gl_u = float_gauss_legendre(_NX), float_gauss_legendre(_NU)
+    gl_x, gl_u = gauss_legendre(_NX), gauss_legendre(_NU)
     fixed = {}
     u_lo, u_hi = _U_LO * xm1(min(ts)), _U_HI * xm1(max(ts))
     nodes, hs = [], {pol: [] for pol in pols}

@@ -171,13 +171,12 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
     polarization on stderr; with check (`rdiag --assert`), exit 1 unless
     the TM |R(T_min)| < 0.05 and |dR/dT| < 0.5 /K."""
     pols = Polarization(cfg.polarization).modes()
-    if "te" in pols:
-        alpha = alpha_param(cfg.separation_m, cfg.material.four_pi_sigma) \
-            if cfg.material.four_pi_sigma > 0 else 0
-        if alpha < mpf("0.05"):
-            print("warning: TE R-diagnostic unfeasible at small alpha "
-                  "(correction terms nearly degenerate); data emitted anyway",
-                  file=sys.stderr)
+    sigma = cfg.material.four_pi_sigma
+    # at sigma = 0 (the ideal metal too) r_curve refuses the sweep: no data follows
+    if "te" in pols and sigma > 0 and alpha_param(cfg.separation_m, sigma) < mpf("0.05"):
+        print("warning: TE R-diagnostic unfeasible at small alpha "
+              "(correction terms nearly degenerate); data emitted anyway",
+              file=sys.stderr)
     records = diagnostics.r_curve(_system(cfg, 1.0), cfg.grid(), cfg.polarization)
     failures = []
     for pol in pols:

@@ -86,12 +86,12 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     ideal metal) raises ValueError, and a grid that leaves the expansion
     regime gives one ValidityWarning per polarization.  Then every dF_num
     comes from one Abel-Plana table (`abel_plana.delta_f_table`) and F(0)
-    from one `zero_temperature_energies` pass, both float64 stored as mpf
-    and both serving every polarization, in this process; F_num is
-    F(0) + dF_num.  No mode scan runs and no process
+    from one `zero_temperature_energies` pass, both float64 (dF_num kept a
+    float, F(0) stored as mpf) and both serving every polarization, in this
+    process; F_num is F(0) + dF_num.  No mode scan runs and no process
     starts.
     """
-    ts = [mpf(T) for T in t_grid]
+    ts = list(t_grid)
     if not ts:
         raise ValueError("empty temperature grid")
     if any(T <= 0 for T in ts):
@@ -107,11 +107,10 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     records = []
     for p, th in theory.items():
         for T, df in zip(ts, table[p]):
-            df_num = mpf(df)
             df_th = th.evaluate(T)
-            r = None if df_th == 0 else (df_th - df_num) / df_th
-            records.append(SweepRecord(T=T, F_num=f0[p] + df_num, F_asym=f0[p] + df_th,
-                                       dF_num=df_num, dF_th=df_th, R=r, pol=p, theory=th))
+            r = None if df_th == 0 else (df_th - df) / df_th
+            records.append(SweepRecord(T=T, F_num=f0[p] + df, F_asym=f0[p] + df_th,
+                                       dF_num=df, dF_th=df_th, R=r, pol=p, theory=th))
     return records
 
 

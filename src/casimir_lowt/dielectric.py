@@ -55,24 +55,24 @@ IDEAL_METAL = DielectricModel(eps_bar=1.0, omega0=1.0, four_pi_sigma=0.0,
 
 
 def permittivity(model: DielectricModel, zeta):
-    """eps(i zeta) for real zeta > 0 (or zeta = 0 without conductivity), in
-    mpf; for complex zeta = i v, eps continued to the real frequency v > 0,
-    in complex floats: one formula on the model's fields in zeta's type."""
+    """eps(i zeta) for real zeta > 0 (or zeta = 0 without conductivity); for
+    complex zeta = i v, eps continued to the real frequency v > 0: one
+    formula on the model's float fields, in zeta's own type (float, mpf or
+    complex)."""
     if model.mode is PermittivityMode.IDEAL_METAL:
         raise ValueError("ideal metal has no finite permittivity")
     eps_bar, omega0, four_pi_sigma = model.eps_bar, model.omega0, model.four_pi_sigma
     if not isinstance(zeta, complex):
-        zeta = mpf(zeta)
         if zeta < 0:
             raise ValueError("zeta must be nonnegative")
         if zeta == 0:
             if four_pi_sigma > 0:
                 raise ZeroDivisionError("eps diverges at zero frequency")
-            return mpf(eps_bar)
-        eps_bar, omega0, four_pi_sigma = mpf(eps_bar), mpf(omega0), mpf(four_pi_sigma)
+            return eps_bar + zeta     # zeta is 0: eps_bar in zeta's type
     if model.mode is PermittivityMode.LOW_FREQ:
         return eps_bar + four_pi_sigma / zeta
-    return 1 + (eps_bar - 1) / (1 + (zeta / omega0) ** 2) + four_pi_sigma / zeta
+    q = zeta / omega0
+    return 1 + (eps_bar - 1) / (1 + q * q) + four_pi_sigma / zeta
 
 
 def reflection_limits_zero_frequency(model: DielectricModel):

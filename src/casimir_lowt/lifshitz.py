@@ -54,7 +54,6 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
@@ -123,45 +122,30 @@ class FreeEnergyResult:
         return mpmath.fsum(self.per_mode.values())
 
 
-def gauss_legendre(n: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] at the current
-    precision: Newton steps on the Legendre recurrence from the cosine
-    estimate -cos(pi (i + 3/4) / (n + 1/2)), six up to 95 digits; cached
-    per (n, prec), since several binary precisions share one decimal one.
-    """
-    return _gauss_legendre_cached(n, mp.prec)
-
-
-@lru_cache(maxsize=64)
-def _gauss_legendre_cached(n: int, prec: int):
+def gauss_legendre(n: int) -> list:
+    """Gauss-Legendre (node, weight) floats on [-1, 1], nodes ascending: six
+    Newton steps on the Legendre recurrence from the cosine estimate
+    -cos(pi (i + 3/4) / (n + 1/2)), in float64 whatever the working
+    precision.  The rule of every quadrature panel of the package."""
     def legendre(x):
         """P_n(x) and P_n'(x)."""
-        p0, p1 = mpf(1), x
+        p0, p1 = 1.0, x
         for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         return p1, n * (x * p1 - p0) / (x * x - 1)
 
-    # each Newton step doubles the correct bits, from about 5 at the seed
-    steps = max(6, (prec // 5).bit_length())
     nodes = []
     for i in range(n):
-        x = mpf(-math.cos(math.pi * (i + 0.75) / (n + 0.5)))
-        for _ in range(steps):
+        x = -math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(6):
             p, dp = legendre(x)
             x = x - p / dp
         _, dp = legendre(x)
         nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
-    return tuple(nodes)
+    return nodes
 
 
 _X_END = 45          # end of the float64 kernels' real x axis: e^-45 = 2.9e-20
-
-
-def float_gauss_legendre(n: int) -> list:
-    """`gauss_legendre(n)` at 53 bits as (node, weight) floats: the rule of
-    the float64 kernels, whatever the working precision."""
-    with mp.workprec(53):
-        return [(float(x), float(w)) for x, w in gauss_legendre(n)]
 
 
 def _panel(a, b, gl) -> list:
@@ -252,7 +236,7 @@ def _matsubara_sum(system: PlateSystem, pols) -> tuple[dict, int, int]:
     k = float_constants()
     a, T = float(system.separation_a), float(system.temperature_T)
     xm1 = 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
-    gl_geo = float_gauss_legendre(system.quadrature.nm_geo)
+    gl_geo = gauss_legendre(system.quadrature.nm_geo)
     tail, b = [], M
     while xm1 * b < _X_END:
         tail += _panel(b, 2 * b, gl_geo)
@@ -347,8 +331,8 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
     knee = min(2 * a * mat.four_pi_sigma / k.c, 1.0) if mat.four_pi_sigma > 0 else 1.0
     # (y, weight): v^2 panel on [0, knee], then doubling panels to _X_END
     nodes = [(v * v, 2 * v * wt) for v, wt in _panel(0.0, math.sqrt(knee),
-                                                    float_gauss_legendre(spec.nm_unit))]
-    gl_geo = float_gauss_legendre(spec.nm_geo)
+                                                    gauss_legendre(spec.nm_unit))]
+    gl_geo = gauss_legendre(spec.nm_geo)
     b = knee
     while b < _X_END:
         nb = min(2 * b, _X_END)
@@ -363,28 +347,27 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
 def _real_axis_gs(system: PlateSystem, ys, pols, where: str) -> list:
     """(G(y) of each polarization in pols) at each y of ys, in float64: the
     node loop of F and F(0).  For a dielectric, G is `_g_real_axis` with eps
-    = `permittivity` at zeta = y c / (2a) on 53 bits; for the ideal metal,
-    -[y Li_2(e^-y) + Li_3(e^-y)] on 53 bits.  G is 0 from y = _X_END on.
-    PrecisionError, naming `where`, when a G is not finite."""
+    = `permittivity` of the float zeta = y c / (2a); for the ideal metal,
+    -[y Li_2(e^-y) + Li_3(e^-y)] with the polylogs on 53 bits.  G is 0 from
+    y = _X_END on.  PrecisionError, naming `where`, when a G is not finite."""
     mat = system.material
     ideal = mat.mode is PermittivityMode.IDEAL_METAL
     c, a = float_constants().c, float(system.separation_a)
-    gl, fixed = float_gauss_legendre(system.quadrature.nx), {}
+    gl, fixed = gauss_legendre(system.quadrature.nx), {}
     out = []
-    with mp.workprec(53):
-        for y in ys:
-            if y >= _X_END:
-                gs = (0.0,) * len(pols)
-            elif ideal:
+    for y in ys:
+        if y >= _X_END:
+            gs = (0.0,) * len(pols)
+        elif ideal:
+            with mp.workprec(53):
                 q = mpmath.exp(-y)
                 gs = (float(-(y * mpmath.polylog(2, q) + mpmath.polylog(3, q))),) * len(pols)
-            else:
-                eps = float(permittivity(mat, y * c / (2 * a)))
-                gs = _g_real_axis(y, eps, pols, gl, fixed)
-            for pol, g in zip(pols, gs):
-                if not math.isfinite(g):
-                    raise PrecisionError(f"{pol}: G(y = {y:.6g}) = {g} in {where}")
-            out.append(gs)
+        else:
+            gs = _g_real_axis(y, permittivity(mat, y * c / (2 * a)), pols, gl, fixed)
+        for pol, g in zip(pols, gs):
+            if not math.isfinite(g):
+                raise PrecisionError(f"{pol}: G(y = {y:.6g}) = {g} in {where}")
+        out.append(gs)
     return out
 
 

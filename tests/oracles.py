@@ -15,6 +15,10 @@ for the tests.
   `a_mu`.
 * `constant_a_integral`, the kernel's x-panel loop on a constant
   reflection, against the analytic -Li_3 of the m = 0 mode.
+* `gauss_legendre`, the Gauss-Legendre rule at the working precision
+  (mpf Newton steps on the Legendre recurrence, cached per (n, prec)): the
+  rule of every oracle below, and at 53 bits the oracle of the package's
+  float64 `lifshitz.gauss_legendre`.
 * `gl_panel`, one Gauss-Legendre panel on mpf values: the arithmetic that
   the kernel's raw x-panel loop reproduces bit for bit.
 * The mode scan (`mode_scan`, `_mode_scans`) and its thermal correction
@@ -52,12 +56,43 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_m
 from casimir_lowt import lifshitz
 from casimir_lowt.constants import alpha_param, mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
-from casimir_lowt.lifshitz import QuadratureSpec, gauss_legendre
+from casimir_lowt.lifshitz import QuadratureSpec
 
 
 class CancellationError(ArithmeticError):
     """The scan's sum and m-integral cancel too many digits at the working
     precision; raise it."""
+
+
+def gauss_legendre(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] at the current
+    precision: Newton steps on the Legendre recurrence from the cosine
+    estimate -cos(pi (i + 3/4) / (n + 1/2)), six up to 95 digits; cached
+    per (n, prec), since several binary precisions share one decimal one.
+    """
+    return _gauss_legendre_cached(n, mp.prec)
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre_cached(n: int, prec: int):
+    def legendre(x):
+        """P_n(x) and P_n'(x)."""
+        p0, p1 = mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    # each Newton step doubles the correct bits, from about 5 at the seed
+    steps = max(6, (prec // 5).bit_length())
+    nodes = []
+    for i in range(n):
+        x = mpf(-math.cos(math.pi * (i + 0.75) / (n + 0.5)))
+        for _ in range(steps):
+            p, dp = legendre(x)
+            x = x - p / dp
+        _, dp = legendre(x)
+        nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return tuple(nodes)
 
 
 def gl_panel(f, a, b, nodes):

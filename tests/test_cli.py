@@ -312,6 +312,22 @@ def test_lossless_te_sweep_is_config_error(tmp_path, nan_table, capsys):
     assert captured.err.splitlines()[-1].startswith("error: the Abel-Plana table needs sigma > 0")
 
 
+@pytest.mark.parametrize("source", ["ideal-metal-check", "sigma0"])
+def test_refused_sweep_prints_only_its_error(source, tmp_path, capsys):
+    # no closed form or no table: no data follows, so no "data emitted anyway" warning
+    if source == "sigma0":
+        p = tmp_path / "s0.ini"
+        p.write_text(CHEAP_TM.replace("sigma_over_eps0 = 1e12", "sigma_over_eps0 = 0"))
+        args = ["--config", str(p), "--pol", "both"]
+    else:
+        args = ["--preset", source]
+    assert main(["sweep", *args, "--no-timestamp"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_asymptotics_of_the_ideal_metal_is_config_error(capsys):
     assert main(["asymptotics", "--preset", "ideal-metal-check"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: no closed-form correction for the ideal-metal limit\n"

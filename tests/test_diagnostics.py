@@ -296,7 +296,7 @@ def test_r_curve_takes_df_from_the_table_and_f0_from_one_pass(monkeypatch):
     recs = r_curve(template, [0.5, 0.7], "both")
     assert passes == [Polarization.BOTH]
     for rec, df in zip(recs, table["tm"] + table["te"], strict=True):
-        assert type(rec.dF_num) is type(mpf(0)) and rec.dF_num == mpf(df)
+        assert type(rec.dF_num) is float and rec.dF_num == df
         assert rec.F_num == f0[rec.pol] + rec.dF_num
         assert rec.F_asym == f0[rec.pol] + rec.dF_th
 

@@ -2,9 +2,9 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from casimir_lowt.dielectric import (IDEAL_METAL, SI_PAPER, DielectricModel,
+from casimir_lowt.dielectric import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
                                      PermittivityMode, permittivity,
                                      reflection_limits_zero_frequency)
 from oracles import a_mu, reflection
@@ -22,13 +22,26 @@ def test_permittivity_zero_frequency_without_conductivity():
 
 def test_permittivity_oscillator_rolloff():
     # far above omega0 the oscillator term dies off as (omega0/zeta)^2
-    ep = permittivity(SI_PAPER, 8e17)
+    ep = permittivity(SI_PAPER, mpf(8e17))
     assert abs(ep - 1 - mpf("10.67") / 10001 - mpf("1e12") / mpf("8e17")) < 1e-18
 
 
 def test_low_freq_model_drops_oscillator():
     lo = DielectricModel(11.67, 8e15, 1e12, mode=PermittivityMode.LOW_FREQ)
-    assert abs(permittivity(lo, 1e10) - (mpf("11.67") + 100)) < 1e-15
+    assert abs(permittivity(lo, mpf(1e10)) - (mpf("11.67") + 100)) < 1e-15
+
+
+@pytest.mark.parametrize("model", [SI_PAPER, SI_EPSBAR1, DielectricModel(11.67, 8e15, 0.0),
+                                   DielectricModel(11.67, 8e15, 1e12, PermittivityMode.LOW_FREQ)],
+                         ids=["si-paper", "si-fig2", "sigma0", "lowfreq"])
+def test_permittivity_of_a_float_is_the_mpf_value_at_53_bits(model):
+    # a float zeta gives a float eps, the 53-bit mpf result rounded, bit for bit
+    for k in range(-40, 41):
+        zeta = 1e12 * 10 ** (k / 8) * (1 + k % 7 / 10)
+        eps = permittivity(model, zeta)
+        assert type(eps) is float
+        with mp.workprec(53):
+            assert eps == float(permittivity(model, mpf(zeta))), zeta
 
 
 @pytest.mark.parametrize("v", [1e3, 1e12, 1e15, 1e16, 1e17])

@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is used in
 that module, the package's numerics do without mpmath's raw `libmp`
-layer, and the CLI starts without numpy or scipy, in one OS thread.
+layer and without a module-global cache, the CLI starts without numpy or
+scipy, in one OS thread, and the bench's set-up and span targets resolve.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
 import statement whose line carries `# noqa: F401` is exempt, and a name
@@ -68,6 +69,22 @@ def test_package_does_not_import_mpmath_libmp():
     assert found == []
 
 
+def test_package_has_no_function_cache():
+    # a cache decorator keeps its results for the life of the process, shared
+    # by every caller: no function of the package carries one
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
+
+
 def test_cli_does_not_import_scipy():
     # neither numpy nor scipy, in a fresh interpreter, so no other test's
     # imports are counted: either would add its import time and memory to
@@ -98,3 +115,13 @@ def test_bench_span_targets_resolve():
     assert spans.TARGETS
     assert [(owner, attr) for owner, attr, _ in spans.TARGETS
             if not callable(getattr(owners[owner], attr, None))] == []
+
+
+def test_bench_setup_code_runs():
+    # bench/run.py times SETUP_CODE in fresh interpreters on src/: a name it
+    # imports that the package renames fails here, not in a later bench run
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    subprocess.run([sys.executable, "-c", run.SETUP_CODE], env=env, check=True, timeout=120)

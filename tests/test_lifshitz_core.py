@@ -324,7 +324,7 @@ X_CUT = 256
 
 # uncached Gauss-Legendre nodes behind their own cache, so that a kernel table
 # kept at the wrong precision cannot hide behind a shared one
-_reference_nodes = lru_cache(lifshitz._gauss_legendre_cached.__wrapped__)
+_reference_nodes = lru_cache(oracles._gauss_legendre_cached.__wrapped__)
 
 
 def _reference_x_integral(f, xmin, nodes):
@@ -464,19 +464,30 @@ def test_precision_change_rebuilds_node_tables():
 def test_gauss_legendre_exact_to_working_precision(dps):
     # n nodes integrate x^k over [-1, 1] exactly for k < 2n; at 150 digits
     # the Newton steps from the cosine seed must go on past six.  "float" is
-    # the rule at 53 bits in floats, as the Abel-Plana table and F(0) take it
+    # the package's float64 rule, which every panel of F, F(0) and dF takes
     if dps == "float":
-        rules = {n: lifshitz.float_gauss_legendre(n) for n in (1, 2, 12, 16, 24, 48)}
+        rules = {n: lifshitz.gauss_legendre(n) for n in (1, 2, 12, 16, 24, 48)}
         one, total, tol = 1.0, sum, 1e-14
     else:
         mp.dps = dps
-        rules = {n: lifshitz.gauss_legendre(n) for n in (1, 2, 5, 16, 48)}
+        rules = {n: oracles.gauss_legendre(n) for n in (1, 2, 5, 16, 48)}
         one, total, tol = mpf(1), mpmath.fsum, mpf(10) ** (3 - dps)
     for n, nodes in rules.items():
         assert [x for x, _ in nodes] == sorted(x for x, _ in nodes)
         for k in range(2 * n):
             exact = 2 * one / (k + 1) if k % 2 == 0 else 0
             assert abs(total(w * x ** k for x, w in nodes) - exact) < tol
+
+
+@pytest.mark.parametrize("dps", [15, 33, 50])
+def test_float_gauss_legendre_is_the_oracle_rule_at_53_bits(dps):
+    # the package's float64 rule is the oracle's mpf rule at 53 bits, node for
+    # node and bit for bit, whatever the working precision
+    mp.dps = dps
+    for n in (1, 2, 10, 12, 16, 24, 32, 48, 96):
+        with mp.workprec(53):
+            reference = [(float(x), float(w)) for x, w in oracles.gauss_legendre(n)]
+        assert lifshitz.gauss_legendre(n) == reference, n
 
 
 # --- one kernel pass for every polarization -----------------------------------
