@@ -29,12 +29,12 @@ where on the imaginary axis expm1(-iy) = -2 sin^2(y/2) - i sin y.  Only
 Im L enters H: the phase of the log's argument.  TM and TE share s at
 each node.
 
-Layout.  Every x-panel has 16 Gauss-Legendre nodes, and both pieces start
-at x_lo = 1e-7 min(u, |sqrt(w)|, u / sqrt|eps|), the smallest scale of
-the integrand.  The imaginary-axis piece has panels that halve from u
-down to x_lo.  The real-axis piece has panels that halve from 1 down to
-x_lo, then width-2 panels from 1 to 45 (e^-45 = 2.9e-20): `lifshitz`'s
-real-axis panels, which F(0) walks from x = y as well.  TE has a branch
+Layout.  Both pieces start at x_lo = 1e-7 min(u, |sqrt(w)|, u / sqrt|eps|),
+the smallest of the integrand's three scales.  The imaginary-axis piece
+has panels that halve from u down to x_lo.  The real-axis piece has
+panels that halve from 1 down to x_lo, then width-2 panels from 1 to 45
+(e^-45 = 2.9e-20): `lifshitz`'s real-axis panels, which F(0) walks from
+x = y as well.  TE has a branch
 point at x* = sqrt(w); where 4 |Im x*| < Re x* < 45 it sits close to the
 real axis, and the panels, halving or width-2, within Re x*/4 of it are
 replaced by panels that cluster on Re x* from both sides, their edges at
@@ -49,11 +49,30 @@ at the first node.  That head takes H as linear in u, and the error it
 leaves in dF grows with u_lo: about as u_lo^{3/2} on si-fig2 at
 0.02-1 K (3e-14, 8e-13 and 3.4e-11 relative at u_lo = 1e-7, 1e-6 and
 1e-5 xm1(T_min)), about as u_lo^2 on si-paper TE at 20 K (3.8e-13,
-2.9e-11 and 2.6e-9).  Against the same table at doubled orders (32
-nodes per x-panel, 24 per u-panel, u_lo = 1e-9 xm1(T_min)) dF agrees
-within 4e-13 relative on si-paper and si-fig2 at 2 mK-1 K, on si-paper
-TM down to 10 uK and on si-paper TE at 20 K; 8 nodes per u-panel would
-give up to 6.3e-12.
+2.9e-11 and 2.6e-9).
+
+Node orders.  An x-panel has 16 Gauss-Legendre nodes where it reaches
+past x = 1 or comes within a factor 16 of one of the three scales
+(a < 16 s and 16 b > s for the panel [a, b]), in a u-panel whose top
+edge is above 1e-3 xm1(T_min).  Every other x-panel has 8: the halving
+panels between the scales, and all of the x-panels of the u-panels
+below 1e-3 xm1(T_min).  Those u-panels carry 3e-3 of dF at T_min and
+less above it, and there H's two pieces do not cancel (on si-paper at
+u = 1e-11 the imaginary one is 4e-15 of H for TM and 6e-9 for TE), so a
+panel's error enters dF only through its own size and its Bose weight.  On the
+15-120 mK TM sweep that is 322,344 x-nodes for 300 H, where 16 nodes
+everywhere walk 511,712.  Against the same table at doubled orders (32
+nodes on every x-panel, 24 per u-panel, u_lo = 1e-9 xm1(T_min) and
+x_lo = 1e-9 of the smallest scale) dF agrees within 4e-13 relative on
+si-paper and si-fig2 at 2 mK-1 K (at most 2.0e-13 for TM and 1.4e-13
+for TE on the 20 mK-1 K preset grids), on si-paper TM down to 10 uK and
+on si-paper TE at 20 K.  8 nodes per u-panel would give up to 6.3e-12,
+and 6 nodes per far x-panel up to 1.4e-11 (TM) and 8.9e-11 (TE).  The
+4e-13 holds on those cases only.  Elsewhere, as with 16 nodes on every
+x-panel, dF is off by up to 1.5e-11 on si-paper TM at 20 K (the head),
+5.1e-12 (TM) and 2.1e-11 (TE) on si-fig2 at 20 K, 1.0e-11 on TE at
+a = 10 um and 0.02-1 K, 1.7e-12 on TE at a = 0.1 um, 3.9e-12 on TE at
+4 pi sigma = 1e10 s^-1 and 6.9e-13 on TM at 4 pi sigma = 1e14 s^-1.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
 precision; the Gauss-Legendre rules are `lifshitz.gauss_legendre`, the
@@ -80,8 +99,11 @@ from .dielectric import PermittivityMode, permittivity
 from .lifshitz import (_X_END, PlateSystem, PrecisionError, _halvings, _panel,
                        _real_axis_edges, _real_axis_panels, gauss_legendre)
 
-_NX = 16          # Gauss-Legendre nodes per x-panel
-_NU = 10          # per u-panel
+_NX = 16          # Gauss-Legendre nodes per x-panel near the integrand's scales
+_NX_FAR = 8       # per x-panel away from them, and under low Bose weight
+_BAND = 16        # factor around each scale within which an x-panel is near it
+_LOW_WEIGHT = 1e-3  # share of xm1(T_min) up to which a u-panel's weight is low
+_NU = 10          # Gauss-Legendre nodes per u-panel
 _X_LO = 1e-7      # share of the integrand's smallest scale where the x-panels start
 _U_LO = 1e-7      # share of xm1(T_min) where the u-panels start
 _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
@@ -97,12 +119,19 @@ def _imaginary_axis_nodes(a, b, gl) -> list:
 
 
 def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
-    """The nodes of both pieces of G(iu) (see the module docstring).
-    `fixed` keeps the real-axis panels that do not depend on u."""
+    """The nodes of both pieces of G(iu) (see the module docstring).  gl is
+    the (near, far) pair of rules; `fixed` keeps, per order, the real-axis
+    panels that do not depend on u."""
+    near, far = gl
     root = cmath.sqrt(w)
-    x_lo = _X_LO * min(u, abs(root), u / math.sqrt(abs(eps)))
+    scales = (abs(root), u / math.sqrt(abs(eps)), u)
+
+    def rule(a, b):
+        return near if b > 1 or any(a < _BAND * x and _BAND * b > x for x in scales) else far
+
+    x_lo = _X_LO * min(scales)
     edges = _halvings(u, x_lo)
-    nodes = [n for a, b in zip(edges, edges[1:]) for n in _imaginary_axis_nodes(a, b, gl)]
+    nodes = [n for a, b in zip(edges, edges[1:]) for n in _imaginary_axis_nodes(a, b, rule(a, b))]
     edges = _real_axis_edges(x_lo)
     c, im = root.real, abs(root.imag)
     if 4 * im < c < _X_END:
@@ -112,12 +141,15 @@ def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
             edges += [c - d, c + d]
             d /= 2
         edges.sort()
-    return nodes + _real_axis_panels(edges, gl, fixed)
+    for a, b in zip(edges, edges[1:]):
+        r = rule(a, b)
+        nodes += _real_axis_panels((a, b), r, fixed.setdefault(len(r), {}))
+    return nodes
 
 
 def _h(u: float, eps: complex, pols, gl, fixed: dict) -> tuple:
     """H(u) = Im G(iu) of each polarization in pols, in that order, with
-    eps taken at zeta = i u c / (2a)."""
+    eps taken at zeta = i u c / (2a); gl and fixed are `_x_nodes`'s."""
     w = u * u * (eps - 1)
     e2m1 = eps * eps - 1
     tm, te = "tm" in pols, "te" in pols
@@ -181,12 +213,14 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     def xm1(T):
         return 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
 
-    gl_x, gl_u = gauss_legendre(_NX), gauss_legendre(_NU)
+    near, far, gl_u = gauss_legendre(_NX), gauss_legendre(_NX_FAR), gauss_legendre(_NU)
     fixed = {}
     u_lo, u_hi = _U_LO * xm1(min(ts)), _U_HI * xm1(max(ts))
+    u_low = _LOW_WEIGHT * xm1(min(ts))
     nodes, hs = [], {pol: [] for pol in pols}
     b = u_lo
     while b < u_hi:
+        gl_x = (near, far) if 2 * b > u_low else (far, far)
         for u, wt in _panel(b, 2 * b, gl_u):
             eps = permittivity(mat, complex(0, u * k.c / (2 * a)))
             for pol, h in zip(pols, _h(u, eps, pols, gl_x, fixed)):

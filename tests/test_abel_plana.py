@@ -80,21 +80,28 @@ def test_nan_h_raises_precision_error(nan_table):
 
 
 def _doubled_order_table(template, grid, monkeypatch):
-    # the same table with both node orders doubled and the u-panels started
-    # 100 times lower, so its head error drops at least 1000-fold
+    # the same table with every node order doubled, every u-panel's x-panels
+    # laid out as under high Bose weight, and the u-panels started 100 times
+    # lower, so its head error drops at least 1000-fold
     with monkeypatch.context() as m:
         m.setattr(abel_plana, "_NX", 32)
+        m.setattr(abel_plana, "_NX_FAR", 16)
+        m.setattr(abel_plana, "_LOW_WEIGHT", 0.0)
         m.setattr(abel_plana, "_NU", 24)
         m.setattr(abel_plana, "_U_LO", 1e-9)
         return delta_f_table(template, grid)
 
 
-@pytest.mark.parametrize("pol, grid", [("both", GRID), ("te", [20.0])],
-                         ids=["15-100mK", "te-20K"])
-def test_layout_matches_the_doubled_order_table(pol, grid, monkeypatch):
+@pytest.mark.parametrize("material, pol, grid", [
+    (SI_PAPER, "both", GRID),
+    (SI_PAPER, "te", [20.0]),
+    (SI_EPSBAR1, "both", [0.015, 0.05, 0.12]),
+    (SI_PAPER, "both", [0.02, 0.2, 1.0])],
+    ids=["15-100mK", "te-20K", "si-fig2-15-120mK", "20mK-1K"])
+def test_layout_matches_the_doubled_order_table(material, pol, grid, monkeypatch):
     # the table's quadrature error: 4e-13 at most on these cases; 8 nodes
-    # per u-panel or u_lo = 1e-5 xm1(T_min) would fail
-    template = PlateSystem(1e-6, 1.0, SI_PAPER, Polarization(pol))
+    # per u-panel, u_lo = 1e-5 xm1(T_min) or 6 nodes per far x-panel would fail
+    template = PlateSystem(1e-6, 1.0, material, Polarization(pol))
     table = delta_f_table(template, grid)
     ref = _doubled_order_table(template, grid, monkeypatch)
     for p in template.polarization.modes():
@@ -116,3 +123,20 @@ def test_table_makes_300_h_on_the_tm_sweep_grid(monkeypatch):
     monkeypatch.setattr(abel_plana, "_h", spy)
     delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
     assert len(calls) == 300
+
+
+def test_table_walks_at_most_330000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
+    # 16 nodes per x-panel only near the integrand's scales and past x = 1,
+    # under high Bose weight; 8 elsewhere.  With 16 everywhere this grid
+    # walks 511,712 x-nodes.
+    x_nodes = abel_plana._x_nodes
+    count = [0]
+
+    def spy(*args):
+        nodes = x_nodes(*args)
+        count[0] += len(nodes)
+        return nodes
+
+    monkeypatch.setattr(abel_plana, "_x_nodes", spy)
+    delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
+    assert count[0] <= 330_000
