@@ -29,12 +29,16 @@ where on the imaginary axis expm1(-iy) = -2 sin^2(y/2) - i sin y.  Only
 Im L enters H: the phase of the log's argument.  TM and TE share s at
 each node.
 
-Layout.  Both pieces start at x_lo = 1e-7 min(u, |sqrt(w)|, u / sqrt|eps|),
-the smallest of the integrand's three scales.  The imaginary-axis piece
-has panels that halve from u down to x_lo.  The real-axis piece has
-panels that halve from 1 down to x_lo, then width-2 panels from 1 to 45
-(e^-45 = 2.9e-20): `lifshitz`'s real-axis panels, which F(0) walks from
-x = y as well.  TE has a branch
+Layout.  With s_min = min(u, |sqrt(w)|, u / sqrt|eps|), the smallest of
+the integrand's three scales, both pieces start at X = 0 with one panel
+[0, s_min].  z = 1 - r^2 - r^2 expm1(-X) has a simple zero at X = 0, so
+Im L = arg X + arg(z / X): a constant on each path (0 or pi/2) plus a
+function smooth on the scale s_min, which that one panel takes whole.  So
+no x is cut off, and no panel is halved toward 0.  Above it the
+imaginary-axis piece has panels that halve from u down to s_min, and the
+real-axis piece has panels that halve from 1 down to s_min (none when
+s_min >= 1), then width-2 panels from 1 to 45 (e^-45 = 2.9e-20):
+`lifshitz`'s real-axis panels, which F(0) walks from x = y as well.  TE has a branch
 point at x* = sqrt(w); where 4 |Im x*| < Re x* < 45 it sits close to the
 real axis, and the panels, halving or width-2, within Re x*/4 of it are
 replaced by panels that cluster on Re x* from both sides, their edges at
@@ -53,25 +57,24 @@ leaves in dF grows with u_lo: about as u_lo^{3/2} on si-fig2 at
 
 Node orders.  An x-panel has 16 Gauss-Legendre nodes where it reaches
 past x = 1 or comes within a factor 16 of one of the three scales
-(a < 16 s and 16 b > s for the panel [a, b]), in a u-panel whose top
-edge is above 1e-3 xm1(T_min).  Every other x-panel has 8: the halving
-panels between the scales, and all of the x-panels of the u-panels
-below 1e-3 xm1(T_min).  Those u-panels carry 3e-3 of dF at T_min and
-less above it, and there H's two pieces do not cancel (on si-paper at
-u = 1e-11 the imaginary one is 4e-15 of H for TM and 6e-9 for TE), so a
-panel's error enters dF only through its own size and its Bose weight.  On the
-15-120 mK TM sweep that is 322,344 x-nodes for 300 H, where 16 nodes
-everywhere walk 511,712.  Against the same table at doubled orders (32
-nodes on every x-panel, 24 per u-panel, u_lo = 1e-9 xm1(T_min) and
-x_lo = 1e-9 of the smallest scale) dF agrees within 4e-13 relative on
-si-paper and si-fig2 at 2 mK-1 K (at most 2.0e-13 for TM and 1.4e-13
-for TE on the 20 mK-1 K preset grids), on si-paper TM down to 10 uK and
-on si-paper TE at 20 K.  8 nodes per u-panel would give up to 6.3e-12,
-and 6 nodes per far x-panel up to 1.4e-11 (TM) and 8.9e-11 (TE).  The
-4e-13 holds on those cases only.  Elsewhere, as with 16 nodes on every
-x-panel, dF is off by up to 1.5e-11 on si-paper TM at 20 K (the head),
+(a < 16 s and 16 b > s for the panel [a, b], so always on [0, s_min]),
+in a u-panel whose top edge is above 1e-3 xm1(T_min).  Every other
+x-panel has 8: the halving panels between the scales, and all of the
+x-panels of the u-panels below 1e-3 xm1(T_min).  Those u-panels carry
+3e-3 of dF at T_min and less above it, and there H's two pieces do not
+cancel (on si-paper at u = 1e-11 the imaginary one is 4e-15 of H for TM
+and 6e-9 for TE), so a panel's error enters dF only through its own size
+and its Bose weight.  On the 15-120 mK TM sweep that is 207,008 x-nodes
+for 300 H.  Against the same table at doubled orders (32 nodes on every
+x-panel, 24 per u-panel and u_lo = 1e-9 xm1(T_min), its x-paths from
+X = 0 too) dF agrees within 4e-13 relative on si-paper and si-fig2 at
+2 mK-1 K (at most 2.0e-13 for TM, on si-paper at 15-120 mK), on
+si-paper TM down to 10 uK and on si-paper TE at 20 K (3.6e-13).  8 nodes
+per u-panel would give up to 6.3e-12, and 6 nodes per far x-panel up to
+1.4e-11 (TM) and 8.9e-11 (TE).  The 4e-13 holds on those cases only.
+Elsewhere dF is off by up to 1.5e-11 on si-paper TM at 20 K (the head),
 5.1e-12 (TM) and 2.1e-11 (TE) on si-fig2 at 20 K, 1.0e-11 on TE at
-a = 10 um and 0.02-1 K, 1.7e-12 on TE at a = 0.1 um, 3.9e-12 on TE at
+a = 10 um and 0.02-1 K, 1.7e-12 on TE at a = 0.1 um, 4.0e-12 on TE at
 4 pi sigma = 1e10 s^-1 and 6.9e-13 on TM at 4 pi sigma = 1e14 s^-1.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
@@ -104,7 +107,6 @@ _NX_FAR = 8       # per x-panel away from them, and under low Bose weight
 _BAND = 16        # factor around each scale within which an x-panel is near it
 _LOW_WEIGHT = 1e-3  # share of xm1(T_min) up to which a u-panel's weight is low
 _NU = 10          # Gauss-Legendre nodes per u-panel
-_X_LO = 1e-7      # share of the integrand's smallest scale where the x-panels start
 _U_LO = 1e-7      # share of xm1(T_min) where the u-panels start
 _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
 
@@ -129,10 +131,10 @@ def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
     def rule(a, b):
         return near if b > 1 or any(a < _BAND * x and _BAND * b > x for x in scales) else far
 
-    x_lo = _X_LO * min(scales)
-    edges = _halvings(u, x_lo)
+    s_min = min(scales)
+    edges = [0.0] + _halvings(u, s_min)
     nodes = [n for a, b in zip(edges, edges[1:]) for n in _imaginary_axis_nodes(a, b, rule(a, b))]
-    edges = _real_axis_edges(x_lo)
+    edges = [0.0] + _real_axis_edges(s_min)
     c, im = root.real, abs(root.imag)
     if 4 * im < c < _X_END:
         edges = [e for e in edges if abs(e - c) >= c / 4] + [c]

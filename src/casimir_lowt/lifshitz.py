@@ -161,11 +161,12 @@ def _real_axis_nodes(a, b, gl) -> list:
 
 def _halvings(top, lo) -> list:
     """Ascending panel edges lo, ..., top/4, top/2, top: each panel but the
-    first is half of the next."""
+    first is half of the next.  Just [top], no panel, when lo >= top."""
     edges = [top]
     while edges[-1] / 2 > lo:
         edges.append(edges[-1] / 2)
-    edges.append(lo)
+    if edges[-1] > lo:
+        edges.append(lo)
     return edges[::-1]
 
 

@@ -1,6 +1,7 @@
 """Core free-energy numerics: mode integrals, Matsubara summation, the
 sum-minus-integral correction, and their limiting cases."""
 
+import math
 from functools import lru_cache
 
 import mpmath
@@ -406,6 +407,17 @@ def test_g_below_x_one_matches_refined_panels(xmin):
     g, = oracles._g_at_frequency(sys_, zeta, ("te",))
     ref, = oracles._g_at_frequency(fine, zeta, ("te",))
     assert abs(g / ref - 1) < 1e-14
+
+
+@pytest.mark.parametrize("lo, edges", [
+    (1.0, [1.0]),
+    (2.0, [1.0]),
+    (math.nextafter(0.5, 0), [math.nextafter(0.5, 0), 0.5, 1.0])],
+    ids=["lo-is-top", "lo-above-top", "lo-just-under-half"])
+def test_halvings_makes_only_positive_width_panels(lo, edges):
+    # the Abel-Plana table halves from u down to the integrand's smallest
+    # scale, which can be u itself: then there is no panel, not [u, u]
+    assert lifshitz._halvings(1.0, lo) == edges
 
 
 @pytest.mark.parametrize("T", [0.015, 0.85])
