@@ -45,37 +45,30 @@ replaced by panels that cluster on Re x* from both sides, their edges at
 distances halving from Re x*/4 down to |Im x*|.  The layout is the same
 whichever polarizations are asked for, and each polarization has its own
 running sum, so each one's values are bit-identical whether it is
-computed alone or with the other.  The u-panels have 10 nodes each and
-double from u_lo = 1e-7 xm1(T_min) to past 8 xm1(T_max) (the weight
-there is e^{-16 pi} = 1.4e-22 or less); the piece on [0, u_lo] is added
-in closed form, h1 (u_lo xm1 / (2 pi) - u_lo^2 / 4) with h1 = H(u_1)/u_1
-at the first node.  That head takes H as linear in u, and the error it
-leaves in dF grows with u_lo: about as u_lo^{3/2} on si-fig2 at
-0.02-1 K (3e-14, 8e-13 and 3.4e-11 relative at u_lo = 1e-7, 1e-6 and
-1e-5 xm1(T_min)), about as u_lo^2 on si-paper TE at 20 K (3.8e-13,
-2.9e-11 and 2.6e-9).
+computed alone or with the other.  The u-path starts at u = 0 with one
+panel on [0, u_0], u_0 = 2^-10 xm1(T_min), in v = sqrt(u): nodes v^2,
+weights 2 v w, as on F(0)'s first y-panel.  H's u, u^{3/2} and u^2 terms
+times the Bose weight are polynomials in v there, so that one panel takes
+H's small-u structure whole, whatever its basis, and no u is cut off.
+Panels of 10 nodes then double from u_0 to past 8 xm1(T_max) (the weight
+there is e^{-16 pi} = 1.4e-22 or less).
 
 Node orders.  An x-panel has 16 Gauss-Legendre nodes where it reaches
 past x = 1 or comes within a factor 16 of one of the three scales
 (a < 16 s and 16 b > s for the panel [a, b], so always on [0, s_min]),
-in a u-panel whose top edge is above 1e-3 xm1(T_min).  Every other
-x-panel has 8: the halving panels between the scales, and all of the
-x-panels of the u-panels below 1e-3 xm1(T_min).  Those u-panels carry
-3e-3 of dF at T_min and less above it, and there H's two pieces do not
-cancel (on si-paper at u = 1e-11 the imaginary one is 4e-15 of H for TM
-and 6e-9 for TE), so a panel's error enters dF only through its own size
-and its Bose weight.  On the 15-120 mK TM sweep that is 207,008 x-nodes
-for 300 H.  Against the same table at doubled orders (32 nodes on every
-x-panel, 24 per u-panel and u_lo = 1e-9 xm1(T_min), its x-paths from
-X = 0 too) dF agrees within 4e-13 relative on si-paper and si-fig2 at
-2 mK-1 K (at most 2.0e-13 for TM, on si-paper at 15-120 mK), on
-si-paper TM down to 10 uK and on si-paper TE at 20 K (3.6e-13).  8 nodes
-per u-panel would give up to 6.3e-12, and 6 nodes per far x-panel up to
-1.4e-11 (TM) and 8.9e-11 (TE).  The 4e-13 holds on those cases only.
-Elsewhere dF is off by up to 1.5e-11 on si-paper TM at 20 K (the head),
-5.1e-12 (TM) and 2.1e-11 (TE) on si-fig2 at 20 K, 1.0e-11 on TE at
-a = 10 um and 0.02-1 K, 1.7e-12 on TE at a = 0.1 um, 4.0e-12 on TE at
-4 pi sigma = 1e10 s^-1 and 6.9e-13 on TM at 4 pi sigma = 1e14 s^-1.
+and 8 elsewhere, on the halving panels between the scales; every H takes
+the same rules.  The [0, u_0] panel has 16 nodes too: with 10 it leaves
+1.1e-11 on si-paper TM at 20 K.  On the 15-120 mK TM sweep that is
+134,888 x-nodes for 176 H.  Against the same table at doubled orders (32
+and 16 nodes per x-panel, 32 on [0, u_0], 24 per u-panel and u_0 =
+2^-20 xm1(T_min)) dF agrees within 6e-13 relative on si-paper and
+si-fig2 at 2 mK-1 K (at most 5.1e-13, si-paper TE at 0.8-1 K; 1.9e-13
+for TM), on si-paper TM down to 10 uK (2.9e-13) and on si-paper TE at
+20 K (3.1e-14).  8 nodes per u-panel would give up to 1.3e-11, and 6
+nodes per far x-panel up to 1.5e-11 (TM) and 8.6e-11 (TE).  The 6e-13
+holds on those cases only.  Elsewhere dF is off by up to 1.1e-12 on
+si-paper TM at 20 K, 3.2e-13 on si-fig2 TM at 20 K, 7.6e-12 on TE at
+a = 10 um and 0.02-1 K and 6.2e-13 on TE at 4 pi sigma = 1e10 s^-1.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
 precision; the Gauss-Legendre rules are `lifshitz.gauss_legendre`, the
@@ -100,14 +93,14 @@ import math
 from .constants import float_constants
 from .dielectric import PermittivityMode, permittivity
 from .lifshitz import (_X_END, PlateSystem, PrecisionError, _halvings, _panel,
-                       _real_axis_edges, _real_axis_panels, gauss_legendre)
+                       _real_axis_edges, _real_axis_panels, _sqrt_panel,
+                       gauss_legendre)
 
 _NX = 16          # Gauss-Legendre nodes per x-panel near the integrand's scales
-_NX_FAR = 8       # per x-panel away from them, and under low Bose weight
+_NX_FAR = 8       # per x-panel away from them
 _BAND = 16        # factor around each scale within which an x-panel is near it
-_LOW_WEIGHT = 1e-3  # share of xm1(T_min) up to which a u-panel's weight is low
 _NU = 10          # Gauss-Legendre nodes per u-panel
-_U_LO = 1e-7      # share of xm1(T_min) where the u-panels start
+_U_0 = 2 ** -10   # share of xm1(T_min) where the sqrt(u) panel [0, u_0] ends
 _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
 
 
@@ -217,29 +210,25 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
 
     near, far, gl_u = gauss_legendre(_NX), gauss_legendre(_NX_FAR), gauss_legendre(_NU)
     fixed = {}
-    u_lo, u_hi = _U_LO * xm1(min(ts)), _U_HI * xm1(max(ts))
-    u_low = _LOW_WEIGHT * xm1(min(ts))
-    nodes, hs = [], {pol: [] for pol in pols}
-    b = u_lo
+    u_0, u_hi = _U_0 * xm1(min(ts)), _U_HI * xm1(max(ts))
+    nodes, b = _sqrt_panel(u_0, near), u_0
     while b < u_hi:
-        gl_x = (near, far) if 2 * b > u_low else (far, far)
-        for u, wt in _panel(b, 2 * b, gl_u):
-            eps = permittivity(mat, complex(0, u * k.c / (2 * a)))
-            for pol, h in zip(pols, _h(u, eps, pols, gl_x, fixed)):
-                if not math.isfinite(h):
-                    raise PrecisionError(f"{pol}: H(u = {u:.6g}) = {h} in the Abel-Plana table")
-                hs[pol].append(h)
-            nodes.append((u, wt))
+        nodes += _panel(b, 2 * b, gl_u)
         b *= 2
+    hs = {pol: [] for pol in pols}
+    for u, _ in nodes:
+        eps = permittivity(mat, complex(0, u * k.c / (2 * a)))
+        for pol, h in zip(pols, _h(u, eps, pols, (near, far), fixed)):
+            if not math.isfinite(h):
+                raise PrecisionError(f"{pol}: H(u = {u:.6g}) = {h} in the Abel-Plana table")
+            hs[pol].append(h)
 
     table = {}
     for pol, h in hs.items():
-        h1 = h[0] / nodes[0][0]
         table[pol] = []
         for T in ts:
             x1 = xm1(T)
-            head = h1 * (u_lo * x1 / (2 * math.pi) - u_lo * u_lo / 4)
-            gamma = -2 / x1 * math.fsum([head] + [wt * hv * _bose(2 * math.pi * u / x1)
-                                                  for (u, wt), hv in zip(nodes, h)])
+            gamma = -2 / x1 * math.fsum([wt * hv * _bose(2 * math.pi * u / x1)
+                                         for (u, wt), hv in zip(nodes, h)])
             table[pol].append(k.k_B * T / (8 * math.pi * a * a) * gamma)
     return table

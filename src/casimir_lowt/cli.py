@@ -171,13 +171,13 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
     polarization on stderr; with check (`rdiag --assert`), exit 1 unless
     the TM |R(T_min)| < 0.05 and |dR/dT| < 0.5 /K."""
     pols = Polarization(cfg.polarization).modes()
-    sigma = cfg.material.four_pi_sigma
-    # at sigma = 0 (the ideal metal too) r_curve refuses the sweep: no data follows
-    if "te" in pols and sigma > 0 and alpha_param(cfg.separation_m, sigma) < mpf("0.05"):
+    records = diagnostics.r_curve(_system(cfg, 1.0), cfg.grid(), cfg.polarization)
+    # only now: r_curve refuses some sweeps (sigma = 0, a resonance inside
+    # the table), and no data follows those
+    if "te" in pols and alpha_param(cfg.separation_m, cfg.material.four_pi_sigma) < mpf("0.05"):
         print("warning: TE R-diagnostic unfeasible at small alpha "
               "(correction terms nearly degenerate); data emitted anyway",
               file=sys.stderr)
-    records = diagnostics.r_curve(_system(cfg, 1.0), cfg.grid(), cfg.polarization)
     failures = []
     for pol in pols:
         curve = [r for r in records if r.pol == pol]

@@ -154,6 +154,13 @@ def _panel(a, b, gl) -> list:
     return [(mid + h * t, h * wt) for t, wt in gl]
 
 
+def _sqrt_panel(top, gl) -> list:
+    """(node, weight) of the float Gauss-Legendre panel [0, top] in v =
+    sqrt(node): nodes v^2, weights 2 v w.  A term node^{k/2} of the
+    integrand is a polynomial in v there."""
+    return [(v * v, 2 * v * wt) for v, wt in _panel(0.0, math.sqrt(top), gl)]
+
+
 def _real_axis_nodes(a, b, gl) -> list:
     """(weight x, X, X^2, expm1(-X)) at the nodes of [a, b] on the real axis."""
     return [(wt * x, x, x * x, math.expm1(-x)) for x, wt in _panel(a, b, gl)]
@@ -258,8 +265,9 @@ def _matsubara_sum(system: PlateSystem, pols) -> tuple[dict, int, int]:
 
 
 def free_energy(system: PlateSystem) -> FreeEnergyResult:
-    """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m), T > 0,
-    in float64 whatever the working precision.
+    """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m), T > 0:
+    a float64 value whatever the working precision, except the ideal
+    metal's closed form, an mpf at the working precision.
 
     One pass of the real-axis kernel over G at m = 1..M+3 and the tail
     nodes serves every polarization (`_matsubara_sum`): the
@@ -288,14 +296,18 @@ def delta_f_direct(system: PlateSystem) -> dict:
 
     A dielectric's is `abel_plana.delta_f_table` at the one temperature,
     which raises ValueError, before any H is computed, at sigma = 0 and for
-    an oscillator resonance inside the table.  The ideal metal's is
-    F - F(0): `free_energy` (Brown-Maclay's closed form up to
-    IDEAL_METAL_TAU_MAX, above it the float64 sum, whose error there is
-    below the closed form's dropped e^{-2 pi / tau} terms) minus the
-    closed-form F(0), half per polarization.
+    an oscillator resonance inside the table.  The ideal metal's is half of
+    Brown-Maclay's dF per polarization up to IDEAL_METAL_TAU_MAX, an mpf at
+    the working precision, and F - F(0) above it: the float64 sum, whose
+    error there is below the closed form's dropped e^{-2 pi / tau} terms,
+    minus the closed-form F(0).  (F - F(0) below it would cancel the 10.5
+    digits of F(0)/dF = 3.2e10 at 0.3 K.)
     """
     _require_positive_t(system)
     if system.material.mode is PermittivityMode.IDEAL_METAL:
+        forms = ideal_metal(system.separation_a, system.temperature_T)
+        if forms:
+            return {pol: forms[1] / 2 for pol in system.polarization.modes()}
         f0 = ideal_metal(system.separation_a, 0)[0] / 2
         return {pol: f - f0 for pol, f in free_energy(system).per_mode.items()}
     from .abel_plana import delta_f_table   # abel_plana imports this module
@@ -331,8 +343,7 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
     spec = system.quadrature
     knee = min(2 * a * mat.four_pi_sigma / k.c, 1.0) if mat.four_pi_sigma > 0 else 1.0
     # (y, weight): v^2 panel on [0, knee], then doubling panels to _X_END
-    nodes = [(v * v, 2 * v * wt) for v, wt in _panel(0.0, math.sqrt(knee),
-                                                    gauss_legendre(spec.nm_unit))]
+    nodes = _sqrt_panel(knee, gauss_legendre(spec.nm_unit))
     gl_geo = gauss_legendre(spec.nm_geo)
     b = knee
     while b < _X_END:

@@ -80,16 +80,14 @@ def test_nan_h_raises_precision_error(nan_table):
 
 
 def _doubled_order_table(template, grid, monkeypatch):
-    # the same table with every node order doubled, every u-panel's x-panels
-    # laid out as under high Bose weight, and the u-panels started 100 times
-    # lower, so its head error drops at least 1000-fold; its x-paths start at
-    # 0 as the stock table's do
+    # the same table with every node order doubled (the sqrt(u) panel's
+    # too) and the sqrt(u) panel ended 1024 times lower; its x-paths start
+    # at 0 as the stock table's do
     with monkeypatch.context() as m:
         m.setattr(abel_plana, "_NX", 32)
         m.setattr(abel_plana, "_NX_FAR", 16)
-        m.setattr(abel_plana, "_LOW_WEIGHT", 0.0)
         m.setattr(abel_plana, "_NU", 24)
-        m.setattr(abel_plana, "_U_LO", 1e-9)
+        m.setattr(abel_plana, "_U_0", 2 ** -20)
         return delta_f_table(template, grid)
 
 
@@ -100,8 +98,8 @@ def _doubled_order_table(template, grid, monkeypatch):
     (SI_PAPER, "both", [0.02, 0.2, 1.0])],
     ids=["15-100mK", "te-20K", "si-fig2-15-120mK", "20mK-1K"])
 def test_layout_matches_the_doubled_order_table(material, pol, grid, monkeypatch):
-    # the table's quadrature error: 4e-13 at most on these cases; 8 nodes
-    # per u-panel, u_lo = 1e-5 xm1(T_min) or 6 nodes per far x-panel would fail
+    # the table's quadrature error: 6e-13 at most on these cases; 8 nodes
+    # per u-panel or 6 nodes per far x-panel would fail
     template = PlateSystem(1e-6, 1.0, material, Polarization(pol))
     table = delta_f_table(template, grid)
     ref = _doubled_order_table(template, grid, monkeypatch)
@@ -111,20 +109,20 @@ def test_layout_matches_the_doubled_order_table(material, pol, grid, monkeypatch
 
 
 @pytest.mark.parametrize("a, material, pol, grid, bound", [
-    (1e-6, SI_PAPER, "tm", [20.0], {"tm": 3e-11}),
-    (1e-6, SI_EPSBAR1, "both", [20.0], {"tm": 1e-11, "te": 4e-11}),
-    (1e-5, SI_PAPER, "te", [0.02, 1.0], {"te": 2e-11}),
-    (1e-7, SI_PAPER, "te", [0.02, 1.0], {"te": 3.5e-12}),
+    (1e-6, SI_PAPER, "tm", [20.0], {"tm": 2.5e-12}),
+    (1e-6, SI_EPSBAR1, "both", [20.0], {"tm": 7e-13, "te": 2e-14}),
+    (1e-5, SI_PAPER, "te", [0.02, 1.0], {"te": 1.5e-11}),
+    (1e-7, SI_PAPER, "te", [0.02, 1.0], {"te": 8e-15}),
     (1e-6, DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e10), "te", [0.02, 1.0],
-     {"te": 8e-12}),
+     {"te": 1.3e-12}),
     (1e-6, DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e14), "tm", [0.02, 1.0],
-     {"tm": 1.4e-12})],
+     {"tm": 2e-13})],
     ids=["tm-20K", "si-fig2-20K", "te-a-10um", "te-a-0.1um", "te-sigma-1e10", "tm-sigma-1e14"])
 def test_off_the_presets_the_table_stays_within_its_measured_error(a, material, pol, grid,
                                                                    bound, monkeypatch):
     # about twice the measured difference from the doubled-order table:
-    # 1.47e-11 (the linear head), 5.1e-12 and 2.1e-11, 1.0e-11, 1.7e-12,
-    # 4.0e-12 and 6.9e-13, where the presets' is at most 4e-13
+    # 1.1e-12, 3.2e-13 and 9.8e-15, 7.6e-12, 3.8e-15, 6.2e-13 and 9.6e-14,
+    # where the presets' is at most 6e-13
     template = PlateSystem(a, 1.0, material, Polarization(pol))
     table = delta_f_table(template, grid)
     ref = _doubled_order_table(template, grid, monkeypatch)
@@ -133,10 +131,11 @@ def test_off_the_presets_the_table_stays_within_its_measured_error(a, material, 
             assert abs(table[p][k] / ref[p][k] - 1) < tol, (p, T)
 
 
-def test_table_makes_300_h_on_the_tm_sweep_grid(monkeypatch):
-    # 10 u-nodes per doubling panel from 1e-7 xm1(15 mK) past 8 xm1(120 mK):
-    # 30 panels.  Only the grid's ends set the panels, so the interior
-    # points of a sweep move nothing.
+def test_table_makes_176_h_on_the_tm_sweep_grid(monkeypatch):
+    # 16 u-nodes on the sqrt(u) panel up to 2^-10 xm1(15 mK), then 10 per
+    # doubling panel past 8 xm1(120 mK) = 2^6 xm1(15 mK): 16 panels.  Only
+    # the grid's ends set the panels, so the interior points of a sweep
+    # move nothing.
     h = abel_plana._h
     calls = []
 
@@ -146,13 +145,13 @@ def test_table_makes_300_h_on_the_tm_sweep_grid(monkeypatch):
 
     monkeypatch.setattr(abel_plana, "_h", spy)
     delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
-    assert len(calls) == 300
+    assert len(calls) == 176
 
 
-def test_table_walks_at_most_210000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
+def test_table_walks_at_most_140000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
     # 16 nodes per x-panel only near the integrand's scales and past x = 1,
-    # under high Bose weight; 8 elsewhere; one panel on [0, s_min] below the
-    # smallest scale, not halvings down to a fraction of it: 207,008 x-nodes.
+    # 8 elsewhere; one panel on [0, s_min] below the smallest scale, not
+    # halvings down to a fraction of it; 176 H: 134,888 x-nodes.
     x_nodes = abel_plana._x_nodes
     count = [0]
 
@@ -163,4 +162,4 @@ def test_table_walks_at_most_210000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
 
     monkeypatch.setattr(abel_plana, "_x_nodes", spy)
     delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
-    assert count[0] <= 210_000
+    assert count[0] <= 140_000

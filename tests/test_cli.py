@@ -201,8 +201,8 @@ def test_preset_sweep_warns_once_per_polarization(monkeypatch, capsys):
     assert len(captured.out.splitlines()) == 87
     assert [line.split(" (")[0].split(" > ")[0] for line in captured.err.splitlines()
             if line.startswith("warning: ")] == [
-        "warning: TE R-diagnostic unfeasible at small alpha",
-        "warning: t = 0.8226", "warning: t = 0.8226"]
+        "warning: t = 0.8226", "warning: t = 0.8226",
+        "warning: TE R-diagnostic unfeasible at small alpha"]
 
 
 def test_sweep_prints_tm_fit_summary(tmp_path, capsys):
@@ -326,6 +326,21 @@ def test_refused_sweep_prints_only_its_error(source, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def test_sweep_refused_by_the_table_prints_no_data_warning(tmp_path, capsys):
+    # alpha = 6.7e-3 is small, and omega0 = 1e12 s^-1 lies inside the table
+    # (8 zeta_1(0.2 K) = 1.3e12 s^-1): the table refuses the sweep, so the
+    # t-regime warnings and the error follow, but no "data emitted anyway"
+    p = tmp_path / "inside.ini"
+    p.write_text(CHEAP_TM.replace("omega0 = 8e15", "omega0 = 1e12")
+                 .replace("temperatures = 0.5 0.7", "temperatures = 0.02 0.2"))
+    assert main(["sweep", "--config", str(p), "--pol", "both", "--no-timestamp"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data emitted anyway" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("error: omega0 = ")
+    assert captured.err.endswith("inside the Abel-Plana table\n")
 
 
 def test_asymptotics_of_the_ideal_metal_is_config_error(capsys):

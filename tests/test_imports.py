@@ -1,7 +1,8 @@
 """Every name a module of the package or of the tests imports is used in
 that module, the package's numerics do without mpmath's raw `libmp`
 layer and without a module-global cache, the CLI starts without numpy or
-scipy, in one OS thread, and the bench's set-up and span targets resolve.
+scipy, in one OS thread, the bench's set-up and span targets resolve, and
+one round of each gated bench workload passes its checks.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
 import statement whose line carries `# noqa: F401` is exempt, and a name
@@ -125,3 +126,18 @@ def test_bench_setup_code_runs():
     spec.loader.exec_module(run)
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     subprocess.run([sys.executable, "-c", run.SETUP_CODE], env=env, check=True, timeout=120)
+
+
+def test_bench_workloads_pass_one_round(monkeypatch):
+    # one untraced round of each gated workload at seed 0, as bench/run.py
+    # runs it: a change to the table, F or F(0) that fails the bench's R,
+    # fit or F(0) checks fails here, not in a later bench run
+    monkeypatch.syspath_prepend(str(BENCH))   # workloads imports checks by name
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name in ("tm-lowT-sweep", "energy-highT"):
+        ops, _ = workloads.run_round(workloads.WORKLOADS[name], 0)
+        assert ops
+        assert [(op.name, op.error) for op in ops if not op.ok] == [], name

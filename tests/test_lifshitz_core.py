@@ -205,6 +205,17 @@ def test_ideal_metal_delta_f_is_brown_maclay(T):
     assert res["tm"] == res["te"]
 
 
+def test_ideal_metal_delta_f_keeps_its_digits_at_20_digits():
+    # F(0)/dF = 3.2e10 at 0.3 K: dF taken as F - F(0) at 20 digits was
+    # 1.3e-11 off its 33-digit value
+    sys_ = PlateSystem(1e-6, 0.3, IDEAL_METAL)
+    at_33 = delta_f_direct(sys_)
+    mp.dps = 20
+    at_20 = delta_f_direct(sys_)
+    for pol in ("tm", "te"):
+        assert abs(at_20[pol] / at_33[pol] - 1) < 1e-18, pol
+
+
 @pytest.mark.parametrize("T", [300.0, 600.0])
 def test_ideal_metal_delta_f_above_the_tau_bound_is_the_scan(T, monkeypatch):
     # tau = 0.26 and 0.52: Brown-Maclay drops terms of order e^{-2 pi/tau},
