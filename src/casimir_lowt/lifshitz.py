@@ -17,8 +17,7 @@ endpoint terms (7-point finite-difference derivatives at M), and the
 m-integral over [M, inf) on doubling panels that end where m xm1 reaches
 x = 45, past which G is exactly 0; the parts are added with `math.fsum`.
 F(0) (`zero_temperature_energies`) is the y-integral of G.  The ideal
-metal, where r^2 = 1 in both modes, needs no x-integral: its G is
--[y Li_2(e^{-y}) + Li_3(e^{-y})] in both, which is -zeta(3) at m = 0.
+metal's F, F(0) and dF are the closed forms of `asymptotics.ideal_metal`.
 
 The thermal correction is the sum-minus-integral difference
 
@@ -26,10 +25,9 @@ The thermal correction is the sum-minus-integral difference
 
 which a sum and an integral taken apart give only after cancelling 4.7
 to 7.9 leading digits on si-paper.  `delta_f_direct` takes it from
-`abel_plana`'s table at one temperature, which cancels nothing, and the
-ideal metal's as F - F(0).  The 33-digit mode scan that takes the sum and
-the integral over [0, M] from the same g values is `tests/oracles.py`,
-the oracle of the table.
+`abel_plana`'s table at one temperature, which cancels nothing.  The
+33-digit mode scan that takes the sum and the integral over [0, M] from
+the same g values is `tests/oracles.py`, the oracle of the table.
 
 Each pass of the kernel serves every polarization the caller asks for:
 at each x node, x, e^{-x}, z = (y/x)^2 (eps - 1) and sqrt(1 + z) are
@@ -213,9 +211,9 @@ _M_LIMIT = 10 ** 5   # the largest cut-off M: F's sum evaluates G at m = 1..M+3 
 def _truncation_m(system: PlateSystem) -> int:
     # cutoff well into the regime where g(m) is smooth on unit-m scale;
     # for a conductor that means m t >~ 5 (past the knee of the pole term)
-    mat = system.material
-    if mat.mode is not PermittivityMode.IDEAL_METAL and mat.four_pi_sigma > 0:
-        t = reduced_temperature(system.temperature_T, mat.four_pi_sigma)
+    sigma = system.material.four_pi_sigma
+    if sigma > 0:
+        t = reduced_temperature(system.temperature_T, sigma)
         M = max(30, int(mp.ceil(5 / t)))
         if M > _M_LIMIT:
             raise ValueError(f"cut-off M = {M} at t = {mpmath.nstr(t, 4)} exceeds {_M_LIMIT}; "
@@ -266,25 +264,22 @@ def _matsubara_sum(system: PlateSystem, pols) -> tuple[dict, int, int]:
 
 def free_energy(system: PlateSystem) -> FreeEnergyResult:
     """Total free energy per unit area, F = k_B T/(8 pi a^2) sum' g(m), T > 0:
-    a float64 value whatever the working precision, except the ideal
-    metal's closed form, an mpf at the working precision.
+    a float64 value whatever the working precision; the ideal metal's an mpf at it.
 
     One pass of the real-axis kernel over G at m = 1..M+3 and the tail
     nodes serves every polarization (`_matsubara_sum`): the
     endpoint-corrected sum to the cut-off M plus the tail integral over
     [M, inf); `g_evals` is M + 4 (the integers, m = 0 in closed form) plus
     the tail nodes.  A G that is not finite is a PrecisionError.  The ideal
-    metal needs no sum where `asymptotics.ideal_metal` serves: F is its
-    F(0) + dF, half per polarization (g_evals and m_truncation 0); above
-    that tau its G is the closed form in 53 bits.
+    metal makes no sum at any T: F is `asymptotics.ideal_metal`'s F(0) +
+    dF, half per polarization, with g_evals and m_truncation 0.
     """
     _require_positive_t(system)
     start = time.perf_counter()
     pols = system.polarization.modes()
-    forms = (system.material.mode is PermittivityMode.IDEAL_METAL
-             and ideal_metal(system.separation_a, system.temperature_T))
-    if forms:
-        per_mode, M, g_evals = {pol: (forms[0] + forms[1]) / 2 for pol in pols}, 0, 0
+    if system.material.mode is PermittivityMode.IDEAL_METAL:
+        f0, df = ideal_metal(system.separation_a, system.temperature_T)
+        per_mode, M, g_evals = {pol: (f0 + df) / 2 for pol in pols}, 0, 0
     else:
         per_mode, M, g_evals = _matsubara_sum(system, pols)
     return FreeEnergyResult(per_mode=per_mode, m_truncation=M, g_evals=g_evals,
@@ -297,19 +292,12 @@ def delta_f_direct(system: PlateSystem) -> dict:
     A dielectric's is `abel_plana.delta_f_table` at the one temperature,
     which raises ValueError, before any H is computed, at sigma = 0 and for
     an oscillator resonance inside the table.  The ideal metal's is half of
-    Brown-Maclay's dF per polarization up to IDEAL_METAL_TAU_MAX, an mpf at
-    the working precision, and F - F(0) above it: the float64 sum, whose
-    error there is below the closed form's dropped e^{-2 pi / tau} terms,
-    minus the closed-form F(0).  (F - F(0) below it would cancel the 10.5
-    digits of F(0)/dF = 3.2e10 at 0.3 K.)
+    `asymptotics.ideal_metal`'s dF per polarization, at the working precision.
     """
     _require_positive_t(system)
     if system.material.mode is PermittivityMode.IDEAL_METAL:
-        forms = ideal_metal(system.separation_a, system.temperature_T)
-        if forms:
-            return {pol: forms[1] / 2 for pol in system.polarization.modes()}
-        f0 = ideal_metal(system.separation_a, 0)[0] / 2
-        return {pol: f - f0 for pol, f in free_energy(system).per_mode.items()}
+        df = ideal_metal(system.separation_a, system.temperature_T)[1]
+        return {pol: df / 2 for pol in system.polarization.modes()}
     from .abel_plana import delta_f_table   # abel_plana imports this module
     table = delta_f_table(system, [system.temperature_T])
     return {pol: mpf(values[0]) for pol, values in table.items()}
@@ -358,22 +346,16 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
 
 def _real_axis_gs(system: PlateSystem, ys, pols, where: str) -> list:
     """(G(y) of each polarization in pols) at each y of ys, in float64: the
-    node loop of F and F(0).  For a dielectric, G is `_g_real_axis` with eps
-    = `permittivity` of the float zeta = y c / (2a); for the ideal metal,
-    -[y Li_2(e^-y) + Li_3(e^-y)] with the polylogs on 53 bits.  G is 0 from
-    y = _X_END on.  PrecisionError, naming `where`, when a G is not finite."""
+    node loop of F and F(0) of a dielectric: G is `_g_real_axis` with eps
+    = `permittivity` of the float zeta = y c / (2a), and 0 from y = _X_END
+    on.  PrecisionError, naming `where`, when a G is not finite."""
     mat = system.material
-    ideal = mat.mode is PermittivityMode.IDEAL_METAL
     c, a = float_constants().c, float(system.separation_a)
     gl, fixed = gauss_legendre(system.quadrature.nx), {}
     out = []
     for y in ys:
         if y >= _X_END:
             gs = (0.0,) * len(pols)
-        elif ideal:
-            with mp.workprec(53):
-                q = mpmath.exp(-y)
-                gs = (float(-(y * mpmath.polylog(2, q) + mpmath.polylog(3, q))),) * len(pols)
         else:
             gs = _g_real_axis(y, permittivity(mat, y * c / (2 * a)), pols, gl, fixed)
         for pol, g in zip(pols, gs):

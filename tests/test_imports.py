@@ -2,7 +2,7 @@
 that module, the package's numerics do without mpmath's raw `libmp`
 layer and without a module-global cache, the CLI starts without numpy or
 scipy, in one OS thread, the bench's set-up and span targets resolve, and
-one round of each gated bench workload passes its checks.
+one round of each bench workload passes its checks, untraced and traced.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
 import statement whose line carries `# noqa: F401` is exempt, and a name
@@ -102,15 +102,21 @@ def test_cli_does_not_import_scipy():
     assert out.stdout.splitlines() == ["[]", "1"]
 
 
-def test_bench_span_targets_resolve():
+def _bench_module(monkeypatch, name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_span_targets_resolve(monkeypatch):
     # bench/run.py wraps each (owner, attribute) of bench/spans.py's TARGETS
     # on these objects: a name the package drops fails here, not in a later
     # `bench/run.py --trace 1` run
     from casimir_lowt import asymptotics, diagnostics, lifshitz
 
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module(monkeypatch, "spans")
     owners = {"lifshitz": lifshitz, "diagnostics": diagnostics,
               "AsymptoticResult": asymptotics.AsymptoticResult}
     assert spans.TARGETS
@@ -118,26 +124,39 @@ def test_bench_span_targets_resolve():
             if not callable(getattr(owners[owner], attr, None))] == []
 
 
-def test_bench_setup_code_runs():
+def test_bench_setup_code_runs(monkeypatch):
     # bench/run.py times SETUP_CODE in fresh interpreters on src/: a name it
     # imports that the package renames fails here, not in a later bench run
-    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    run = _bench_module(monkeypatch, "run")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     subprocess.run([sys.executable, "-c", run.SETUP_CODE], env=env, check=True, timeout=120)
 
 
 def test_bench_workloads_pass_one_round(monkeypatch):
-    # one untraced round of each gated workload at seed 0, as bench/run.py
-    # runs it: a change to the table, F or F(0) that fails the bench's R,
-    # fit or F(0) checks fails here, not in a later bench run
+    # one round of each workload at seed 0, as bench/run.py runs it, once
+    # untraced and once under its tracer: a change to the table, F or F(0)
+    # that fails the bench's R, fit or F(0) checks, or to a function that
+    # bench/spans.py wraps, fails here, not in a later bench run
+    from casimir_lowt import asymptotics, diagnostics, lifshitz
+
     monkeypatch.syspath_prepend(str(BENCH))   # workloads imports checks by name
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    for name in ("tm-lowT-sweep", "energy-highT"):
-        ops, _ = workloads.run_round(workloads.WORKLOADS[name], 0)
-        assert ops
-        assert [(op.name, op.error) for op in ops if not op.ok] == [], name
+    workloads = _bench_module(monkeypatch, "workloads")
+    spans = _bench_module(monkeypatch, "spans")
+    fired = {"energy-highT": "lifshitz.free_energy.s",
+             "tm-lowT-sweep": "diagnostics.r_curve.s", "te-lowT-sweep": "diagnostics.r_curve.s"}
+    assert sorted(workloads.WORKLOADS) == sorted(fired)
+    for name, wl in workloads.WORKLOADS.items():
+        ops, _ = workloads.run_round(wl, 0)
+        tracer = spans.Tracer()
+        tracer.install({"lifshitz": lifshitz, "diagnostics": diagnostics,
+                        "AsymptoticResult": asymptotics.AsymptoticResult})
+        try:
+            tracer.start_round()
+            traced, _ = workloads.run_round(wl, 0)
+        finally:
+            tracer.remove()
+        for run in (ops, traced):
+            assert run
+            assert [(op.name, op.error) for op in run if not op.ok] == [], name
+        metrics = spans.layer_metrics(tracer.spans)
+        assert metrics[fired[name]][0] > 0, name

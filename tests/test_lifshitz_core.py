@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 from casimir_lowt import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
                           PlateSystem, Polarization, PrecisionError, QuadratureSpec,
                           delta_f_direct, free_energy, zero_temperature_energy)
-from casimir_lowt import abel_plana, lifshitz
+from casimir_lowt import abel_plana, asymptotics, lifshitz
 from casimir_lowt.constants import mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
 import oracles
@@ -216,16 +216,54 @@ def test_ideal_metal_delta_f_keeps_its_digits_at_20_digits():
         assert abs(at_20[pol] / at_33[pol] - 1) < 1e-18, pol
 
 
-@pytest.mark.parametrize("T", [300.0, 600.0])
+@pytest.mark.parametrize("T", [250.0, 300.0, 600.0])
 def test_ideal_metal_delta_f_above_the_tau_bound_is_the_scan(T, monkeypatch):
-    # tau = 0.26 and 0.52: Brown-Maclay drops terms of order e^{-2 pi/tau},
-    # 1.9e-9 and 1.9e-4 of dF here, so dF is the float sum's F minus the
-    # closed-form F(0); the oracle is the scan at M = 240
+    # tau = 0.22, 0.26 and 0.52: Brown-Maclay drops terms of order
+    # e^{-2 pi/tau}, 1.9e-9 of dF at 300 K, so dF is the n-sum's F minus the
+    # closed-form F(0); the oracle is the scan's F at M = 240 minus F(0).
+    # (The scan's own dF is 2.6-3.2e-17 off it here: its 48-node m-panel on
+    # [0, 1] in sqrt(m) leaves g's m^2 ln m head at that; 96 nodes, 6.8e-21.)
     res = delta_f_direct(PlateSystem(1e-6, T, IDEAL_METAL))
     monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
-    ref = delta_f_oracle(PlateSystem(1e-6, T, IDEAL_METAL, Polarization.TM))["tm"]
+    f = free_energy_oracle(PlateSystem(1e-6, T, IDEAL_METAL, Polarization.TM))["tm"]
+    ref = f - _brown_maclay(T)[0] / 2
     for pol in ("tm", "te"):
-        assert abs(res[pol] / ref - 1) < 1e-13, pol
+        assert abs(res[pol] / ref - 1) < 1e-28, pol
+
+
+def test_ideal_metal_closed_forms_agree_at_the_tau_bound():
+    # at IDEAL_METAL_TAU_MAX Brown-Maclay's dropped e^{-2 pi/tau} terms are
+    # 5.0e-17 of dF: the n-sum's F - F(0) takes over within 1e-16
+    k = mp_constants()
+    a, tau = mpf(1e-6), asymptotics.IDEAL_METAL_TAU_MAX
+    T = tau * k.hbar * k.c / (2 * a * k.k_B)
+    f0, df = asymptotics.ideal_metal(a, T)
+    f = asymptotics._ideal_metal_free_energy(a, k.k_B * T, tau)
+    assert abs((2 * f - f0) / df - 1) < 1e-16
+
+
+def test_ideal_metal_at_high_temperature_is_the_m_zero_mode():
+    # at 1e7 K (tau = 8.7e3) every mode but m = 0 is e^{-2 pi tau} small: F
+    # is its -zeta(3) k_B T / (16 pi a^2) per polarization
+    k = mp_constants()
+    a, T = mpf(1e-6), mpf(1e7)
+    res = free_energy(PlateSystem(1e-6, 1e7, IDEAL_METAL))
+    ref = -mpmath.zeta(3) * k.k_B * T / (16 * mpmath.pi * a ** 2)
+    for pol in ("tm", "te"):
+        assert abs(res.per_mode[pol] / ref - 1) < 1e-32, pol
+    assert res.g_evals == 0 and res.m_truncation == 0
+
+
+def test_ideal_metal_never_reaches_the_node_loop(monkeypatch):
+    # F and dF of the ideal metal are closed forms at every T: no G of the
+    # dielectric node loop, above the tau bound as below it
+    def no_gs(*args):
+        raise AssertionError("node loop called")
+
+    monkeypatch.setattr(lifshitz, "_real_axis_gs", no_gs)
+    sys_ = PlateSystem(1e-6, 300.0, IDEAL_METAL)
+    assert free_energy(sys_).total < 0
+    assert delta_f_direct(sys_)["tm"] < 0
 
 
 @pytest.mark.parametrize("T", [0.3, 1.0])
@@ -605,25 +643,36 @@ def test_free_energy_matches_the_oracle(material, T):
         assert abs(res.per_mode[pol] / ref[pol] - 1) < 1e-13, pol
 
 
-@pytest.mark.parametrize("T", [300.0, 600.0])
+@pytest.mark.parametrize("T", [250.0, 300.0, 600.0])
 def test_ideal_metal_free_energy_above_the_tau_bound_is_the_scan(T, monkeypatch):
-    # G in closed form on the float sum at M = 30, against the oracle at M = 240
+    # the n-sum, with no cut-off, against the oracle at M = 240
     res = free_energy(PlateSystem(1e-6, T, IDEAL_METAL))
     monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
     ref = free_energy_oracle(PlateSystem(1e-6, T, IDEAL_METAL))
     for pol in ("tm", "te"):
-        assert abs(res.per_mode[pol] / ref[pol] - 1) < 1e-13, pol
-    assert res.m_truncation == 30
+        assert abs(res.per_mode[pol] / ref[pol] - 1) < 1e-30, pol
+    assert res.m_truncation == 0 and res.g_evals == 0
 
 
-@pytest.mark.parametrize("case", [(0.85, SI_PAPER), (300.0, IDEAL_METAL)],
-                         ids=["si-paper", "ideal-metal-check"])
+@pytest.mark.parametrize("case", [(0.85, SI_PAPER)], ids=["si-paper"])
 def test_free_energy_is_float64_at_any_working_precision(case):
     sys_ = PlateSystem(1e-6, *case)
     at_33 = free_energy(sys_).per_mode
     assert all(v == float(v) for v in at_33.values())
     mp.dps = 20
     assert free_energy(sys_).per_mode == at_33
+
+
+def test_ideal_metal_free_energy_is_at_the_working_precision():
+    # the n-sum above the tau bound is an mpf at the working precision, as
+    # Brown-Maclay is below it
+    sys_ = PlateSystem(1e-6, 300.0, IDEAL_METAL)
+    at_33 = free_energy(sys_).per_mode
+    mp.dps = 20
+    at_20 = free_energy(sys_).per_mode
+    for pol in ("tm", "te"):
+        assert at_20[pol] != float(at_20[pol])
+        assert abs(at_20[pol] / at_33[pol] - 1) < 1e-18, pol
 
 
 def test_free_energy_never_calls_the_mode_scan_kernel(monkeypatch):
