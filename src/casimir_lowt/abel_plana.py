@@ -174,9 +174,11 @@ def _bose(q: float) -> float:
 
 
 def delta_f_table(template: PlateSystem, t_grid) -> dict:
-    """The thermal correction dF (J/m^2, float) at each temperature of
-    t_grid (K, positive) for each polarization of the template:
-    {pol: [dF per T]}, from one table of H.
+    """The thermal correction dF (J/m^2, float) and d(dF)/dT (J/(K m^2),
+    float) at each temperature of t_grid (K, positive) for each
+    polarization of the template: {pol: [(dF, d(dF)/dT) per T]}, from one
+    table of H.  Only the Bose weight b(q), q = 2 pi u / xm1, depends on
+    T, so d(dF)/dT is exact for the table's nodes: db/dT = b (1 + b) q / T.
 
     Raises ValueError, before any H is computed, for an empty grid, for a
     temperature that is not positive and finite, for the ideal metal, for
@@ -228,7 +230,11 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
         table[pol] = []
         for T in ts:
             x1 = xm1(T)
-            gamma = -2 / x1 * math.fsum([wt * hv * _bose(2 * math.pi * u / x1)
-                                         for (u, wt), hv in zip(nodes, h)])
-            table[pol].append(k.k_B * T / (8 * math.pi * a * a) * gamma)
+            qs = [2 * math.pi * u / x1 for u, _ in nodes]
+            bs = [_bose(q) for q in qs]
+            gamma = -2 / x1 * math.fsum([wt * hv * b for (_, wt), hv, b in zip(nodes, h, bs)])
+            d_gamma = -2 / x1 * math.fsum([wt * hv * b * (1 + b) * q / T for (_, wt), hv, q, b
+                                           in zip(nodes, h, qs, bs)])
+            pref = k.k_B * T / (8 * math.pi * a * a)
+            table[pol].append((pref * gamma, pref * d_gamma))
     return table

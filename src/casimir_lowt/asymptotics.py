@@ -67,6 +67,12 @@ class AsymptoticResult:
             t.coefficient * T ** (mpf(t.power_of_T.numerator) / t.power_of_T.denominator)
             for t in self.terms)
 
+    def derivative(self, temperature_k):
+        """d/dT of `evaluate`, term by term, J/(K m^2)."""
+        T = mpf(temperature_k)
+        ps = [mpf(t.power_of_T.numerator) / t.power_of_T.denominator for t in self.terms]
+        return mpmath.fsum(t.coefficient * p * T ** (p - 1) for t, p in zip(self.terms, ps))
+
     def coefficient(self, power) -> object:
         p = Fraction(power)
         return mpmath.fsum(t.coefficient for t in self.terms if t.power_of_T == p)

@@ -181,11 +181,9 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
     failures = []
     for pol in pols:
         curve = [r for r in records if r.pol == pol]
-        slope = _summary(cfg, curve, pol)
+        _summary(cfg, curve, pol)
         if check and pol == "tm":
-            if slope is None:
-                raise ValueError("--assert needs dR/dT at T_min, which this grid does not give")
-            r0 = curve[0].R
+            r0, slope = curve[0].R, curve[0].dR_dT
             if abs(r0) >= mpf("0.05"):
                 failures.append(f"tm: |R({fmt(curve[0].T)})| = {mpmath.nstr(abs(r0), 4)} >= 0.05")
             if abs(slope) >= mpf("0.5"):
@@ -200,25 +198,22 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
 
 def _summary(cfg: RunConfig, curve, pol: str):
     """Write one polarization's summary of its sweep records to stderr: for
-    TM R(T_min), dR/dT and the fitted D, D1, D2; for TE the residual vs T^3
-    comparison and the fitted C2; each against the closed form that the
-    records carry.  A grid too short for the slope or the fit ends it with
-    one `skipped:` line.  When the grid reaches beyond the expansions'
-    regime, t <= 0.1, the first line that is not a `skipped:` line says so.
-
-    Returns the TM dR/dT at T_min, or None when it was not computed.
+    TM R(T_min) and dR/dT at T_min, the records' own, then the fitted D,
+    D1, D2; for TE the residual vs T^3 comparison and the fitted C2; each
+    against the closed form that the records carry.  A grid too short for
+    the fit ends it with one `skipped:` line; the lines before it are
+    written on any grid.  When the grid reaches beyond the expansions'
+    regime, t <= 0.1, the first line says so.
     """
     th = curve[0].theory
     sigma = cfg.material.four_pi_sigma
     t_max = reduced_temperature(curve[-1].T, sigma) if sigma > 0 else 0
     regime = (f"; grid reaches t = {_short(t_max)}, outside t <= 0.1"
               if t_max > asymptotics.T_REGIME_MAX else "")
-    slope = None
     try:
         if pol == "tm":
-            slope = diagnostics.r_slope(curve)
             _note(f"tm: R({_short(curve[0].T)} K) = {_short(curve[0].R)}, "
-                  f"dR/dT = {_short(slope)} /K{regime}")
+                  f"dR/dT = {_short(curve[0].dR_dT)} /K{regime}")
             fit = diagnostics.fit_expansion(curve)
             d = -th.coefficient(2)
             _note(f"tm fit: {_vs_theory('D', fit.D, d)}")
@@ -234,7 +229,6 @@ def _summary(cfg: RunConfig, curve, pol: str):
             _note(f"te fit: {_vs_theory('C2', fit.D, th.coefficient(2))}")
     except (diagnostics.FitError, ValueError) as exc:
         _note(f"{pol}: skipped: {exc}")
-    return slope
 
 
 def _short(x) -> str:

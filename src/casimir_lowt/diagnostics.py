@@ -8,15 +8,18 @@ the closed-form expansion,
 which is far more sensitive than eyeballing free-energy curves: if the
 expansion's T^2 and T^3 coefficients are both right, R -> 0 with zero
 slope as T -> 0 and the residual curvature measures the first uncomputed
-coefficient.  The fit side extracts D, D1, D2 from dF_num assuming
-|dF_num| = D T^2 (1 - D1 T + D2 T^2 + ...), a series whose coefficients
-enter linearly, by one weighted least-squares solve in mpmath, so they
-can be compared with the predicted coefficients.
+coefficient.  Each record carries dR/dT in closed form, from the table's
+own d(dF_num)/dT and the closed form's term-wise derivative, so no grid
+is too short or too coarse for it.  The fit side extracts D, D1, D2 from
+dF_num assuming |dF_num| = D T^2 (1 - D1 T + D2 T^2 + ...), a series
+whose coefficients enter linearly, by one weighted least-squares solve in
+mpmath, so they can be compared with the predicted coefficients.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import mpmath
@@ -47,6 +50,7 @@ class SweepRecord:
     R: object          # dimensionless; None when dF_th == 0
     pol: str
     theory: object = None   # the AsymptoticResult that gave dF_th
+    dR_dT: object = None    # 1/K; None where R is
 
 
 @dataclass
@@ -81,36 +85,40 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     polarization, or for "both" the TM records, then the TE records.
 
     Each polarization's closed form is built once, at the grid's hottest
-    temperature, before any point is computed, and each record carries
-    it as `theory`: a closed form that cannot exist (TM at sigma = 0, the
-    ideal metal) raises ValueError, and a grid that leaves the expansion
-    regime gives one ValidityWarning per polarization.  Then every dF_num
-    comes from one Abel-Plana table (`abel_plana.delta_f_table`) and F(0)
-    from one `zero_temperature_energies` pass, both float64 (dF_num kept a
-    float, F(0) stored as mpf) and both serving every polarization, in this
-    process; F_num is F(0) + dF_num.  No mode scan runs and no process
-    starts.
+    temperature, and each record carries it as `theory`: a closed form
+    that cannot exist (TM at sigma = 0, the ideal metal) raises ValueError
+    before any point is computed.  Then every dF_num and d(dF_num)/dT come
+    from one Abel-Plana table (`abel_plana.delta_f_table`) and F(0) from
+    one `zero_temperature_energies` pass, both float64 (dF_num kept a
+    float, F(0) stored as mpf) and both serving every polarization, in
+    this process; F_num is F(0) + dF_num.  A grid that leaves the
+    expansion regime gives one ValidityWarning per polarization, once the
+    table has accepted the grid.  No mode scan runs and no process starts.
     """
     ts = list(t_grid)
-    if not ts:
-        raise ValueError("empty temperature grid")
-    if any(T <= 0 for T in ts):
-        raise ValueError("all grid temperatures must be positive")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("temperature grid must be strictly ascending")
-    # T enters a closed form only through its regime check, and t grows with T
-    hottest = replace(template, temperature_T=float(ts[-1]))
-    theory = {p: theory_correction(hottest, p) for p in Polarization(pol).modes()}
+    # T enters a closed form only through its regime check, and t grows with
+    # T; an empty grid is the table's to refuse
+    hottest = replace(template, temperature_T=float(max(ts, default=0.0)))
+    with warnings.catch_warnings(record=True) as regime:
+        theory = {p: theory_correction(hottest, p) for p in Polarization(pol).modes()}
     system = replace(template, polarization=Polarization(pol))
     table = delta_f_table(system, ts)
+    for w in regime:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     f0 = zero_temperature_energies(system)
     records = []
     for p, th in theory.items():
-        for T, df in zip(ts, table[p]):
+        for T, (df, ddf) in zip(ts, table[p]):
             df_th = th.evaluate(T)
-            r = None if df_th == 0 else (df_th - df) / df_th
+            r = slope = None
+            if df_th != 0:
+                r = (df_th - df) / df_th
+                slope = -(ddf * df_th - df * th.derivative(T)) / df_th ** 2
             records.append(SweepRecord(T=T, F_num=f0[p] + df, F_asym=f0[p] + df_th,
-                                       dF_num=df, dF_th=df_th, R=r, pol=p, theory=th))
+                                       dF_num=df, dF_th=df_th, R=r, pol=p, theory=th,
+                                       dR_dT=slope))
     return records
 
 
@@ -160,24 +168,6 @@ def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
     extras = {p: float(c / (D * scale ** p)) for p, c in zip(powers, coef[2:])}
     return FitResult(D=D, D1=float(-coef[1] / (D * scale)), D2=extras.get(2.0, 0.0),
                      T_range=(float(T[0]), float(T[-1])), sign=sign, extras=extras)
-
-
-def r_slope(records, index: int = 0):
-    """3-point one-sided slope dR/dT at the grid point `index`."""
-    recs = list(records)
-    if len(recs) < 3:
-        raise ValueError("need at least 3 records")
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
-    if index > len(recs) - 3:
-        raise ValueError("index too close to the end of the grid")
-    r = [recs[index + i].R for i in range(3)]
-    t = [mpf(recs[index + i].T) for i in range(3)]
-    if any(v is None for v in r):
-        raise ValueError("R undefined at a stencil point")
-    # quadratic through three (possibly non-uniform) points, derivative at t0
-    h1, h2 = t[1] - t[0], t[2] - t[0]
-    return (r[1] * h2 * h2 - r[2] * h1 * h1 - r[0] * (h2 * h2 - h1 * h1)) / (h1 * h2 * (h2 - h1))
 
 
 def te_cube_comparison(records) -> list:

@@ -300,7 +300,7 @@ def delta_f_direct(system: PlateSystem) -> dict:
         return {pol: df / 2 for pol in system.polarization.modes()}
     from .abel_plana import delta_f_table   # abel_plana imports this module
     table = delta_f_table(system, [system.temperature_T])
-    return {pol: mpf(values[0]) for pol, values in table.items()}
+    return {pol: mpf(df) for pol, [(df, _)] in table.items()}
 
 
 def _require_positive_t(system: PlateSystem) -> None:

@@ -34,6 +34,9 @@ for the tests.
   oracle of the package's float64 `lifshitz.free_energy`;
   `free_energy_and_delta_f`, F and dF from one shared integer-m pass
   (`_mode_pass`).
+* `r_slope`, dR/dT at a grid point from a 3-point one-sided stencil on
+  the sweep records: the reference of the records' own closed-form
+  `dR_dT`, and criterion 4's slope.
 
 All routines work at the current mpmath precision.  The scans take their
 cut-off M from `lifshitz._truncation_m`, so a test that patches it there
@@ -735,3 +738,23 @@ def free_energy_and_delta_f(system):
     pref = _prefactor(system)
     return ({pol: _energy(pref, scan) for pol, scan in f_scans.items()},
             {pol: pref * _checked_delta_gamma(pol, scan) for pol, scan in df_scans.items()})
+
+
+# --- the R diagnostic's slope by stencil -------------------------------------------
+
+def r_slope(records, index: int = 0):
+    """3-point one-sided slope dR/dT at the grid point `index`."""
+    recs = list(records)
+    if len(recs) < 3:
+        raise ValueError("need at least 3 records")
+    if index < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
+    if index > len(recs) - 3:
+        raise ValueError("index too close to the end of the grid")
+    r = [recs[index + i].R for i in range(3)]
+    t = [mpf(recs[index + i].T) for i in range(3)]
+    if any(v is None for v in r):
+        raise ValueError("R undefined at a stencil point")
+    # quadratic through three (possibly non-uniform) points, derivative at t0
+    h1, h2 = t[1] - t[0], t[2] - t[0]
+    return (r[1] * h2 * h2 - r[2] * h1 * h1 - r[0] * (h2 * h2 - h1 * h1)) / (h1 * h2 * (h2 - h1))

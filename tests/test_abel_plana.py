@@ -21,7 +21,23 @@ def test_table_matches_the_scan(material):
     for k, T in enumerate(GRID):
         scan = delta_f(PlateSystem(1e-6, T, material))
         for pol in ("tm", "te"):
-            assert abs(mpf(table[pol][k]) / scan[pol] - 1) < 1e-11, (pol, T)
+            assert abs(mpf(table[pol][k][0]) / scan[pol] - 1) < 1e-11, (pol, T)
+
+
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1], ids=["si-paper", "si-fig2"])
+def test_temperature_derivative_is_the_tables_own(material):
+    # a central difference of one table's dF, step 1e-4 T, against its
+    # d(dF)/dT: they differ by the difference's own truncation and rounding
+    # error, 9.4e-10 relative at most here
+    temps = [0.02, 0.1, 1.0]
+    grid = sorted(T * (1 + s) for T in temps for s in (-1e-4, 0.0, 1e-4))
+    table = delta_f_table(PlateSystem(1e-6, 1.0, material), grid)
+    for pol in ("tm", "te"):
+        rows = dict(zip(grid, table[pol]))
+        for T in temps:
+            lo, hi = rows[T * (1 - 1e-4)][0], rows[T * (1 + 1e-4)][0]
+            central = (hi - lo) / (T * (1 + 1e-4) - T * (1 - 1e-4))
+            assert abs(rows[T][1] / central - 1) < 1e-8, (pol, T)
 
 
 def test_table_clusters_on_the_te_branch_point_far_from_zero(monkeypatch):
@@ -31,7 +47,8 @@ def test_table_clusters_on_the_te_branch_point_far_from_zero(monkeypatch):
     monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
     template = PlateSystem(1e-6, 20.0, SI_PAPER, Polarization.TE)
     scan = delta_f(template)["te"]
-    assert abs(mpf(delta_f_table(template, [20.0])["te"][0]) / scan - 1) < 1e-11
+    [(df, _)] = delta_f_table(template, [20.0])["te"]
+    assert abs(mpf(df) / scan - 1) < 1e-11
 
 
 def test_each_polarization_is_the_same_alone_or_with_the_other():
@@ -46,7 +63,7 @@ def test_table_is_float64_at_any_working_precision():
     at_33 = delta_f_table(template, GRID)
     set_precision(20)
     assert delta_f_table(template, GRID) == at_33
-    assert all(type(v) is float for v in at_33["tm"])
+    assert all(type(v) is float for row in at_33["tm"] for v in row)
 
 
 @pytest.mark.parametrize("material, pol, grid, match", [
@@ -105,7 +122,7 @@ def test_layout_matches_the_doubled_order_table(material, pol, grid, monkeypatch
     ref = _doubled_order_table(template, grid, monkeypatch)
     for p in template.polarization.modes():
         for k, T in enumerate(grid):
-            assert abs(table[p][k] / ref[p][k] - 1) < 1e-12, (p, T)
+            assert abs(table[p][k][0] / ref[p][k][0] - 1) < 1e-12, (p, T)
 
 
 @pytest.mark.parametrize("a, material, pol, grid, bound", [
@@ -128,7 +145,7 @@ def test_off_the_presets_the_table_stays_within_its_measured_error(a, material, 
     ref = _doubled_order_table(template, grid, monkeypatch)
     for p, tol in bound.items():
         for k, T in enumerate(grid):
-            assert abs(table[p][k] / ref[p][k] - 1) < tol, (p, T)
+            assert abs(table[p][k][0] / ref[p][k][0] - 1) < tol, (p, T)
 
 
 def test_table_makes_176_h_on_the_tm_sweep_grid(monkeypatch):

@@ -28,12 +28,11 @@ from casimir_lowt.asymptotics import (ValidityWarning, delta_f_te, linear_anomal
                                       phi_constant, psi_constant)
 from casimir_lowt.constants import alpha_param, mp_constants, reduced_temperature
 from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
-from casimir_lowt.diagnostics import (TE_FIT_POWERS, fit_expansion, r_curve, r_slope,
-                                      te_cube_comparison)
+from casimir_lowt.diagnostics import TE_FIT_POWERS, fit_expansion, r_curve, te_cube_comparison
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f_direct,
                                    zero_temperature_energy)
 from oracles import (constant_a_integral, half_power_series_terms, levin_u_sum,
-                     log_power_series_terms, psi_from_borel, te_closed_form_g1,
+                     log_power_series_terms, psi_from_borel, r_slope, te_closed_form_g1,
                      te_g1_quadrature)
 
 A_M = 1e-6

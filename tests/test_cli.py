@@ -118,7 +118,8 @@ def test_sweep_summary_notes_grid_outside_regime(pol, t_min, t_max, noted, capsy
     th = theory_correction(PlateSystem(cfg.separation_m, 0.0, cfg.material), pol)
     curve = [SweepRecord(T=mpmath.mpf(T), F_num=None, F_asym=None,
                          dF_num=th.evaluate(T) * (1 + T / 100), dF_th=th.evaluate(T),
-                         R=-mpmath.mpf(T) / 100, pol=pol, theory=th) for T in cfg.grid()]
+                         R=-mpmath.mpf(T) / 100, pol=pol, theory=th,
+                         dR_dT=-mpmath.mpf(1) / 100) for T in cfg.grid()]
     _summary(cfg, curve, pol)
     summary = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# ")]
     assert len(summary) > 1 and "skipped" not in "".join(summary)
@@ -146,6 +147,24 @@ def test_rdiag_assert_fails_on_steep_slope(tmp_path, capsys):
     assert "assertion failed" in captured.err
 
 
+@pytest.mark.parametrize("preset, code, failed", [
+    ("si-fig2", EXIT_OK, []),
+    ("si-paper", EXIT_ASSERT, ["assertion failed: tm: |dR/dT| = 0.6142 >= 0.5 /K"])],
+    ids=["si-fig2", "si-paper"])
+def test_rdiag_assert_on_the_presets(preset, code, failed, capsys):
+    # si-paper's R(0.02 K) = 0.0067 passes; its dR/dT = 0.614 /K does not
+    assert main(["rdiag", "--preset", preset, "--assert", "--no-timestamp"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("assertion failed")] == failed
+
+
+def test_rdiag_assert_runs_on_a_two_point_grid(tm_config, capsys):
+    # dR/dT needs no neighbouring points: the gate runs, where it was a usage error
+    assert main(["rdiag", "--config", tm_config, "--assert", "--no-timestamp"]) in (
+        EXIT_OK, EXIT_ASSERT)
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_sweep_and_rdiag_write_the_same_records(tm_config, capsys):
     assert main(["sweep", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
     sweep = capsys.readouterr()
@@ -168,17 +187,20 @@ def test_sweep_both_is_tm_then_te(tm_config, capsys):
 
 
 def test_sweep_summary_skipped_on_short_grid(tm_config, capsys):
-    # two points: too few for dR/dT (3) and for the fit (6)
+    # two points: R and dR/dT are the records' own, but too few for the fit (6)
     assert main(["sweep", "--config", tm_config, "--no-timestamp"]) == EXIT_OK
     summary = [line for line in capsys.readouterr().err.splitlines()
                if line.startswith("# ")]
-    assert summary == ["# tm: skipped: need at least 3 records"]
+    assert summary == ["# tm: R(0.5 K) = 0.41401, dR/dT = 0.4118 /K; "
+                       "grid reaches t = 0.575818, outside t <= 0.1",
+                       "# tm: skipped: need at least 6 records"]
 
 
 def fake_points(monkeypatch):
     """Every point's dF and F(0) is -1 J/m^2 per polarization: no table is built."""
     monkeypatch.setattr(diagnostics, "delta_f_table",
-                        lambda s, ts: {p: [-1.0] * len(ts) for p in s.polarization.modes()})
+                        lambda s, ts: {p: [(-1.0, 0.0)] * len(ts)
+                                       for p in s.polarization.modes()})
     monkeypatch.setattr(diagnostics, "zero_temperature_energies",
                         lambda s: {p: mpmath.mpf(-1) for p in s.polarization.modes()})
 
@@ -329,16 +351,17 @@ def test_refused_sweep_prints_only_its_error(source, tmp_path, capsys):
 
 
 def test_sweep_refused_by_the_table_prints_no_data_warning(tmp_path, capsys):
-    # alpha = 6.7e-3 is small, and omega0 = 1e12 s^-1 lies inside the table
-    # (8 zeta_1(0.2 K) = 1.3e12 s^-1): the table refuses the sweep, so the
-    # t-regime warnings and the error follow, but no "data emitted anyway"
+    # alpha = 6.7e-3 is small, the grid reaches t = 0.16, and omega0 = 1e12
+    # s^-1 lies inside the table (8 zeta_1(0.2 K) = 1.3e12 s^-1): the table
+    # refuses the sweep, so only the error follows, with neither the
+    # t-regime warnings nor "data emitted anyway"
     p = tmp_path / "inside.ini"
     p.write_text(CHEAP_TM.replace("omega0 = 8e15", "omega0 = 1e12")
                  .replace("temperatures = 0.5 0.7", "temperatures = 0.02 0.2"))
     assert main(["sweep", "--config", str(p), "--pol", "both", "--no-timestamp"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "data emitted anyway" not in captured.err
+    assert not [line for line in captured.err.splitlines() if line.startswith("warning: ")]
     assert captured.err.splitlines()[-1].startswith("error: omega0 = ")
     assert captured.err.endswith("inside the Abel-Plana table\n")
 

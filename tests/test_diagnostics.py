@@ -11,11 +11,11 @@ from casimir_lowt import cli, diagnostics, lifshitz
 from casimir_lowt.abel_plana import delta_f_table
 from casimir_lowt.asymptotics import ValidityWarning, delta_f_te
 from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_grid,
-                                      r_curve, r_slope, te_cube_comparison,
-                                      theory_correction)
-from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
+                                      r_curve, te_cube_comparison, theory_correction)
+from casimir_lowt.dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError,
                                    zero_temperature_energies)
+from oracles import r_slope
 
 
 def synthetic_records(D=2.53e-17, D1=0.366, D2=-0.5, sign=-1, n=12,
@@ -108,7 +108,7 @@ def test_fit_needs_more_records_than_parameters():
     fit_expansion(synthetic_records(n=7))
 
 
-# --- slope -------------------------------------------------------------------
+# --- the stencil slope of tests/oracles.py -------------------------------------
 
 def test_r_slope_recovers_linear_coefficient():
     grid = [0.02, 0.031, 0.05]
@@ -153,11 +153,34 @@ def test_r_vanishes_when_theory_equals_numerics(monkeypatch):
 
     class Echo:
         def evaluate(self, T):
-            return mpf(table[float(T)])
+            return mpf(table[float(T)][0])
+
+        def derivative(self, T):
+            return mpf(table[float(T)][1])
 
     monkeypatch.setattr(diagnostics, "theory_correction", lambda s, p: Echo())
     recs = r_curve(template, [0.5, 0.7], "tm")
-    assert all(r.R == 0 for r in recs)
+    assert all(r.R == 0 and r.dR_dT == 0 for r in recs)
+
+
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1], ids=["si-paper", "si-fig2"])
+@pytest.mark.parametrize("T", [0.02, 0.5])
+def test_record_slope_matches_the_stencil(material, T):
+    # the stencil's own error on a grid spaced 1e-3 T is below 1e-6 relative
+    recs = r_curve(PlateSystem(1e-6, 1.0, material), [T, T * 1.001, T * 1.002], "both")
+    for pol in ("tm", "te"):
+        curve = [r for r in recs if r.pol == pol]
+        assert abs(curve[0].dR_dT / r_slope(curve) - 1) < 1e-4, pol
+
+
+def test_slope_is_none_where_r_is(monkeypatch):
+    class Zero:
+        def evaluate(self, T):
+            return mpf(0)
+
+    monkeypatch.setattr(diagnostics, "theory_correction", lambda s, p: Zero())
+    recs = r_curve(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.5, 0.7], "tm")
+    assert [(r.R, r.dR_dT) for r in recs] == [(None, None)] * 2
 
 
 def test_r_curve_grid_validation():
@@ -215,7 +238,7 @@ def test_r_curve_both_is_tm_then_te():
     single = r_curve(template, [0.5, 0.7], "tm") + r_curve(template, [0.5, 0.7], "te")
     assert [r.pol for r in both] == ["tm", "tm", "te", "te"]
     for a, b in zip(both, single, strict=True):
-        for field in ("T", "F_num", "F_asym", "dF_num", "dF_th", "R", "pol"):
+        for field in ("T", "F_num", "F_asym", "dF_num", "dF_th", "R", "dR_dT", "pol"):
             assert getattr(a, field) == getattr(b, field), field
 
 
@@ -230,7 +253,8 @@ def test_r_curve_builds_each_closed_form_once_and_warns_once(monkeypatch, capsys
 
     monkeypatch.setattr(diagnostics, "theory_correction", spy)
     monkeypatch.setattr(diagnostics, "delta_f_table",
-                        lambda s, ts: {"tm": [-1.0] * len(ts), "te": [1.0] * len(ts)})
+                        lambda s, ts: {"tm": [(-1.0, 0.0)] * len(ts),
+                                       "te": [(1.0, 0.0)] * len(ts)})
     monkeypatch.setattr(diagnostics, "zero_temperature_energies",
                         lambda s: {"tm": mpf(-1), "te": mpf(-1)})
     with warnings.catch_warnings(record=True) as caught:
@@ -295,7 +319,7 @@ def test_r_curve_takes_df_from_the_table_and_f0_from_one_pass(monkeypatch):
     monkeypatch.setattr(diagnostics, "zero_temperature_energies", spy)
     recs = r_curve(template, [0.5, 0.7], "both")
     assert passes == [Polarization.BOTH]
-    for rec, df in zip(recs, table["tm"] + table["te"], strict=True):
+    for rec, (df, _) in zip(recs, table["tm"] + table["te"], strict=True):
         assert type(rec.dF_num) is float and rec.dF_num == df
         assert rec.F_num == f0[rec.pol] + rec.dF_num
         assert rec.F_asym == f0[rec.pol] + rec.dF_th

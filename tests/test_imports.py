@@ -1,8 +1,9 @@
 """Every name a module of the package or of the tests imports is used in
 that module, the package's numerics do without mpmath's raw `libmp`
-layer and without a module-global cache, the CLI starts without numpy or
-scipy, in one OS thread, the bench's set-up and span targets resolve, and
-one round of each bench workload passes its checks, untraced and traced.
+layer and without a module-global cache, the CLI imports no package but
+mpmath beyond the standard library and starts in one OS thread, the
+bench's set-up and span targets resolve, and one round of each bench
+workload passes its checks, untraced and traced.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule (F401): an
 import statement whose line carries `# noqa: F401` is exempt, and a name
@@ -87,19 +88,21 @@ def test_package_has_no_function_cache():
 
 
 def test_cli_does_not_import_scipy():
-    # neither numpy nor scipy, in a fresh interpreter, so no other test's
-    # imports are counted: either would add its import time and memory to
-    # every CLI run, and numpy's BLAS starts a thread pool, which a CLI run
-    # has no use for; the package's imports leave the process one OS thread
-    code = ("import os, sys, casimir_lowt.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))); "
+    # in a fresh interpreter, so no other test's imports count, and beyond
+    # what its start-up loads: no package outside the standard library but
+    # mpmath.  numpy or scipy would add import time and memory to every CLI
+    # run and to the bench's setup_s, and numpy's BLAS starts a thread pool;
+    # the package's imports leave the process one OS thread
+    code = ("import os, sys; before = set(sys.modules); import casimir_lowt.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names))); "
             "status = '/proc/self/status'; "
             "print(open(status).read().split('Threads:')[1].split()[0] "
             "if os.path.exists(status) else 1)")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.splitlines() == ["[]", "1"]
+    assert out.stdout.splitlines() == ["['casimir_lowt', 'mpmath']", "1"]
 
 
 def _bench_module(monkeypatch, name: str):
