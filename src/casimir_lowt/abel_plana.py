@@ -37,16 +37,17 @@ function smooth on the scale s_min, which that one panel takes whole.  So
 no x is cut off, and no panel is halved toward 0.  Above it the
 imaginary-axis piece has panels that halve from u down to s_min, and the
 real-axis piece has panels that halve from 1 down to s_min (none when
-s_min >= 1), then width-2 panels from 1 to 45 (e^-45 = 2.9e-20):
-`lifshitz`'s real-axis panels, which F(0) walks from x = y as well.  TE has a branch
-point at x* = sqrt(w); where 4 |Im x*| < Re x* < 45 it sits close to the
-real axis, and the panels, halving or width-2, within Re x*/4 of it are
-replaced by panels that cluster on Re x* from both sides, their edges at
-distances halving from Re x*/4 down to |Im x*|.  The layout is the same
-whichever polarizations are asked for, and each polarization has its own
-running sum, so each one's values are bit-identical whether it is
-computed alone or with the other.  The u-path starts at u = 0 with one
-panel on [0, u_0], u_0 = 2^-10 xm1(T_min), in v = sqrt(u): nodes v^2,
+s_min >= 1), then panels that double from 1 (from s_min when s_min >= 1)
+to 45, the last one cut there (1, 2, 4, ..., 32, 45; e^-45 = 2.9e-20):
+`lifshitz`'s real-axis panels, which F and F(0) walk from x = y as well.
+TE has a branch point at x* = sqrt(w); where 4 |Im x*| < Re x* < 45 it
+sits close to the real axis, and the edges, halving or doubling, within
+Re x*/4 of it are replaced by edges that cluster on Re x* from both
+sides, at distances halving from Re x*/4 down to |Im x*|.  The layout
+is the same whichever polarizations are asked for, and each polarization
+has its own running sum, so each one's values are bit-identical whether
+it is computed alone or with the other.  The u-path starts at u = 0 with
+one panel on [0, u_0], u_0 = 2^-10 xm1(T_min), in v = sqrt(u): nodes v^2,
 weights 2 v w, as on F(0)'s first y-panel.  H's u, u^{3/2} and u^2 terms
 times the Bose weight are polynomials in v there, so that one panel takes
 H's small-u structure whole, whatever its basis, and no u is cut off.
@@ -59,15 +60,15 @@ past x = 1 or comes within a factor 16 of one of the three scales
 and 8 elsewhere, on the halving panels between the scales; every H takes
 the same rules.  The [0, u_0] panel has 16 nodes too: with 10 it leaves
 1.1e-11 on si-paper TM at 20 K.  On the 15-120 mK TM sweep that is
-134,888 x-nodes for 176 H.  Against the same table at doubled orders (32
+89,832 x-nodes for 176 H.  Against the same table at doubled orders (32
 and 16 nodes per x-panel, 32 on [0, u_0], 24 per u-panel and u_0 =
 2^-20 xm1(T_min)) dF agrees within 6e-13 relative on si-paper and
-si-fig2 at 2 mK-1 K (at most 5.1e-13, si-paper TE at 0.8-1 K; 1.9e-13
-for TM), on si-paper TM down to 10 uK (2.9e-13) and on si-paper TE at
-20 K (3.1e-14).  8 nodes per u-panel would give up to 1.3e-11, and 6
-nodes per far x-panel up to 1.5e-11 (TM) and 8.6e-11 (TE).  The 6e-13
-holds on those cases only.  Elsewhere dF is off by up to 1.1e-12 on
-si-paper TM at 20 K, 3.2e-13 on si-fig2 TM at 20 K, 7.6e-12 on TE at
+si-fig2 at 2 mK-1 K (at most 5.1e-13, si-paper TE at 0.8-1 K; 2.0e-13
+for TM), on si-paper TM down to 10 uK (3.1e-13) and on si-paper TE at
+20 K (2.6e-14).  8 nodes per u-panel would give up to 1.3e-11, and 6
+nodes per far x-panel up to 1.4e-11 (TM) and 8.6e-11 (TE).  The 6e-13
+holds on those cases only.  Elsewhere dF is off by up to 1.2e-12 on
+si-paper TM at 20 K, 3.7e-13 on si-fig2 TM at 20 K, 7.6e-12 on TE at
 a = 10 um and 0.02-1 K and 6.2e-13 on TE at 4 pi sigma = 1e10 s^-1.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working

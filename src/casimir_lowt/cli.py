@@ -185,7 +185,8 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
         if check and pol == "tm":
             r0, slope = curve[0].R, curve[0].dR_dT
             if abs(r0) >= mpf("0.05"):
-                failures.append(f"tm: |R({fmt(curve[0].T)})| = {mpmath.nstr(abs(r0), 4)} >= 0.05")
+                failures.append(f"tm: |R({_short(curve[0].T)} K)| = "
+                                f"{mpmath.nstr(abs(r0), 4)} >= 0.05")
             if abs(slope) >= mpf("0.5"):
                 failures.append(f"tm: |dR/dT| = {mpmath.nstr(abs(slope), 4)} >= 0.5 /K")
     _emit_records(records, cfg, out)

@@ -38,12 +38,12 @@ to it).  F and F(0) make one such pass over their m (or y) nodes for all
 of `PlateSystem.polarization.modes()`.
 
 Quadrature is non-adaptive by design: fixed Gauss-Legendre panels whose
-layout is matched to the known shape of the integrands (halving panels
-towards the x lower limit, a y = v^2 substitution that turns the y^{3/2}
-and y^2 ln y endpoint behaviour of F(0)'s integrand into polynomials times
-ln v, doubling panels on the exponential tails).  F agrees with the
-33-digit scan it replaced (`tests/oracles.py`) within 2.6e-15 on si-paper
-and si-fig2 at 0.72-1 K, at the same cut-off M.
+layout is matched to the known shape of the integrands (x-panels that
+halve from x = 1 towards the x lower limit, a y = v^2 substitution that
+turns the y^{3/2} and y^2 ln y endpoint behaviour of F(0)'s integrand into
+polynomials times ln v, doubling panels on the exponential tails in x, m
+and y).  F agrees with the 33-digit scan it replaced (`tests/oracles.py`)
+within 3.3e-15 on si-paper and si-fig2 at 0.72-1 K, at the same cut-off M.
 """
 
 from __future__ import annotations
@@ -177,22 +177,25 @@ def _halvings(top, lo) -> list:
 
 def _real_axis_edges(lo) -> list:
     """Ascending x-panel edges from lo to _X_END: halving from 1 down to lo,
-    then width 2 on the odd integers (from lo itself when lo >= 1)."""
-    if lo < 1:
-        return _halvings(1.0, lo) + list(range(3, _X_END + 1, 2))
-    return [lo] + [e for e in range(3, _X_END + 1, 2) if e > lo]
+    then doubling from 1 (from lo itself when lo >= 1), the last panel cut
+    at _X_END; from lo < 1 the doubling edges are 1, 2, 4, 8, 16, 32, 45.
+    Just [lo], no panel, when lo >= _X_END."""
+    edges = _halvings(1.0, lo) if lo < 1 else [lo]
+    while edges[-1] < _X_END:
+        edges.append(min(2 * edges[-1], _X_END))
+    return edges
 
 
 def _real_axis_panels(edges, gl, fixed: dict) -> list:
     """`_real_axis_nodes` of the panels between consecutive edges.  `fixed`
-    keeps the panels whose edges do not depend on the lower limit (width
-    2, or halving between powers of 2), for the next call that shares it."""
+    keeps the panels whose edges do not depend on the lower limit (each a
+    power of 2 or _X_END), for the next call that shares it."""
     nodes = []
     for a, b in zip(edges, edges[1:]):
         panel = fixed.get((a, b))
         if panel is None:
             panel = _real_axis_nodes(a, b, gl)
-            if b == a + 2 or (b == 2 * a and math.frexp(b)[0] == 0.5):
+            if all(e == _X_END or math.frexp(e)[0] == 0.5 for e in (a, b)):
                 fixed[(a, b)] = panel
         nodes += panel
     return nodes

@@ -138,7 +138,7 @@ def test_layout_matches_the_doubled_order_table(material, pol, grid, monkeypatch
 def test_off_the_presets_the_table_stays_within_its_measured_error(a, material, pol, grid,
                                                                    bound, monkeypatch):
     # about twice the measured difference from the doubled-order table:
-    # 1.1e-12, 3.2e-13 and 9.8e-15, 7.6e-12, 3.8e-15, 6.2e-13 and 9.6e-14,
+    # 1.2e-12, 3.7e-13 and 8.9e-15, 7.6e-12, 3.8e-15, 6.2e-13 and 5.6e-14,
     # where the presets' is at most 6e-13
     template = PlateSystem(a, 1.0, material, Polarization(pol))
     table = delta_f_table(template, grid)
@@ -165,10 +165,11 @@ def test_table_makes_176_h_on_the_tm_sweep_grid(monkeypatch):
     assert len(calls) == 176
 
 
-def test_table_walks_at_most_140000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
+def test_table_walks_at_most_92000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
     # 16 nodes per x-panel only near the integrand's scales and past x = 1,
     # 8 elsewhere; one panel on [0, s_min] below the smallest scale, not
-    # halvings down to a fraction of it; 176 H: 134,888 x-nodes.
+    # halvings down to a fraction of it; doubling panels from x = 1 to 45
+    # (6, not 22 of width 2); 176 H: 89,832 x-nodes.
     x_nodes = abel_plana._x_nodes
     count = [0]
 
@@ -179,4 +180,4 @@ def test_table_walks_at_most_140000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
 
     monkeypatch.setattr(abel_plana, "_x_nodes", spy)
     delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
-    assert count[0] <= 140_000
+    assert count[0] <= 92_000

@@ -159,10 +159,14 @@ def test_rdiag_assert_on_the_presets(preset, code, failed, capsys):
 
 
 def test_rdiag_assert_runs_on_a_two_point_grid(tm_config, capsys):
-    # dR/dT needs no neighbouring points: the gate runs, where it was a usage error
-    assert main(["rdiag", "--config", tm_config, "--assert", "--no-timestamp"]) in (
-        EXIT_OK, EXIT_ASSERT)
-    assert "error:" not in capsys.readouterr().err
+    # dR/dT needs no neighbouring points: the gate runs, where it was a usage
+    # error.  R(0.5 K) = 0.414 fails it, named as the summary names T_min;
+    # dR/dT = 0.41 /K passes
+    assert main(["rdiag", "--config", tm_config, "--assert", "--no-timestamp"]) == EXIT_ASSERT
+    err = capsys.readouterr().err.splitlines()
+    assert not [line for line in err if line.startswith("error:")]
+    assert [line for line in err if line.startswith("assertion failed")] == [
+        "assertion failed: tm: |R(0.5 K)| = 0.414 >= 0.05"]
 
 
 def test_sweep_and_rdiag_write_the_same_records(tm_config, capsys):

@@ -469,6 +469,67 @@ def test_halvings_makes_only_positive_width_panels(lo, edges):
     assert lifshitz._halvings(1.0, lo) == edges
 
 
+@pytest.mark.parametrize("lo, edges", [
+    (0.3, [0.3, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 45]),
+    (1.0, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 45]),
+    (1.5, [1.5, 3.0, 6.0, 12.0, 24.0, 45]),
+    (30.0, [30.0, 45]),
+    (45.0, [45.0]),
+    (50.0, [50.0])],
+    ids=["below-1", "at-1", "above-1", "last-panel", "at-the-end", "past-the-end"])
+def test_real_axis_edges_halve_below_1_and_double_above(lo, edges):
+    assert lifshitz._real_axis_edges(lo) == edges
+
+
+def test_g_walks_doubling_x_panels_past_x_1(monkeypatch):
+    # 6 x-panels from x = 1 to 45, not 22 of width 2: 48,432 x-nodes for
+    # one F(0) pass on si-paper and 41,888 for F on si-paper plus si-fig2
+    # at 0.85 K, both polarizations
+    panels = lifshitz._real_axis_panels
+    count = [0]
+
+    def spy(*args):
+        nodes = panels(*args)
+        count[0] += len(nodes)
+        return nodes
+
+    monkeypatch.setattr(lifshitz, "_real_axis_panels", spy)
+    lifshitz.zero_temperature_energies(PlateSystem(1e-6, 0.0, SI_PAPER))
+    assert count[0] <= 50_000
+    count[0] = 0
+    for material in (SI_PAPER, SI_EPSBAR1):
+        free_energy(PlateSystem(1e-6, 0.85, material))
+    assert count[0] <= 43_000
+
+
+OFF_PRESET_CASES = {
+    "a-0.1um": (1e-7, SI_PAPER),
+    "a-10um": (1e-5, SI_PAPER),
+    "sigma-1e10": (1e-6, DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e10)),
+    "sigma-1e14": (1e-6, DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e14)),
+    "sigma-0": (1e-6, SIGMA0_SI),
+}
+
+
+@pytest.mark.parametrize("case", list(OFF_PRESET_CASES))
+def test_off_the_presets_f_and_f0_match_doubled_x_orders(case):
+    # the x-layout's error off the presets: F at 0.3 and 5 K and F(0)
+    # against the same calls with 32 nodes per x-panel, within about twice
+    # the measured difference (5.6e-16 for each, rounding); 8 nodes per
+    # panel past x = 1 (16 at nx = 32) would be off by 7e-11 to 9e-11
+    a, material = OFF_PRESET_CASES[case]
+    fine = QuadratureSpec(nx=32)
+    f0 = lifshitz.zero_temperature_energies(PlateSystem(a, 0.0, material))
+    ref = lifshitz.zero_temperature_energies(PlateSystem(a, 0.0, material, quadrature=fine))
+    for pol in ("tm", "te"):
+        assert abs(f0[pol] / ref[pol] - 1) < 1.2e-15, ("F(0)", pol)
+    for T in (0.3, 5.0):
+        f = free_energy(PlateSystem(a, T, material)).per_mode
+        ref = free_energy(PlateSystem(a, T, material, quadrature=fine)).per_mode
+        for pol in ("tm", "te"):
+            assert abs(f[pol] / ref[pol] - 1) < 1.2e-15, (T, pol)
+
+
 @pytest.mark.parametrize("T", [0.015, 0.85])
 def test_ideal_metal_g_closed_form_matches_refined_reference(T):
     sys_ = PlateSystem(1e-6, T, IDEAL_METAL)
