@@ -1,4 +1,5 @@
-"""Permittivity along the imaginary frequency axis and the zero-frequency
+"""Permittivity along the imaginary frequency axis (and its susceptibility
+eps - 1, from which the permittivity is formed) and the zero-frequency
 limits of the TE/TM reflection coefficients of two identical halfspaces
 (the coefficients themselves are computed inline by the float64 kernels,
 `lifshitz._g_real_axis` and `abel_plana._h`).
@@ -54,11 +55,12 @@ IDEAL_METAL = DielectricModel(eps_bar=1.0, omega0=1.0, four_pi_sigma=0.0,
                               mode=PermittivityMode.IDEAL_METAL)
 
 
-def permittivity(model: DielectricModel, zeta):
-    """eps(i zeta) for real zeta > 0 (or zeta = 0 without conductivity); for
-    complex zeta = i v, eps continued to the real frequency v > 0: one
-    formula on the model's float fields, in zeta's own type (float, mpf or
-    complex)."""
+def susceptibility(model: DielectricModel, zeta):
+    """eps(i zeta) - 1 for real zeta > 0 (or zeta = 0 without conductivity);
+    for complex zeta = i v, continued to the real frequency v > 0: the
+    model's terms summed directly, on its float fields, in zeta's own type
+    (float, mpf or complex).  Near eps = 1 it keeps the digits that eps - 1
+    taken from a rounded eps would lose."""
     if model.mode is PermittivityMode.IDEAL_METAL:
         raise ValueError("ideal metal has no finite permittivity")
     eps_bar, omega0, four_pi_sigma = model.eps_bar, model.omega0, model.four_pi_sigma
@@ -68,11 +70,17 @@ def permittivity(model: DielectricModel, zeta):
         if zeta == 0:
             if four_pi_sigma > 0:
                 raise ZeroDivisionError("eps diverges at zero frequency")
-            return eps_bar + zeta     # zeta is 0: eps_bar in zeta's type
+            return eps_bar - 1 + zeta     # zeta is 0: eps_bar - 1 in zeta's type
     if model.mode is PermittivityMode.LOW_FREQ:
-        return eps_bar + four_pi_sigma / zeta
+        return (eps_bar - 1) + four_pi_sigma / zeta
     q = zeta / omega0
-    return 1 + (eps_bar - 1) / (1 + q * q) + four_pi_sigma / zeta
+    return (eps_bar - 1) / (1 + q * q) + four_pi_sigma / zeta
+
+
+def permittivity(model: DielectricModel, zeta):
+    """eps(i zeta) = 1 + `susceptibility`, on the same arguments and in
+    zeta's own type."""
+    return 1 + susceptibility(model, zeta)
 
 
 def reflection_limits_zero_frequency(model: DielectricModel):

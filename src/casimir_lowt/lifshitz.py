@@ -42,8 +42,10 @@ layout is matched to the known shape of the integrands (x-panels that
 halve from x = 1 towards the x lower limit, a y = v^2 substitution that
 turns the y^{3/2} and y^2 ln y endpoint behaviour of F(0)'s integrand into
 polynomials times ln v, doubling panels on the exponential tails in x, m
-and y).  F agrees with the 33-digit scan it replaced (`tests/oracles.py`)
-within 3.3e-15 on si-paper and si-fig2 at 0.72-1 K, at the same cut-off M.
+and y; 12 Gauss-Legendre nodes per m- and y-panel).  F agrees with the
+33-digit scan it replaced (`tests/oracles.py`) within 6.2e-16 on si-paper
+and si-fig2 at 15 mK-1 K, at the same cut-off M, and F(0) with the
+oracle's y-integral within 3.8e-16.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ from mpmath import mp, mpf
 
 from .asymptotics import ideal_metal
 from .constants import float_constants, reduced_temperature
-from .dielectric import (DielectricModel, PermittivityMode, permittivity,
-                         reflection_limits_zero_frequency)
+from .dielectric import (DielectricModel, PermittivityMode,
+                         reflection_limits_zero_frequency, susceptibility)
 
 
 class PrecisionError(ArithmeticError):
@@ -79,10 +81,13 @@ class Polarization(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre panel orders for the x-, m- and y-integrals."""
+    """Gauss-Legendre panel orders for the x-, m- and y-integrals.  At
+    nm_geo = 12, F (15 mK to 30 K) and F(0) agree within 4.2e-16 with
+    nm_unit = 96 and nm_geo = 48, off the presets too; 10 nodes give up to
+    4.9e-15 and 8 up to 4.3e-12."""
     nx: int = 16        # per x-panel of G
     nm_unit: int = 48   # F(0)'s first y-panel [0, knee], in v = sqrt(y)
-    nm_geo: int = 24    # per doubling panel: F's m-tail, F(0)'s y beyond the knee
+    nm_geo: int = 12    # per doubling panel: F's m-tail, F(0)'s y beyond the knee
 
     def refined(self) -> "QuadratureSpec":
         return QuadratureSpec(2 * self.nx, 2 * self.nm_unit, 2 * self.nm_geo)
@@ -350,8 +355,8 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
 def _real_axis_gs(system: PlateSystem, ys, pols, where: str) -> list:
     """(G(y) of each polarization in pols) at each y of ys, in float64: the
     node loop of F and F(0) of a dielectric: G is `_g_real_axis` with eps
-    = `permittivity` of the float zeta = y c / (2a), and 0 from y = _X_END
-    on.  PrecisionError, naming `where`, when a G is not finite."""
+    - 1 = `susceptibility` of the float zeta = y c / (2a), and 0 from y =
+    _X_END on.  PrecisionError, naming `where`, when a G is not finite."""
     mat = system.material
     c, a = float_constants().c, float(system.separation_a)
     gl, fixed = gauss_legendre(system.quadrature.nx), {}
@@ -360,7 +365,7 @@ def _real_axis_gs(system: PlateSystem, ys, pols, where: str) -> list:
         if y >= _X_END:
             gs = (0.0,) * len(pols)
         else:
-            gs = _g_real_axis(y, permittivity(mat, y * c / (2 * a)), pols, gl, fixed)
+            gs = _g_real_axis(y, susceptibility(mat, y * c / (2 * a)), pols, gl, fixed)
         for pol, g in zip(pols, gs):
             if not math.isfinite(g):
                 raise PrecisionError(f"{pol}: G(y = {y:.6g}) = {g} in {where}")
@@ -368,34 +373,37 @@ def _real_axis_gs(system: PlateSystem, ys, pols, where: str) -> list:
     return out
 
 
-def _g_real_axis(y: float, eps: float, pols, gl, fixed: dict) -> tuple:
+def _g_real_axis(y: float, chi: float, pols, gl, fixed: dict) -> tuple:
     """G(y) = integral_y^45 x L(x) dx of each polarization in pols, in that
-    order, in float64, with eps = eps(i zeta) at y = 2 a zeta / c.
+    order, in float64, with chi = eps(i zeta) - 1 at y = 2 a zeta / c.
 
-    z = (y/x)^2 (eps - 1) and s = sqrt(1 + z) are shared by TM and TE;
-    r_TM = (eps - s)/(eps + s), 1 - r_TM^2 = 4 eps s / (eps + s)^2, r_TE =
-    -z/(1 + s)^2 and 1 - r_TE^2 = 4 s / (1 + s)^2.  L is log1p(-r^2 e^-x)
-    where r^2 e^-x < 1/2, and log((1 - r^2) - r^2 expm1(-x)) elsewhere, so
-    neither a small r^2 e^-x nor an r^2 close to 1 loses digits.  The
-    x-panels are `_real_axis_panels` from x = y.
+    z = (y/x)^2 chi and s = sqrt(1 + z) are shared by TM and TE.  With eps
+    = 1 + chi, r_TM = (chi - z/(1 + s))/(eps + s), whose numerator is eps -
+    s without the cancellation of a rounded eps close to 1, and 1 - r_TM^2
+    = 4 eps s / (eps + s)^2; r_TE = -z/(1 + s)^2 and 1 - r_TE^2 = 4 s / (1
+    + s)^2.  L is log1p(-r^2 e^-x) where r^2 e^-x < 1/2, and log((1 - r^2)
+    - r^2 expm1(-x)) elsewhere, so neither a small r^2 e^-x nor an r^2
+    close to 1 loses digits.  The x-panels are `_real_axis_panels` from x
+    = y.
     """
-    zfac = y * y * (eps - 1)
+    zfac = y * y * chi
+    eps = 1 + chi
     tm, te = "tm" in pols, "te" in pols
     g_tm = g_te = 0.0
     sqrt, exp, log, log1p = math.sqrt, math.exp, math.log, math.log1p
     for wx, x, x2, em in _real_axis_panels(_real_axis_edges(y), gl, fixed):
         z = zfac / x2
         s = sqrt(1 + z)
+        p = 1 + s
         ex = exp(-x)
         if tm:
             d = eps + s
-            r = (eps - s) / d
+            r = (chi - z / p) / d
             r2 = r * r
             q = r2 * ex
             g_tm += wx * (log1p(-q) if q < 0.5 else log(4 * eps * s / (d * d) - r2 * em))
         if te:
-            d = 1 + s
-            dd = d * d
+            dd = p * p
             r = -z / dd
             r2 = r * r
             q = r2 * ex

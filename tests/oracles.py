@@ -40,7 +40,8 @@ for the tests.
 
 All routines work at the current mpmath precision.  The scans take their
 cut-off M from `lifshitz._truncation_m`, so a test that patches it there
-raises the oracle's M.
+raises the oracle's M.  Their x-order is the system's `QuadratureSpec.nx`;
+their m- and y-orders are the oracle's own, NM_UNIT and NM_GEO.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ from casimir_lowt import lifshitz
 from casimir_lowt.constants import alpha_param, mp_constants
 from casimir_lowt.dielectric import PermittivityMode, permittivity
 from casimir_lowt.lifshitz import QuadratureSpec
+
+# The oracle's own m- and y-orders, whatever the system's QuadratureSpec
+# (which sets only its x-order): the program's orders do not carry the
+# reference down with them.  96 nodes on the sqrt(m) head panel resolve
+# g's m^2 ln m head, where 48 left about 1e-17 of dF.
+NM_UNIT = 96
+NM_GEO = 24
 
 
 class CancellationError(ArithmeticError):
@@ -572,7 +580,7 @@ def _scan(M: int, gp: list, integral) -> ModeScan:
                     integral=integral, d1=d1, d3=d3, d5=d5)
 
 
-def _m_integral(f, s, end, spec) -> list:
+def _m_integral(f, s, end) -> list:
     """integral_0^end f(m) dm of each component of the tuple-valued f, on
     the scan's m layout (which F(0) takes in y, in floats).
 
@@ -581,14 +589,14 @@ def _m_integral(f, s, end, spec) -> list:
     panel; from s on, geometric panels double up to `end`.
     """
     total = _gl_panels(lambda v: [2 * v * y for y in f(v * v)], mpf(0), mpmath.sqrt(s),
-                       gauss_legendre(spec.nm_unit))
-    return _doubling_panels(f, total, s, end, spec)
+                       gauss_legendre(NM_UNIT))
+    return _doubling_panels(f, total, s, end)
 
 
-def _doubling_panels(f, total, b, end, spec) -> list:
+def _doubling_panels(f, total, b, end) -> list:
     """total plus integral_b^end f(m) dm of each component, panel by panel:
-    `spec.nm_geo`-node panels double from b, the last one clipped at end."""
-    geo = gauss_legendre(spec.nm_geo)
+    NM_GEO-node panels double from b, the last one clipped at end."""
+    geo = gauss_legendre(NM_GEO)
     b = mpf(b)
     while b < end:
         nb = min(2 * b, mpf(end))
@@ -622,7 +630,7 @@ def _mode_pass(system, pols, *integrals) -> tuple[list, int]:
 
 def _head_integral(system, g, M, pols) -> list:
     """dF's m-integral over [0, M], for `_mode_pass`."""
-    return _m_integral(g, 1, M, system.quadrature)
+    return _m_integral(g, 1, M)
 
 
 def _tail_integral(system, g, M, pols) -> list:
@@ -633,7 +641,7 @@ def _tail_integral(system, g, M, pols) -> list:
     end = mpf(M)
     while xm1 * end < 60:
         end *= 2
-    return _doubling_panels(g, [mpf(0)] * len(pols), M, end, system.quadrature)
+    return _doubling_panels(g, [mpf(0)] * len(pols), M, end)
 
 
 def _mode_scans(system, pols) -> tuple[dict, int]:
@@ -696,7 +704,7 @@ def zero_temperature_energies(system):
     pref = k.hbar * k.c / (32 * mpmath.pi ** 2 * a ** 3)
     integrals = _m_integral(
         lambda y: _g_at_frequency(system, y * k.c / (2 * a), pols),
-        knee, 60, system.quadrature)
+        knee, 60)
     return {pol: pref * integral for pol, integral in zip(pols, integrals)}
 
 

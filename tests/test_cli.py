@@ -321,7 +321,7 @@ def test_precision_failure_exits_3(tm_config, nan_table, capsys):
 
 
 def test_non_finite_g_in_energy_exits_3(tm_config, monkeypatch, capsys):
-    monkeypatch.setattr(lifshitz, "permittivity", lambda model, zeta: mpmath.mpf("nan"))
+    monkeypatch.setattr(lifshitz, "susceptibility", lambda model, zeta: mpmath.mpf("nan"))
     assert main(["energy", "--config", tm_config, "--no-timestamp"]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from casimir_lowt.dielectric import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
                                      PermittivityMode, permittivity,
-                                     reflection_limits_zero_frequency)
+                                     reflection_limits_zero_frequency, susceptibility)
 from oracles import a_mu, reflection
 
 
@@ -42,6 +42,14 @@ def test_permittivity_of_a_float_is_the_mpf_value_at_53_bits(model):
         assert type(eps) is float
         with mp.workprec(53):
             assert eps == float(permittivity(model, mpf(zeta))), zeta
+
+
+@pytest.mark.parametrize("zeta", [1e9, 1e12, 3e15, complex(0, 1e12)])
+def test_susceptibility_is_eps_minus_1_without_rounding_through_eps(zeta):
+    # on si-fig2 (eps_bar = 1) it is the conductivity term alone, to the
+    # last bit, where eps - 1 off a rounded eps near 1 is not
+    assert susceptibility(SI_EPSBAR1, zeta) == 1e12 / zeta
+    assert susceptibility(DielectricModel(11.67, 8e15, 0.0), 0) == 11.67 - 1
 
 
 @pytest.mark.parametrize("v", [1e3, 1e12, 1e15, 1e16, 1e17])

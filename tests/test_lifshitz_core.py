@@ -13,7 +13,7 @@ from casimir_lowt import (IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel,
                           delta_f_direct, free_energy, zero_temperature_energy)
 from casimir_lowt import abel_plana, asymptotics, lifshitz
 from casimir_lowt.constants import mp_constants
-from casimir_lowt.dielectric import PermittivityMode, permittivity
+from casimir_lowt.dielectric import PermittivityMode, permittivity, susceptibility
 import oracles
 from oracles import (CancellationError, ModeScan, constant_a_integral, endpoint_sum,
                      free_energy_scans, g_of_m, gl_panel)
@@ -221,14 +221,25 @@ def test_ideal_metal_delta_f_above_the_tau_bound_is_the_scan(T, monkeypatch):
     # tau = 0.22, 0.26 and 0.52: Brown-Maclay drops terms of order
     # e^{-2 pi/tau}, 1.9e-9 of dF at 300 K, so dF is the n-sum's F minus the
     # closed-form F(0); the oracle is the scan's F at M = 240 minus F(0).
-    # (The scan's own dF is 2.6-3.2e-17 off it here: its 48-node m-panel on
-    # [0, 1] in sqrt(m) leaves g's m^2 ln m head at that; 96 nodes, 6.8e-21.)
+    # (The scan's own dF is 6.6-8.2e-21 off it here, with 96 nodes on its
+    # m-panel on [0, 1] in sqrt(m); 48 left g's m^2 ln m head at 2.6-3.2e-17.)
     res = delta_f_direct(PlateSystem(1e-6, T, IDEAL_METAL))
     monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
     f = free_energy_oracle(PlateSystem(1e-6, T, IDEAL_METAL, Polarization.TM))["tm"]
     ref = f - _brown_maclay(T)[0] / 2
     for pol in ("tm", "te"):
         assert abs(res[pol] / ref - 1) < 1e-28, pol
+
+
+def test_oracle_delta_f_resolves_the_m_head(monkeypatch):
+    # the scan's dF against its own F minus the closed-form F(0) of ideal
+    # plates at 300 K, M = 240: 6.8e-21 with the oracle's 96 nodes on the
+    # sqrt(m) head panel, 2.6e-17 with 48
+    monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
+    f, df = oracles.free_energy_and_delta_f(PlateSystem(1e-6, 300.0, IDEAL_METAL,
+                                                        Polarization.TM))
+    ref = f["tm"] - _brown_maclay(300.0)[0] / 2
+    assert abs(df["tm"] / ref - 1) < 1e-19
 
 
 def test_ideal_metal_closed_forms_agree_at_the_tau_bound():
@@ -349,14 +360,15 @@ def test_shared_kernel_consistency():
 
 def test_each_route_integrates_only_its_side_of_m():
     # g(m) evaluations: the integers 0..M+3 (34 at M = 30), then F adds its
-    # tail nodes (216) and the oracle's dF scan its [0, M] nodes (168); at
-    # 15 mK TM's scan makes 410 + 264 (M = 406).  Either route evaluating
-    # the other's side fails.
+    # tail nodes (108, 9 panels of 12) and the oracle's dF scan its [0, M]
+    # nodes (216: 96 on [0, 1] in sqrt(m), 5 panels of 24); at 15 mK TM's
+    # scan makes 410 + 312 (M = 406).  Either route evaluating the other's
+    # side fails.
     both = PlateSystem(1e-6, 0.85, SI_PAPER)
-    assert free_energy(both).g_evals == 250
-    assert oracles._mode_scans(both, ("tm", "te"))[1] == 202
+    assert free_energy(both).g_evals == 142
+    assert oracles._mode_scans(both, ("tm", "te"))[1] == 250
     tm_cold = PlateSystem(1e-6, 0.015, SI_PAPER, Polarization.TM)
-    assert oracles._mode_scans(tm_cold, ("tm",))[1] == 674
+    assert oracles._mode_scans(tm_cold, ("tm",))[1] == 722
 
 
 # --- bit-identity of the raw x-panel loop -------------------------------------
@@ -482,9 +494,9 @@ def test_real_axis_edges_halve_below_1_and_double_above(lo, edges):
 
 
 def test_g_walks_doubling_x_panels_past_x_1(monkeypatch):
-    # 6 x-panels from x = 1 to 45, not 22 of width 2: 48,432 x-nodes for
-    # one F(0) pass on si-paper and 41,888 for F on si-paper plus si-fig2
-    # at 0.85 K, both polarizations
+    # 6 x-panels from x = 1 to 45, not 22 of width 2, and 12-node m- and
+    # y-panels: 30,976 x-nodes for one F(0) pass on si-paper and 26,432
+    # for F on si-paper plus si-fig2 at 0.85 K, both polarizations
     panels = lifshitz._real_axis_panels
     count = [0]
 
@@ -495,11 +507,11 @@ def test_g_walks_doubling_x_panels_past_x_1(monkeypatch):
 
     monkeypatch.setattr(lifshitz, "_real_axis_panels", spy)
     lifshitz.zero_temperature_energies(PlateSystem(1e-6, 0.0, SI_PAPER))
-    assert count[0] <= 50_000
+    assert count[0] <= 31_000
     count[0] = 0
     for material in (SI_PAPER, SI_EPSBAR1):
         free_energy(PlateSystem(1e-6, 0.85, material))
-    assert count[0] <= 43_000
+    assert count[0] <= 26_500
 
 
 OFF_PRESET_CASES = {
@@ -530,6 +542,58 @@ def test_off_the_presets_f_and_f0_match_doubled_x_orders(case):
             assert abs(f[pol] / ref[pol] - 1) < 1.2e-15, (T, pol)
 
 
+M_ORDER_CASES = {
+    "si-paper": (1e-6, SI_PAPER),
+    "si-fig2": (1e-6, SI_EPSBAR1),
+    **OFF_PRESET_CASES,
+    "lowfreq": (1e-6, DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=1e12,
+                                      mode=PermittivityMode.LOW_FREQ)),
+    "eps-3-a-3um": (3e-6, DielectricModel(eps_bar=3.0, omega0=8e15, four_pi_sigma=1e12)),
+}
+
+
+@pytest.mark.parametrize("case", list(M_ORDER_CASES))
+def test_f_and_f0_match_doubled_m_and_y_orders(case):
+    # the m- and y-layout's error: F from 15 mK to 30 K and F(0) against
+    # the same calls with 96 nodes on F(0)'s sqrt(y) panel and 48 per
+    # doubling panel, within about twice the largest measured difference
+    # (4.2e-16); 10 nodes per doubling panel are up to 4.9e-15 off, 8 up
+    # to 4.3e-12
+    a, material = M_ORDER_CASES[case]
+    fine = QuadratureSpec(nm_unit=96, nm_geo=48)
+    f0 = lifshitz.zero_temperature_energies(PlateSystem(a, 0.0, material))
+    ref = lifshitz.zero_temperature_energies(PlateSystem(a, 0.0, material, quadrature=fine))
+    for pol in ("tm", "te"):
+        assert abs(f0[pol] / ref[pol] - 1) < 1e-15, ("F(0)", pol)
+    for T in (0.015, 0.3, 0.85, 30.0):
+        f = free_energy(PlateSystem(a, T, material)).per_mode
+        ref = free_energy(PlateSystem(a, T, material, quadrature=fine)).per_mode
+        for pol in ("tm", "te"):
+            assert abs(f[pol] / ref[pol] - 1) < 1e-15, (T, pol)
+
+
+@pytest.mark.parametrize("y", [3.0, 7.0])
+def test_g_keeps_its_digits_where_eps_is_close_to_1(y):
+    # si-fig2 (eps_bar = 1) at a = 1 um has eps - 1 = 6.7e-3 / y.  Taken
+    # from a rounded eps, eps - 1 put G 1.3e-13 (y = 3) and 3.1e-13 (y = 7)
+    # off a 30-digit integral over the same x-panels on the model's own
+    # eps - 1; from `susceptibility`, with r_TM's numerator (eps - 1) -
+    # z/(1 + s), at most 6.5e-16
+    sys_ = PlateSystem(1e-6, 0.0, SI_EPSBAR1)
+    gs, = lifshitz._real_axis_gs(sys_, [y], ("tm", "te"), "G")
+    mp.dps = 30
+    zeta = y * float(mp_constants().c) / 2e-6
+    chi = susceptibility(SI_EPSBAR1, mpf(zeta))
+    for pol, g in zip(("tm", "te"), gs):
+        def integrand(x):
+            z = (y / x) ** 2 * chi
+            s = mpmath.sqrt(1 + z)
+            r = (1 + chi - s) / (1 + chi + s) if pol == "tm" else -z / (1 + s) ** 2
+            return x * mpmath.log1p(-r * r * mpmath.exp(-x))
+        ref = mpmath.quad(integrand, lifshitz._real_axis_edges(y))
+        assert abs(g / ref - 1) < 2e-15, pol
+
+
 @pytest.mark.parametrize("T", [0.015, 0.85])
 def test_ideal_metal_g_closed_form_matches_refined_reference(T):
     sys_ = PlateSystem(1e-6, T, IDEAL_METAL)
@@ -557,7 +621,7 @@ def test_zero_temperature_g_bit_identical_to_reference(monkeypatch):
     monkeypatch.setattr(oracles, "_g_at_frequency", spy)
     zero_temperature_oracle(sys_)
     calls = per_pol["tm"] + per_pol["te"]
-    assert len(calls) == 768
+    assert len(calls) == 864
     for zeta, pol, g in calls[::6]:
         assert g == _reference_g_at_frequency(sys_, zeta, pol), (zeta, pol)
 
@@ -677,7 +741,7 @@ def test_ideal_metal_zero_temperature_is_the_closed_form():
 
 
 def test_non_finite_g_in_zero_temperature_energy_is_a_precision_error(monkeypatch):
-    monkeypatch.setattr(lifshitz, "permittivity", lambda model, zeta: mpf("nan"))
+    monkeypatch.setattr(lifshitz, "susceptibility", lambda model, zeta: mpf("nan"))
     with pytest.raises(PrecisionError, match=r"tm: G\(y = .*\) = nan in F\(0\)"):
         zero_temperature_energy(PlateSystem(1e-6, 0.0, SI_PAPER, Polarization.TM))
 
@@ -749,6 +813,6 @@ def test_free_energy_never_calls_the_mode_scan_kernel(monkeypatch):
 
 
 def test_non_finite_g_in_free_energy_is_a_precision_error(monkeypatch):
-    monkeypatch.setattr(lifshitz, "permittivity", lambda model, zeta: mpf("nan"))
+    monkeypatch.setattr(lifshitz, "susceptibility", lambda model, zeta: mpf("nan"))
     with pytest.raises(PrecisionError, match=r"tm: G\(y = .*\) = nan in F$"):
         free_energy(PlateSystem(1e-6, 0.85, SI_PAPER, Polarization.TM))
