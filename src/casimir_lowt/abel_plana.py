@@ -46,30 +46,41 @@ Re x*/4 of it are replaced by edges that cluster on Re x* from both
 sides, at distances halving from Re x*/4 down to |Im x*|.  The layout
 is the same whichever polarizations are asked for, and each polarization
 has its own running sum, so each one's values are bit-identical whether
-it is computed alone or with the other.  The u-path starts at u = 0 with
-one panel on [0, u_0], u_0 = 2^-10 xm1(T_min), in v = sqrt(u): nodes v^2,
-weights 2 v w, as on F(0)'s first y-panel.  H's u, u^{3/2} and u^2 terms
-times the Bose weight are polynomials in v there, so that one panel takes
-H's small-u structure whole, whatever its basis, and no u is cut off.
-Panels of 10 nodes then double from u_0 to past 8 xm1(T_max) (the weight
-there is e^{-16 pi} = 1.4e-22 or less).
+it is computed alone or with the other.  The u-panel edges are u_0 2^k,
+anchored at u_0 = 2^-10 xm1(T_min).  The u-path starts at u = 0 with one
+head panel [0, u_h] in v = sqrt(u): nodes v^2, weights 2 v w, as on
+F(0)'s first y-panel.  u_h is the highest edge u_0 2^k (k >= 0) at or
+below min(2^-5 xm1(T_min), 2^-8 alpha), with alpha the conductivity knee
+(`lifshitz.conductivity_knee`, F(0)'s).  Below alpha, H's u, u^{3/2} and
+u^2 terms times the Bose weight make a short series in v, so the head
+takes H's small-u structure whole, whatever its basis, and no u is cut
+off.  Panels of 10 nodes then double from u_h to past 8 xm1(T_max) (the
+weight there is e^{-16 pi} = 1.4e-22 or less).  Every edge above the
+head is one that a head ending at u_0 would have too, so TE's
+branch-point step in u (see below) stays in the same u-panel whatever
+the head's end.
 
 Node orders.  An x-panel has 16 Gauss-Legendre nodes where it reaches
 past x = 1 or comes within a factor 16 of one of the three scales
 (a < 16 s and 16 b > s for the panel [a, b], so always on [0, s_min]),
 and 8 elsewhere, on the halving panels between the scales; every H takes
-the same rules.  The [0, u_0] panel has 16 nodes too: with 10 it leaves
-1.1e-11 on si-paper TM at 20 K.  On the 15-120 mK TM sweep that is
-89,832 x-nodes for 176 H.  Against the same table at doubled orders (32
-and 16 nodes per x-panel, 32 on [0, u_0], 24 per u-panel and u_0 =
+the same rules.  The head has 32 nodes.  On the 15-120 mK TM sweep that
+is 67,136 x-nodes for 142 H.  Where the knee holds the head at u_0
+(si-paper, a = 1 um: T_min above 2.4 K) the head's 32 nodes cost 16 H
+more than 16 nodes there would, 162 at 20 K, and 6 more at T_min =
+1.2-2.4 K.  Against the same table at doubled orders (32 and 16 nodes
+per x-panel, 64 on the head, 24 per u-panel and the head held at u_0 =
 2^-20 xm1(T_min)) dF agrees within 6e-13 relative on si-paper and
-si-fig2 at 2 mK-1 K (at most 5.1e-13, si-paper TE at 0.8-1 K; 2.0e-13
-for TM), on si-paper TM down to 10 uK (3.1e-13) and on si-paper TE at
+si-fig2 at 2 mK-1 K (at most 5.1e-13, si-paper TE at 0.8-1 K; 1.9e-13
+for TM), on si-paper TM down to 10 uK (2.6e-13) and on si-paper TE at
 20 K (2.6e-14).  8 nodes per u-panel would give up to 1.3e-11, and 6
 nodes per far x-panel up to 1.4e-11 (TM) and 8.6e-11 (TE).  The 6e-13
-holds on those cases only.  Elsewhere dF is off by up to 1.2e-12 on
-si-paper TM at 20 K, 3.7e-13 on si-fig2 TM at 20 K, 7.6e-12 on TE at
-a = 10 um and 0.02-1 K and 6.2e-13 on TE at 4 pi sigma = 1e10 s^-1.
+holds on those cases only.  Elsewhere dF is off by up to 2.9e-13 on
+si-paper TM at 20 K, 5.3e-14 on si-fig2 TM at 20 K, 4.3e-13 on TM at
+a = 3.8-4 um with 4 pi sigma = 5e13-1.2e14 s^-1 (at most 1.9e-13 with
+16 nodes on [0, u_0]), 7.6e-12 on TE at a = 10 um and 0.02-1 K and
+6.2e-13 on TE at 4 pi sigma = 1e10 s^-1; TE's two come from a step of H
+in u where the branch-point clustering switches on.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
 precision; the Gauss-Legendre rules are `lifshitz.gauss_legendre`, the
@@ -95,13 +106,16 @@ from .constants import float_constants
 from .dielectric import PermittivityMode, permittivity
 from .lifshitz import (_X_END, PlateSystem, PrecisionError, _halvings, _panel,
                        _real_axis_edges, _real_axis_panels, _sqrt_panel,
-                       gauss_legendre)
+                       conductivity_knee, gauss_legendre)
 
 _NX = 16          # Gauss-Legendre nodes per x-panel near the integrand's scales
 _NX_FAR = 8       # per x-panel away from them
 _BAND = 16        # factor around each scale within which an x-panel is near it
 _NU = 10          # Gauss-Legendre nodes per u-panel
-_U_0 = 2 ** -10   # share of xm1(T_min) where the sqrt(u) panel [0, u_0] ends
+_NH = 32          # Gauss-Legendre nodes on the sqrt(u) head
+_U_0 = 2 ** -10   # share of xm1(T_min) that anchors the u-panel edges u_0 2^k
+_U_HEAD = 2 ** -5   # share of xm1(T_min) the sqrt(u) head reaches at most
+_KNEE_HEAD = 2 ** -8  # share of the conductivity knee the head reaches at most
 _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
 
 
@@ -145,28 +159,31 @@ def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
 
 def _h(u: float, eps: complex, pols, gl, fixed: dict) -> tuple:
     """H(u) = Im G(iu) of each polarization in pols, in that order, with
-    eps taken at zeta = i u c / (2a); gl and fixed are `_x_nodes`'s."""
+    eps taken at zeta = i u c / (2a); gl and fixed are `_x_nodes`'s.  s is
+    taken once per node for both; each polarization then runs its own loop."""
     w = u * u * (eps - 1)
-    e2m1 = eps * eps - 1
-    tm, te = "tm" in pols, "te" in pols
-    h_tm = h_te = 0.0
-    sqrt, atan2 = cmath.sqrt, math.atan2
-    for wx, X, X2, em in _x_nodes(u, eps, w, gl, fixed):
-        s = sqrt(X2 - w)
-        if tm:
-            ex = eps * X
-            d = ex + s
-            dd = d * d
-            r = (e2m1 * X2 + w) / dd
-            z = 4 * ex * s / dd - r * r * em
-            h_tm += wx * atan2(z.imag, z.real)
-        if te:
-            d = X + s
-            dd = d * d
-            r = w / dd
-            z = 4 * X * s / dd - r * r * em
-            h_te += wx * atan2(z.imag, z.real)
-    return tuple(h_tm if pol == "tm" else h_te for pol in pols)
+    nodes = _x_nodes(u, eps, w, gl, fixed)
+    sqrt, phase = cmath.sqrt, cmath.phase
+    ss = [sqrt(X2 - w) for _, _, X2, _ in nodes]
+    hs = []
+    for pol in pols:
+        h = 0.0
+        if pol == "tm":
+            e2m1 = eps * eps - 1
+            for (wx, X, X2, em), s in zip(nodes, ss):
+                ex = eps * X
+                d = ex + s
+                dd = d * d
+                r = (e2m1 * X2 + w) / dd
+                h += wx * phase(4 * ex * s / dd - r * r * em)
+        else:
+            for (wx, X, X2, em), s in zip(nodes, ss):
+                d = X + s
+                dd = d * d
+                r = w / dd
+                h += wx * phase(4 * X * s / dd - r * r * em)
+        hs.append(h)
+    return tuple(hs)
 
 
 def _bose(q: float) -> float:
@@ -213,8 +230,12 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
 
     near, far, gl_u = gauss_legendre(_NX), gauss_legendre(_NX_FAR), gauss_legendre(_NU)
     fixed = {}
-    u_0, u_hi = _U_0 * xm1(min(ts)), _U_HI * xm1(max(ts))
-    nodes, b = _sqrt_panel(u_0, near), u_0
+    x_lo, u_hi = xm1(min(ts)), _U_HI * xm1(max(ts))
+    # the head [0, b] takes the doubling panels from u_0 up to its end
+    b, end = _U_0 * x_lo, min(_U_HEAD * x_lo, _KNEE_HEAD * conductivity_knee(mat, a))
+    while 2 * b <= end:
+        b *= 2
+    nodes = _sqrt_panel(b, gauss_legendre(_NH))
     while b < u_hi:
         nodes += _panel(b, 2 * b, gl_u)
         b *= 2

@@ -316,6 +316,16 @@ def _require_positive_t(system: PlateSystem) -> None:
         raise ValueError("F and dF require T > 0; F(0) is zero_temperature_energy")
 
 
+def conductivity_knee(material: DielectricModel, a: float) -> float:
+    """The conductivity scale in y = 2 a zeta / c: y = alpha = 2 a (4 pi
+    sigma) / c, where r_TM falls from 1 to its dielectric value; 1 without
+    conductivity or above alpha = 1.  F(0)'s first y-panel ends there, and
+    `abel_plana`'s sqrt(u) head stays well below it."""
+    if not material.four_pi_sigma > 0:
+        return 1.0
+    return min(2 * a * material.four_pi_sigma / float_constants().c, 1.0)
+
+
 def zero_temperature_energies(system: PlateSystem) -> dict:
     """T = 0 limit per polarization, {pol: mpf J/m^2}, from one float64 pass
     over the y nodes for every polarization of the system.
@@ -323,9 +333,7 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
     With y = 2 a zeta / c,  F(0) = hbar c / (32 pi^2 a^3) integral_0^inf G(y) dy,
     on the scan's m layout in y: an `nm_unit`-node panel in v = sqrt(y) on
     [0, knee], then `nm_geo`-node panels doubling to _X_END.  The knee is
-    the conductivity scale y = alpha = 2 a (4 pi sigma) / c, where r_TM
-    falls from 1 to its dielectric value (y = 1 without conductivity or
-    above alpha = 1).  The G come from F's node loop, `_real_axis_gs`;
+    `conductivity_knee`.  The G come from F's node loop, `_real_axis_gs`;
     PrecisionError when one is not finite.  The ideal metal's F(0) is
     `asymptotics.ideal_metal`'s closed form, half per polarization.
     """
@@ -337,7 +345,7 @@ def zero_temperature_energies(system: PlateSystem) -> dict:
     k = float_constants()
     a = float(system.separation_a)
     spec = system.quadrature
-    knee = min(2 * a * mat.four_pi_sigma / k.c, 1.0) if mat.four_pi_sigma > 0 else 1.0
+    knee = conductivity_knee(mat, a)
     # (y, weight): v^2 panel on [0, knee], then doubling panels to _X_END
     nodes = _sqrt_panel(knee, gauss_legendre(spec.nm_unit))
     gl_geo = gauss_legendre(spec.nm_geo)

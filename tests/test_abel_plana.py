@@ -97,14 +97,17 @@ def test_nan_h_raises_precision_error(nan_table):
 
 
 def _doubled_order_table(template, grid, monkeypatch):
-    # the same table with every node order doubled (the sqrt(u) panel's
-    # too) and the sqrt(u) panel ended 1024 times lower; its x-paths start
-    # at 0 as the stock table's do
+    # the same table with every node order doubled (the sqrt(u) head's
+    # too) and the head held at u_0 = 2^-20 xm1(T_min), where the stock
+    # head reaches up to 2^-5 xm1(T_min); its x-paths start at 0 as the
+    # stock table's do
     with monkeypatch.context() as m:
         m.setattr(abel_plana, "_NX", 32)
         m.setattr(abel_plana, "_NX_FAR", 16)
         m.setattr(abel_plana, "_NU", 24)
+        m.setattr(abel_plana, "_NH", 64)
         m.setattr(abel_plana, "_U_0", 2 ** -20)
+        m.setattr(abel_plana, "_U_HEAD", 2 ** -20)
         return delta_f_table(template, grid)
 
 
@@ -126,7 +129,7 @@ def test_layout_matches_the_doubled_order_table(material, pol, grid, monkeypatch
 
 
 @pytest.mark.parametrize("a, material, pol, grid, bound", [
-    (1e-6, SI_PAPER, "tm", [20.0], {"tm": 2.5e-12}),
+    (1e-6, SI_PAPER, "tm", [20.0], {"tm": 6e-13}),
     (1e-6, SI_EPSBAR1, "both", [20.0], {"tm": 7e-13, "te": 2e-14}),
     (1e-5, SI_PAPER, "te", [0.02, 1.0], {"te": 1.5e-11}),
     (1e-7, SI_PAPER, "te", [0.02, 1.0], {"te": 8e-15}),
@@ -138,8 +141,9 @@ def test_layout_matches_the_doubled_order_table(material, pol, grid, monkeypatch
 def test_off_the_presets_the_table_stays_within_its_measured_error(a, material, pol, grid,
                                                                    bound, monkeypatch):
     # about twice the measured difference from the doubled-order table:
-    # 1.2e-12, 3.7e-13 and 8.9e-15, 7.6e-12, 3.8e-15, 6.2e-13 and 5.6e-14,
-    # where the presets' is at most 6e-13
+    # 2.9e-13, 5.3e-14 and 8.9e-15, 7.6e-12, 3.8e-15, 6.2e-13 and 6.0e-14,
+    # where the presets' is at most 6e-13; si-fig2's TM bound stays at 7e-13,
+    # since the doubled-order table is itself only about 3e-13 good on TM
     template = PlateSystem(a, 1.0, material, Polarization(pol))
     table = delta_f_table(template, grid)
     ref = _doubled_order_table(template, grid, monkeypatch)
@@ -148,11 +152,7 @@ def test_off_the_presets_the_table_stays_within_its_measured_error(a, material, 
             assert abs(table[p][k][0] / ref[p][k][0] - 1) < tol, (p, T)
 
 
-def test_table_makes_176_h_on_the_tm_sweep_grid(monkeypatch):
-    # 16 u-nodes on the sqrt(u) panel up to 2^-10 xm1(15 mK), then 10 per
-    # doubling panel past 8 xm1(120 mK) = 2^6 xm1(15 mK): 16 panels.  Only
-    # the grid's ends set the panels, so the interior points of a sweep
-    # move nothing.
+def _h_calls(template, grid, monkeypatch) -> int:
     h = abel_plana._h
     calls = []
 
@@ -161,15 +161,32 @@ def test_table_makes_176_h_on_the_tm_sweep_grid(monkeypatch):
         return h(*args)
 
     monkeypatch.setattr(abel_plana, "_h", spy)
-    delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
-    assert len(calls) == 176
+    delta_f_table(template, grid)
+    return len(calls)
 
 
-def test_table_walks_at_most_92000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
+def test_table_makes_142_h_on_the_tm_sweep_grid(monkeypatch):
+    # 32 u-nodes on the sqrt(u) head up to 2^-5 xm1(15 mK) (the knee cap,
+    # 2^-8 alpha = 2.6e-5, is 10 times higher), then 10 per doubling panel
+    # past 8 xm1(120 mK) = 2^6 xm1(15 mK): 11 panels.  Only the grid's ends
+    # set the panels, so the interior points of a sweep move nothing.
+    template = PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM)
+    assert _h_calls(template, [0.015, 0.05, 0.12], monkeypatch) == 142
+
+
+def test_the_knee_caps_the_head_at_20_k(monkeypatch):
+    # 2^-8 alpha = 2.6e-5 lies below 2 u_0 = 2^-9 xm1(20 K) = 2.1e-4, so the
+    # head stays on [0, u_0]: its 32 nodes, then 10 on each of the 13
+    # doubling panels to 8 xm1
+    template = PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM)
+    assert _h_calls(template, [20.0], monkeypatch) == 162
+
+
+def test_table_walks_at_most_68000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
     # 16 nodes per x-panel only near the integrand's scales and past x = 1,
     # 8 elsewhere; one panel on [0, s_min] below the smallest scale, not
     # halvings down to a fraction of it; doubling panels from x = 1 to 45
-    # (6, not 22 of width 2); 176 H: 89,832 x-nodes.
+    # (6, not 22 of width 2); 142 H: 67,136 x-nodes.
     x_nodes = abel_plana._x_nodes
     count = [0]
 
@@ -180,4 +197,4 @@ def test_table_walks_at_most_92000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
 
     monkeypatch.setattr(abel_plana, "_x_nodes", spy)
     delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
-    assert count[0] <= 92_000
+    assert count[0] <= 68_000

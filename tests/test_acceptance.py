@@ -20,7 +20,6 @@ import time
 import warnings
 
 import mpmath
-import numpy as np
 import pytest
 from mpmath import mpf
 
@@ -31,6 +30,7 @@ from casimir_lowt.dielectric import IDEAL_METAL, SI_PAPER, DielectricModel
 from casimir_lowt.diagnostics import TE_FIT_POWERS, fit_expansion, r_curve, te_cube_comparison
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, delta_f_direct,
                                    zero_temperature_energy)
+from grids import logspace
 from oracles import (constant_a_integral, half_power_series_terms, levin_u_sum,
                      log_power_series_terms, psi_from_borel, r_slope, te_closed_form_g1,
                      te_g1_quadrature)
@@ -55,7 +55,7 @@ def report(n, ok, detail):
 
 @pytest.fixture(scope="module")
 def tm_records():
-    grid = list(np.logspace(np.log10(0.02), np.log10(0.3), 14))
+    grid = logspace(0.02, 0.3, 14)
     template = PlateSystem(A_M, 1.0, SI_PAPER, Polarization.TM)
     return r_curve(template, grid, "tm")
 
@@ -63,21 +63,19 @@ def tm_records():
 @pytest.fixture(scope="module")
 def tm_low_records():
     # t <= 0.016: below 20 mK the D1 T term outweighs kappa T^2
-    return in_regime_curve(list(np.logspace(np.log10(0.002), np.log10(0.02), 14)),
-                           "tm")
+    return in_regime_curve(logspace(0.002, 0.02, 14), "tm")
 
 
 @pytest.fixture(scope="module")
 def tm_eb1_records():
-    grid = list(np.logspace(np.log10(0.02), np.log10(0.3), 14))
+    grid = logspace(0.02, 0.3, 14)
     return r_curve(PlateSystem(A_M, 1.0, SI_EB1, Polarization.TM), grid, "tm")
 
 
 @pytest.fixture(scope="module")
 def te_records():
     # t <= 0.082: the TE expansion holds only for t << 1
-    return in_regime_curve(list(np.logspace(np.log10(0.01), np.log10(0.1), 12)),
-                           "te")
+    return in_regime_curve(logspace(0.01, 0.1, 12), "te")
 
 
 def test_criterion_1_constants():

@@ -3,7 +3,6 @@
 import multiprocessing
 import warnings
 
-import numpy as np
 import pytest
 from mpmath import mpf
 
@@ -15,12 +14,13 @@ from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_
 from casimir_lowt.dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError,
                                    zero_temperature_energies)
+from grids import logspace
 from oracles import r_slope
 
 
 def synthetic_records(D=2.53e-17, D1=0.366, D2=-0.5, sign=-1, n=12,
                       t_lo=0.02, t_hi=0.3):
-    grid = np.logspace(np.log10(t_lo), np.log10(t_hi), n)
+    grid = logspace(t_lo, t_hi, n)
     recs = []
     for T in grid:
         df = sign * D * T ** 2 * (1.0 - D1 * T + D2 * T ** 2)
@@ -71,7 +71,7 @@ def test_fit_positive_branch():
 
 def test_fit_half_integer_basis():
     # generate with a bracket T^{3/2} correction, fit the matching basis
-    grid = np.logspace(np.log10(0.02), np.log10(0.3), 12)
+    grid = logspace(0.02, 0.3, 12)
     recs = [SweepRecord(T=T, F_num=None, F_asym=None,
                         dF_num=4.0e-19 * T ** 2 * (1.0 - 0.2 * T - 0.1 * T ** 1.5),
                         dF_th=None, R=None, pol="te") for T in grid]
