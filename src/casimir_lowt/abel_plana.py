@@ -45,13 +45,17 @@ sits close to the real axis, and the edges, halving or doubling, within
 Re x*/4 of it are replaced by edges that cluster on Re x* from both
 sides, at distances halving from Re x*/4 down to |Im x*|.  The layout
 is the same whichever polarizations are asked for, and each polarization
-has its own running sum, so each one's values are bit-identical whether
-it is computed alone or with the other.  The u-panel edges are u_0 2^k,
-anchored at u_0 = 2^-10 xm1(T_min).  The u-path starts at u = 0 with one
-head panel [0, u_h] in v = sqrt(u): nodes v^2, weights 2 v w, as on
-F(0)'s first y-panel.  u_h is the highest edge u_0 2^k (k >= 0) at or
-below min(2^-5 xm1(T_min), 2^-8 alpha), with alpha the conductivity knee
-(`lifshitz.conductivity_knee`, F(0)'s).  Below alpha, H's u, u^{3/2} and
+has its own running sum in one pass over the nodes, so each one's values
+are bit-identical whether it is computed alone or with the other.  The
+u-panel edges are u_0 2^k, anchored at u_0 = 2^-10 xm1(T_min), or at
+u_0 = 2^-8 alpha where the conductivity knee alpha
+(`lifshitz.conductivity_knee`, F(0)'s) lies below 2^-10 xm1(T_min),
+that is at t(T_min) > 1024: a head anchored higher would take the knee,
+where H changes form, inside one panel (dF was off by 4.2e-7 at t = 1e4
+and by 3.8e-2 at 1e6).  The u-path starts at u = 0 with one head panel
+[0, u_h] in v = sqrt(u): nodes v^2, weights 2 v w, as on F(0)'s first
+y-panel.  u_h is the highest edge u_0 2^k (k >= 0) at or below
+min(2^-5 xm1(T_min), 2^-8 alpha).  Below alpha, H's u, u^{3/2} and
 u^2 terms times the Bose weight make a short series in v, so the head
 takes H's small-u structure whole, whatever its basis, and no u is cut
 off.  Panels of 10 nodes then double from u_h to past 8 xm1(T_max) (the
@@ -60,27 +64,35 @@ head is one that a head ending at u_0 would have too, so TE's
 branch-point step in u (see below) stays in the same u-panel whatever
 the head's end.
 
-Node orders.  An x-panel has 16 Gauss-Legendre nodes where it reaches
-past x = 1 or comes within a factor 16 of one of the three scales
-(a < 16 s and 16 b > s for the panel [a, b], so always on [0, s_min]),
-and 8 elsewhere, on the halving panels between the scales; every H takes
-the same rules.  The head has 32 nodes.  On the 15-120 mK TM sweep that
-is 67,136 x-nodes for 142 H.  Where the knee holds the head at u_0
-(si-paper, a = 1 um: T_min above 2.4 K) the head's 32 nodes cost 16 H
-more than 16 nodes there would, 162 at 20 K, and 6 more at T_min =
-1.2-2.4 K.  Against the same table at doubled orders (32 and 16 nodes
-per x-panel, 64 on the head, 24 per u-panel and the head held at u_0 =
+Node orders.  Each x-panel [a, b] takes the order of the bands it meets
+(a < 16 x and 16 b > x for the band of the scale x).  |sqrt(w)| always
+has a band; u / sqrt|eps| and u have one only where they are at least
+|sqrt(w)| / 16: at small u, where eps is large, the two lie far below
+|sqrt(w)|, and their bands bought no digit.  A panel that meets a band
+has 16 Gauss-Legendre nodes; any other has 12 where it reaches past x =
+1 and 8 below; the first panel [0, s_min] takes the same rule, and every
+H takes the same rules.  The head has 32 nodes.  On the 15-120 mK TM
+sweep that is 55,256 x-nodes for 142 H.  Where the knee holds the head
+at u_0 (si-paper, a = 1 um: T_min above 2.4 K) the head's 32 nodes cost
+16 H more than 16 nodes there would, 162 at 20 K, and 6 more at T_min =
+1.2-2.4 K; past t = 1024 the ladder from 2^-8 alpha takes
+about 10 H more per octave of t (282 H at t = 1e4, 342 at 1e6).
+Against the same table at doubled orders (32, 24 and 16 nodes per
+x-panel, 64 on the head, 24 per u-panel and the head held at u_0 =
 2^-20 xm1(T_min)) dF agrees within 6e-13 relative on si-paper and
-si-fig2 at 2 mK-1 K (at most 5.1e-13, si-paper TE at 0.8-1 K; 1.9e-13
-for TM), on si-paper TM down to 10 uK (2.6e-13) and on si-paper TE at
-20 K (2.6e-14).  8 nodes per u-panel would give up to 1.3e-11, and 6
-nodes per far x-panel up to 1.4e-11 (TM) and 8.6e-11 (TE).  The 6e-13
-holds on those cases only.  Elsewhere dF is off by up to 2.9e-13 on
-si-paper TM at 20 K, 5.3e-14 on si-fig2 TM at 20 K, 4.3e-13 on TM at
-a = 3.8-4 um with 4 pi sigma = 5e13-1.2e14 s^-1 (at most 1.9e-13 with
-16 nodes on [0, u_0]), 7.6e-12 on TE at a = 10 um and 0.02-1 K and
-6.2e-13 on TE at 4 pi sigma = 1e10 s^-1; TE's two come from a step of H
-in u where the branch-point clustering switches on.
+si-fig2 at 2 mK-1 K (at most 5.1e-13, si-paper TE at 1 K; 1.8e-13 for
+TM), on si-paper TM down to 10 uK (3.9e-13) and on si-paper TE at 20 K
+(2.6e-14).  8 nodes per u-panel would give up to 1.3e-11, 6 nodes per
+far x-panel up to 1.4e-11 (TM) and 1.1e-10 (TE), and 12 nodes in the
+bands up to 4.9e-11 on TE at 20 K and 2.7e-9 on TE at a = 10 um.  The
+6e-13 holds on those cases only.  Elsewhere dF is off by up to 1.8e-13
+on si-paper TM at 20 K, 2.0e-14 on si-fig2 TM at 20 K, 3.0e-13 on TM at
+a = 3.8-4 um with 4 pi sigma = 5e13-1.2e14 s^-1, 7.6e-12 on TE at a =
+10 um and 0.02-1 K and 6.2e-13 on TE at 4 pi sigma = 1e10 s^-1; TE's
+two come from a step of H in u where the branch-point clustering
+switches on.  The doubled-order table
+is itself only about 3e-13 good on TM.  Past t = 1024, TM agrees with
+F - F(0) within 5.3e-13 at t = 1e4 and 1.6e-13 at 1e6.
 
 All of it is float64 arithmetic (`math`, `cmath`), whatever the working
 precision; the Gauss-Legendre rules are `lifshitz.gauss_legendre`, the
@@ -105,12 +117,12 @@ import math
 from .constants import float_constants
 from .dielectric import PermittivityMode, permittivity
 from .lifshitz import (_X_END, PlateSystem, PrecisionError, _halvings, _panel,
-                       _real_axis_edges, _real_axis_panels, _sqrt_panel,
-                       conductivity_knee, gauss_legendre)
+                       _real_axis_edges, _sqrt_panel, conductivity_knee, gauss_legendre)
 
-_NX = 16          # Gauss-Legendre nodes per x-panel near the integrand's scales
-_NX_FAR = 8       # per x-panel away from them
-_BAND = 16        # factor around each scale within which an x-panel is near it
+_NX = 16          # Gauss-Legendre nodes per x-panel in the band of a scale
+_NX_ABOVE_1 = 12  # per x-panel away from them that reaches past x = 1
+_NX_FAR = 8       # per x-panel away from them below x = 1
+_BAND = 16        # factor either side of a scale that its band spans
 _NU = 10          # Gauss-Legendre nodes per u-panel
 _NH = 32          # Gauss-Legendre nodes on the sqrt(u) head
 _U_0 = 2 ** -10   # share of xm1(T_min) that anchors the u-panel edges u_0 2^k
@@ -119,29 +131,28 @@ _KNEE_HEAD = 2 ** -8  # share of the conductivity knee the head reaches at most
 _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
 
 
-def _imaginary_axis_nodes(a, b, gl) -> list:
-    """(weight y, X, X^2, expm1(-X)) at X = iy for the nodes y of [a, b]."""
-    nodes = []
-    for y, wt in _panel(a, b, gl):
-        half = math.sin(y / 2)
-        nodes.append((wt * y, complex(0, y), -y * y, complex(-2 * half * half, -math.sin(y))))
-    return nodes
-
-
 def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
-    """The nodes of both pieces of G(iu) (see the module docstring).  gl is
-    the (near, far) pair of rules; `fixed` keeps, per order, the real-axis
-    panels that do not depend on u."""
-    near, far = gl
+    """(weight X, X, X^2, expm1(-X)) at the nodes of both pieces of G(iu)
+    (see the module docstring).  gl is the (near, above 1, far) triple of
+    rules; `fixed` keeps the real-axis panels whose edges do not depend on
+    u (each a power of 2 or _X_END), keyed by (a, b, order)."""
+    near, above_1, far = gl
     root = cmath.sqrt(w)
-    scales = (abs(root), u / math.sqrt(abs(eps)), u)
-
-    def rule(a, b):
-        return near if b > 1 or any(a < _BAND * x and _BAND * b > x for x in scales) else far
-
-    s_min = min(scales)
+    r_w, r_eps = abs(root), u / math.sqrt(abs(eps))
+    # |sqrt(w)| always has a band; u / sqrt|eps| and u only at |sqrt(w)| / 16 or above
+    bands = [r_w] + [x for x in (r_eps, u) if _BAND * x >= r_w]
+    s_min = min(r_w, r_eps, u)
+    sin, expm1, frexp = math.sin, math.expm1, math.frexp
+    nodes = []
     edges = [0.0] + _halvings(u, s_min)
-    nodes = [n for a, b in zip(edges, edges[1:]) for n in _imaginary_axis_nodes(a, b, rule(a, b))]
+    for a, b in zip(edges, edges[1:]):
+        rule = near if any(a < _BAND * x and _BAND * b > x for x in bands) else (
+            above_1 if b > 1 else far)
+        h, mid = (b - a) / 2, (b + a) / 2
+        for t, wt in rule:
+            y = mid + h * t
+            half = sin(y / 2)
+            nodes.append((h * wt * y, complex(0, y), -y * y, complex(-2 * half * half, -sin(y))))
     edges = [0.0] + _real_axis_edges(s_min)
     c, im = root.real, abs(root.imag)
     if 4 * im < c < _X_END:
@@ -152,38 +163,47 @@ def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
             d /= 2
         edges.sort()
     for a, b in zip(edges, edges[1:]):
-        r = rule(a, b)
-        nodes += _real_axis_panels((a, b), r, fixed.setdefault(len(r), {}))
+        rule = near if any(a < _BAND * x and _BAND * b > x for x in bands) else (
+            above_1 if b > 1 else far)
+        key = (a, b, len(rule))
+        panel = fixed.get(key)
+        if panel is None:
+            h, mid = (b - a) / 2, (b + a) / 2
+            panel = []
+            for t, wt in rule:
+                x = mid + h * t
+                panel.append((h * wt * x, x, x * x, expm1(-x)))
+            if all(e == _X_END or frexp(e)[0] == 0.5 for e in (a, b)):
+                fixed[key] = panel
+        nodes += panel
     return nodes
 
 
 def _h(u: float, eps: complex, pols, gl, fixed: dict) -> tuple:
     """H(u) = Im G(iu) of each polarization in pols, in that order, with
-    eps taken at zeta = i u c / (2a); gl and fixed are `_x_nodes`'s.  s is
-    taken once per node for both; each polarization then runs its own loop."""
+    eps taken at zeta = i u c / (2a); gl and fixed are `_x_nodes`'s.  One
+    pass over the nodes serves every polarization: s is taken once per
+    node, and each polarization keeps its own running sum, with the
+    operations of a one-polarization pass in the same order."""
     w = u * u * (eps - 1)
-    nodes = _x_nodes(u, eps, w, gl, fixed)
+    e2m1 = eps * eps - 1
+    tm, te = "tm" in pols, "te" in pols
+    h_tm = h_te = 0.0
     sqrt, phase = cmath.sqrt, cmath.phase
-    ss = [sqrt(X2 - w) for _, _, X2, _ in nodes]
-    hs = []
-    for pol in pols:
-        h = 0.0
-        if pol == "tm":
-            e2m1 = eps * eps - 1
-            for (wx, X, X2, em), s in zip(nodes, ss):
-                ex = eps * X
-                d = ex + s
-                dd = d * d
-                r = (e2m1 * X2 + w) / dd
-                h += wx * phase(4 * ex * s / dd - r * r * em)
-        else:
-            for (wx, X, X2, em), s in zip(nodes, ss):
-                d = X + s
-                dd = d * d
-                r = w / dd
-                h += wx * phase(4 * X * s / dd - r * r * em)
-        hs.append(h)
-    return tuple(hs)
+    for wx, X, X2, em in _x_nodes(u, eps, w, gl, fixed):
+        s = sqrt(X2 - w)
+        if tm:
+            ex = eps * X
+            d = ex + s
+            dd = d * d
+            r = (e2m1 * X2 + w) / dd
+            h_tm += wx * phase(4 * ex * s / dd - r * r * em)
+        if te:
+            d = X + s
+            dd = d * d
+            r = w / dd
+            h_te += wx * phase(4 * X * s / dd - r * r * em)
+    return tuple(h_tm if pol == "tm" else h_te for pol in pols)
 
 
 def _bose(q: float) -> float:
@@ -228,11 +248,14 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     def xm1(T):
         return 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
 
-    near, far, gl_u = gauss_legendre(_NX), gauss_legendre(_NX_FAR), gauss_legendre(_NU)
-    fixed = {}
+    gl_x = gauss_legendre(_NX), gauss_legendre(_NX_ABOVE_1), gauss_legendre(_NX_FAR)
+    gl_u, fixed = gauss_legendre(_NU), {}
     x_lo, u_hi = xm1(min(ts)), _U_HI * xm1(max(ts))
-    # the head [0, b] takes the doubling panels from u_0 up to its end
-    b, end = _U_0 * x_lo, min(_U_HEAD * x_lo, _KNEE_HEAD * conductivity_knee(mat, a))
+    knee = conductivity_knee(mat, a)
+    # the ladder's anchor u_0, or 2^-8 alpha where the knee lies below u_0;
+    # the head [0, b] takes the doubling panels from there up to its end
+    b = _U_0 * x_lo if knee >= _U_0 * x_lo else _KNEE_HEAD * knee
+    end = min(_U_HEAD * x_lo, _KNEE_HEAD * knee)
     while 2 * b <= end:
         b *= 2
     nodes = _sqrt_panel(b, gauss_legendre(_NH))
@@ -242,7 +265,7 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     hs = {pol: [] for pol in pols}
     for u, _ in nodes:
         eps = permittivity(mat, complex(0, u * k.c / (2 * a)))
-        for pol, h in zip(pols, _h(u, eps, pols, (near, far), fixed)):
+        for pol, h in zip(pols, _h(u, eps, pols, gl_x, fixed)):
             if not math.isfinite(h):
                 raise PrecisionError(f"{pol}: H(u = {u:.6g}) = {h} in the Abel-Plana table")
             hs[pol].append(h)

@@ -13,7 +13,8 @@ own d(dF_num)/dT and the closed form's term-wise derivative, so no grid
 is too short or too coarse for it.  The fit side extracts D, D1, D2 from
 dF_num assuming |dF_num| = D T^2 (1 - D1 T + D2 T^2 + ...), a series
 whose coefficients enter linearly, by one weighted least-squares solve in
-mpmath, so they can be compared with the predicted coefficients.
+float64 (a Householder QR in Python floats), so they can be compared with
+the predicted coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-import mpmath
 from mpmath import mpf
 
 from . import asymptotics
@@ -130,11 +130,11 @@ def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
     """Least-squares fit of |dF_num| to D T^2 (1 - D1 T + sum c_p T^p).
 
     The model |dF_num|/T^2 = D - D D1 T + sum D c_p T^p is linear in its
-    coefficients, so the fit is one rank-checked least-squares solve at the
-    working precision.  Each row is divided by its own |dF_num|/T^2, which
-    weights residuals relatively, as dF spans several decades over a
-    typical grid; T is scaled by its largest value to keep the columns of
-    order one.  extra_powers selects the correction
+    coefficients, so the fit is one rank-checked least-squares solve in
+    float64 (`_least_squares`).  Each row is divided by its own
+    |dF_num|/T^2, which weights residuals relatively, as dF spans several
+    decades over a typical grid; T is scaled by its largest value to keep
+    the columns of order one.  extra_powers selects the correction
     basis beyond the guaranteed D1 T term; half-integer powers belong in it
     for the polarization with a T^{5/2} term.
     """
@@ -154,20 +154,43 @@ def fit_expansion(records, extra_powers=TM_FIT_POWERS) -> FitResult:
         raise FitError("dF_num changes sign on the grid; the fit needs one sign")
     powers = [float(p) for p in extra_powers]
     scale = max(T)
-    A = mpmath.matrix([[(mpf(t) / scale) ** p / (abs(mpf(v)) / mpf(t) ** 2)
-                        for p in [0.0, 1.0] + powers] for t, v in zip(T, y)])
-    # the rank as numpy's lstsq counts it: s <= s_max * max(rows, cols) * 2^-52 is zero
-    s = mpmath.svd_r(A, compute_uv=False)
-    if sum(sv > max(s) * max(A.rows, A.cols) * mpf(2) ** -52 for sv in s) < n_params:
-        raise FitError("ill-conditioned fit")
-    coef = mpmath.qr_solve(A, mpmath.ones(A.rows, 1))[0]
-    D = float(coef[0])
+    A = [[(t / scale) ** p / (abs(v) / t ** 2) for p in [0.0, 1.0] + powers]
+         for t, v in zip(T, y)]
+    coef = _least_squares(A, [1.0] * len(A))
+    D = coef[0]
     if not D > 0:
         raise FitError("ill-conditioned fit")
 
-    extras = {p: float(c / (D * scale ** p)) for p, c in zip(powers, coef[2:])}
-    return FitResult(D=D, D1=float(-coef[1] / (D * scale)), D2=extras.get(2.0, 0.0),
+    extras = {p: c / (D * scale ** p) for p, c in zip(powers, coef[2:])}
+    return FitResult(D=D, D1=-coef[1] / (D * scale), D2=extras.get(2.0, 0.0),
                      T_range=(float(T[0]), float(T[-1])), sign=sign, extras=extras)
+
+
+def _least_squares(A, b) -> list:
+    """The c that minimizes |A c - b| for the float rows A (more rows than
+    columns), by Householder QR in float64.  FitError when a diagonal
+    entry of R is at most max |R_jj| * max(rows, cols) * 2^-52, the
+    threshold that numpy's lstsq applies to the singular values."""
+    cols = [list(col) for col in zip(*A)]
+    b = list(b)
+    rows, n = len(b), len(cols)
+    for j, col in enumerate(cols):
+        v = col[j:]
+        alpha = -math.copysign(math.hypot(*v), v[0])
+        v[0] -= alpha
+        vv = math.fsum([x * x for x in v])
+        if vv > 0:
+            for other in cols[j + 1:] + [b]:
+                f = 2 * math.fsum([x * o for x, o in zip(v, other[j:])]) / vv
+                other[j:] = [o - f * x for o, x in zip(other[j:], v)]
+        col[j] = alpha
+    diag = [abs(col[j]) for j, col in enumerate(cols)]
+    if min(diag) <= max(diag) * max(rows, n) * 2.0 ** -52:
+        raise FitError("ill-conditioned fit")
+    c = [0.0] * n
+    for j in reversed(range(n)):
+        c[j] = (b[j] - math.fsum([cols[k][j] * c[k] for k in range(j + 1, n)])) / cols[j][j]
+    return c
 
 
 def te_cube_comparison(records) -> list:

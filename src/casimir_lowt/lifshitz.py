@@ -130,11 +130,14 @@ def gauss_legendre(n: int) -> list:
     Newton steps on the Legendre recurrence from the cosine estimate
     -cos(pi (i + 3/4) / (n + 1/2)), in float64 whatever the working
     precision.  The rule of every quadrature panel of the package."""
+    # the recurrence's (2k - 1, k - 1, k) as floats: int times float is exact here
+    rec = [(2.0 * k - 1, k - 1.0, float(k)) for k in range(2, n + 1)]
+
     def legendre(x):
         """P_n(x) and P_n'(x)."""
         p0, p1 = 1.0, x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        for c1, c0, k in rec:
+            p0, p1 = p1, (c1 * x * p1 - c0 * p0) / k
         return p1, n * (x * p1 - p0) / (x * x - 1)
 
     nodes = []

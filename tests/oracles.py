@@ -37,6 +37,9 @@ for the tests.
 * `r_slope`, dR/dT at a grid point from a 3-point one-sided stencil on
   the sweep records: the reference of the records' own closed-form
   `dR_dT`, and criterion 4's slope.
+* `fit_coefficients`, the coefficient fit's least-squares solve at the
+  working precision (mpmath `svd_r` rank test, `qr_solve`): the oracle of
+  the package's float64 `diagnostics.fit_expansion`.
 
 All routines work at the current mpmath precision.  The scans take their
 cut-off M from `lifshitz._truncation_m`, so a test that patches it there
@@ -766,3 +769,21 @@ def r_slope(records, index: int = 0):
     # quadratic through three (possibly non-uniform) points, derivative at t0
     h1, h2 = t[1] - t[0], t[2] - t[0]
     return (r[1] * h2 * h2 - r[2] * h1 * h1 - r[0] * (h2 * h2 - h1 * h1)) / (h1 * h2 * (h2 - h1))
+
+
+# --- the coefficient fit at the working precision --------------------------------
+
+def fit_coefficients(records, extra_powers) -> tuple:
+    """(D, D1) of `diagnostics.fit_expansion` on the same rows, solved at
+    the working precision: the rank counted on the singular values as
+    numpy's lstsq counts it, then mpmath's `qr_solve`."""
+    T = [mpf(float(r.T)) for r in records]
+    y = [abs(mpf(float(r.dF_num))) for r in records]
+    powers = [0.0, 1.0] + [float(p) for p in extra_powers]
+    scale = max(T)
+    A = mpmath.matrix([[(t / scale) ** p / (v / t ** 2) for p in powers] for t, v in zip(T, y)])
+    s = mpmath.svd_r(A, compute_uv=False)
+    if sum(sv > max(s) * max(A.rows, A.cols) * mpf(2) ** -52 for sv in s) < len(powers):
+        raise ValueError("ill-conditioned fit")
+    coef = mpmath.qr_solve(A, mpmath.ones(A.rows, 1))[0]
+    return coef[0], -coef[1] / (coef[0] * scale)

@@ -7,7 +7,8 @@ from mpmath import mpf
 from casimir_lowt import abel_plana, lifshitz
 from casimir_lowt.abel_plana import delta_f_table
 from casimir_lowt.dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, DielectricModel
-from casimir_lowt.lifshitz import PlateSystem, Polarization, PrecisionError
+from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError, free_energy,
+                                   zero_temperature_energies)
 from casimir_lowt.precision import set_precision
 from oracles import delta_f
 
@@ -103,6 +104,7 @@ def _doubled_order_table(template, grid, monkeypatch):
     # stock table's do
     with monkeypatch.context() as m:
         m.setattr(abel_plana, "_NX", 32)
+        m.setattr(abel_plana, "_NX_ABOVE_1", 24)
         m.setattr(abel_plana, "_NX_FAR", 16)
         m.setattr(abel_plana, "_NU", 24)
         m.setattr(abel_plana, "_NH", 64)
@@ -182,11 +184,12 @@ def test_the_knee_caps_the_head_at_20_k(monkeypatch):
     assert _h_calls(template, [20.0], monkeypatch) == 162
 
 
-def test_table_walks_at_most_68000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
-    # 16 nodes per x-panel only near the integrand's scales and past x = 1,
-    # 8 elsewhere; one panel on [0, s_min] below the smallest scale, not
+def test_table_walks_at_most_56000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
+    # 16 nodes per x-panel only in the band of |sqrt(w)| and in those of u
+    # and u/sqrt|eps| within a factor 16 of it, 12 elsewhere past x = 1 and
+    # 8 below; one panel on [0, s_min] below the smallest scale, not
     # halvings down to a fraction of it; doubling panels from x = 1 to 45
-    # (6, not 22 of width 2); 142 H: 67,136 x-nodes.
+    # (6, not 22 of width 2); 142 H: 55,256 x-nodes.
     x_nodes = abel_plana._x_nodes
     count = [0]
 
@@ -197,4 +200,20 @@ def test_table_walks_at_most_68000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
 
     monkeypatch.setattr(abel_plana, "_x_nodes", spy)
     delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
-    assert count[0] <= 68_000
+    assert count[0] <= 56_000
+
+
+@pytest.mark.parametrize("four_pi_sigma", [8.2e7, 8.2e5], ids=["t-1e4", "t-1e6"])
+def test_table_anchors_its_u_ladder_at_the_knee_past_t_1024(four_pi_sigma):
+    # at T = 1 K, t = 1.0e4 and 1.0e6: the knee alpha = xm1 / t lies below
+    # 2^-10 xm1, inside a head anchored there, which put dF off by 4.2e-7
+    # and 3.8e-2; anchored at 2^-8 alpha the table is within 5.3e-13 and
+    # 1.6e-13 of F - F(0), which keeps all but about 3 of F's digits here
+    # (dF / F = 1e-3)
+    system = PlateSystem(1e-6, 1.0, DielectricModel(eps_bar=11.67, omega0=8e15,
+                                                    four_pi_sigma=four_pi_sigma),
+                         Polarization.TM)
+    [(df, _)] = delta_f_table(system, [1.0])["tm"]
+    ref = (float(free_energy(system).per_mode["tm"])
+           - float(zero_temperature_energies(system)["tm"]))
+    assert abs(df / ref - 1) < 1e-12

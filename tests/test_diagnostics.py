@@ -15,7 +15,7 @@ from casimir_lowt.dielectric import IDEAL_METAL, SI_EPSBAR1, SI_PAPER, Dielectri
 from casimir_lowt.lifshitz import (PlateSystem, Polarization, PrecisionError,
                                    zero_temperature_energies)
 from grids import logspace
-from oracles import r_slope
+from oracles import fit_coefficients, r_slope
 
 
 def synthetic_records(D=2.53e-17, D1=0.366, D2=-0.5, sign=-1, n=12,
@@ -49,6 +49,22 @@ def test_fit_default_basis_leading_coefficient():
     assert abs(fit.D / 2.53e-17 - 1) < 1e-9
     assert abs(fit.D1 / 0.366 - 1) < 1e-9
     assert abs(fit.D2 / -0.5 - 1) < 1e-9
+
+
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1], ids=["si-paper", "si-fig2"])
+def test_float_fit_is_the_working_precision_fit(material):
+    # the float64 Householder solve against the 33-digit one on the same
+    # rows, on the presets' 43-point sweep grid: TM in its default basis,
+    # TE in its half-integer powers
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        records = r_curve(PlateSystem(1e-6, 1.0, material), log_grid(0.02, 1.0), "both")
+    for pol, powers in (("tm", diagnostics.TM_FIT_POWERS), ("te", diagnostics.TE_FIT_POWERS)):
+        recs = [r for r in records if r.pol == pol]
+        fit = fit_expansion(recs, extra_powers=powers)
+        d, d1 = fit_coefficients(recs, powers)
+        assert abs(fit.D / d - 1) < 1e-13, pol
+        assert abs(fit.D1 / d1 - 1) < 1e-12, pol
 
 
 def test_fit_rescaling_invariance():

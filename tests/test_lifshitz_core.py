@@ -676,6 +676,34 @@ def test_float_gauss_legendre_is_the_oracle_rule_at_53_bits(dps):
         assert lifshitz.gauss_legendre(n) == reference, n
 
 
+# F and F(0) at a = 1 um, (T, F_tm, F_te) in J/m^2 with T = 0 for F(0): the
+# float64 kernel's values, frozen to the bit
+FROZEN_ENERGIES = {
+    "si-paper": (SI_PAPER, [
+        (0.02, -1.0754079196349259e-10, -2.3332572306481642e-11),
+        (0.3, -1.0755456813946467e-10, -2.333257229327611e-11),
+        (1.0, -1.0761631734125978e-10, -2.3332572163364478e-11),
+        (0.0, -1.0754069423836221e-10, -2.33325723065455e-11)]),
+    "si-fig2": (SI_EPSBAR1, [
+        (0.02, -3.497356637392925e-13, -9.059202172097427e-17),
+        (0.3, -3.690129338623974e-13, -9.057980359731762e-17),
+        (1.0, -5.030096622237501e-13, -9.048887135678873e-17),
+        (0.0, -3.496373064610234e-13, -9.059208553482741e-17)]),
+}
+
+
+@pytest.mark.parametrize("case", list(FROZEN_ENERGIES))
+def test_f_and_f0_are_the_frozen_values(case):
+    # a change of node order, panel layout or rule that moves F or F(0) by
+    # one bit shows here
+    material, rows = FROZEN_ENERGIES[case]
+    for T, f_tm, f_te in rows:
+        system = PlateSystem(1e-6, T, material)
+        values = (lifshitz.zero_temperature_energies(system) if T == 0
+                  else free_energy(system).per_mode)
+        assert (float(values["tm"]), float(values["te"])) == (f_tm, f_te), T
+
+
 # --- one kernel pass for every polarization -----------------------------------
 
 @pytest.mark.parametrize("T", [0.015, 0.85])
