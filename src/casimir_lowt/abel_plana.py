@@ -39,7 +39,8 @@ imaginary-axis piece has panels that halve from u down to s_min, and the
 real-axis piece has panels that halve from 1 down to s_min (none when
 s_min >= 1), then panels that double from 1 (from s_min when s_min >= 1)
 to 45, the last one cut there (1, 2, 4, ..., 32, 45; e^-45 = 2.9e-20):
-`lifshitz`'s real-axis panels, which F and F(0) walk from x = y as well.
+`lifshitz`'s real-axis panels from its one builder (`_real_axis_panels`),
+which F and F(0) walk from x = y as well.
 TE has a branch point at x* = sqrt(w); where 4 |Im x*| < Re x* < 45 it
 sits close to the real axis, and the edges, halving or doubling, within
 Re x*/4 of it are replaced by edges that cluster on Re x* from both
@@ -106,7 +107,9 @@ too.  One point of the table is the package's dF
 (`lifshitz.delta_f_direct`).
 Lossless plates (the ideal metal, sigma = 0) are refused, since
 1 - r^2 e^{-x} can vanish on the path, and so is an oscillator whose
-resonance lies inside the table.
+resonance lies inside the table, and xm1(T_max) > 2 (364 K at a = 1 um),
+where the u-panels would pass u = 16: against F - F(0) at M = 240, dF is
+within 9.4e-13 at xm1 = 2, but 8.7e-11 off (TE) at 3 and 1.2e-3 at 16.5.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ import math
 from .constants import float_constants
 from .dielectric import PermittivityMode, permittivity
 from .lifshitz import (_X_END, PlateSystem, PrecisionError, _halvings, _panel,
-                       _real_axis_edges, _sqrt_panel, conductivity_knee, gauss_legendre)
+                       _real_axis_edges, _real_axis_panels, _sqrt_panel, _thermal_scales,
+                       conductivity_knee, gauss_legendre)
 
 _NX = 16          # Gauss-Legendre nodes per x-panel in the band of a scale
 _NX_ABOVE_1 = 12  # per x-panel away from them that reaches past x = 1
@@ -134,22 +138,27 @@ _U_HI = 8         # multiple of xm1(T_max) the u-panels reach
 def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
     """(weight X, X, X^2, expm1(-X)) at the nodes of both pieces of G(iu)
     (see the module docstring).  gl is the (near, above 1, far) triple of
-    rules; `fixed` keeps the real-axis panels whose edges do not depend on
-    u (each a power of 2 or _X_END), keyed by (a, b, order)."""
+    rules; the real-axis piece is `lifshitz._real_axis_panels`, whose
+    `fixed` keeps its panels that do not depend on u."""
     near, above_1, far = gl
     root = cmath.sqrt(w)
     r_w, r_eps = abs(root), u / math.sqrt(abs(eps))
-    # |sqrt(w)| always has a band; u / sqrt|eps| and u only at |sqrt(w)| / 16 or above
-    bands = [r_w] + [x for x in (r_eps, u) if _BAND * x >= r_w]
+    # bands (x/16, 16 x): |sqrt(w)|'s always, u / sqrt|eps|'s and u's at |sqrt(w)| / 16 or above
+    bands = [(x / _BAND, _BAND * x) for x in (r_w, r_eps, u) if _BAND * x >= r_w]
     s_min = min(r_w, r_eps, u)
-    sin, expm1, frexp = math.sin, math.expm1, math.frexp
+
+    def rule(a, b):
+        for lo, hi in bands:
+            if a < hi and b > lo:
+                return near
+        return above_1 if b > 1 else far
+
+    sin = math.sin
     nodes = []
     edges = [0.0] + _halvings(u, s_min)
     for a, b in zip(edges, edges[1:]):
-        rule = near if any(a < _BAND * x and _BAND * b > x for x in bands) else (
-            above_1 if b > 1 else far)
         h, mid = (b - a) / 2, (b + a) / 2
-        for t, wt in rule:
+        for t, wt in rule(a, b):
             y = mid + h * t
             half = sin(y / 2)
             nodes.append((h * wt * y, complex(0, y), -y * y, complex(-2 * half * half, -sin(y))))
@@ -162,20 +171,7 @@ def _x_nodes(u: float, eps: complex, w: complex, gl, fixed: dict) -> list:
             edges += [c - d, c + d]
             d /= 2
         edges.sort()
-    for a, b in zip(edges, edges[1:]):
-        rule = near if any(a < _BAND * x and _BAND * b > x for x in bands) else (
-            above_1 if b > 1 else far)
-        key = (a, b, len(rule))
-        panel = fixed.get(key)
-        if panel is None:
-            h, mid = (b - a) / 2, (b + a) / 2
-            panel = []
-            for t, wt in rule:
-                x = mid + h * t
-                panel.append((h * wt * x, x, x * x, expm1(-x)))
-            if all(e == _X_END or frexp(e)[0] == 0.5 for e in (a, b)):
-                fixed[key] = panel
-        nodes += panel
+    nodes += _real_axis_panels(edges, rule, fixed)
     return nodes
 
 
@@ -220,9 +216,9 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
 
     Raises ValueError, before any H is computed, for an empty grid, for a
     temperature that is not positive and finite, for the ideal metal, for
-    sigma = 0 and for an oscillator with omega0 <= 8 zeta_1(T_max), whose
-    resonance lies inside the table; PrecisionError when an H is not
-    finite.
+    sigma = 0, for an oscillator with omega0 <= 8 zeta_1(T_max), whose
+    resonance lies inside the table, and for xm1(T_max) > 2; PrecisionError
+    when an H is not finite.
     """
     mat = template.material
     if mat.mode is PermittivityMode.IDEAL_METAL:
@@ -237,20 +233,21 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
     if not all(0 < T < math.inf for T in ts):
         raise ValueError(f"the Abel-Plana table needs positive finite temperatures, got {ts}")
     k = float_constants()
-    zeta1 = 2 * math.pi * k.k_B * max(ts) / k.hbar
+    t_max = max(ts)
+    zeta1 = 2 * math.pi * k.k_B * t_max / k.hbar
     if mat.mode is PermittivityMode.FULL_OSCILLATOR and mat.omega0 <= 8 * zeta1:
         raise ValueError(f"omega0 = {mat.omega0:.4g} s^-1 is within 8 zeta_1 = "
                          f"{8 * zeta1:.4g} s^-1 of the grid's hottest point: "
                          "the resonance lies inside the Abel-Plana table")
     a = float(template.separation_a)
+    x_lo, u_hi = _thermal_scales(a, min(ts))[0], _U_HI * _thermal_scales(a, t_max)[0]
+    if u_hi > 16:   # xm1(T_max) > 2
+        raise ValueError(f"xm1 = {u_hi / _U_HI:.4g} > 2 at the grid's hottest point, "
+                         f"{t_max:.4g} K: past u = 16 the Abel-Plana table's u-panels "
+                         "lose digits; `casimir-lowt energy` gives F there")
     pols = template.polarization.modes()
-
-    def xm1(T):
-        return 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
-
     gl_x = gauss_legendre(_NX), gauss_legendre(_NX_ABOVE_1), gauss_legendre(_NX_FAR)
     gl_u, fixed = gauss_legendre(_NU), {}
-    x_lo, u_hi = xm1(min(ts)), _U_HI * xm1(max(ts))
     knee = conductivity_knee(mat, a)
     # the ladder's anchor u_0, or 2^-8 alpha where the knee lies below u_0;
     # the head [0, b] takes the doubling panels from there up to its end
@@ -270,16 +267,14 @@ def delta_f_table(template: PlateSystem, t_grid) -> dict:
                 raise PrecisionError(f"{pol}: H(u = {u:.6g}) = {h} in the Abel-Plana table")
             hs[pol].append(h)
 
-    table = {}
-    for pol, h in hs.items():
-        table[pol] = []
-        for T in ts:
-            x1 = xm1(T)
-            qs = [2 * math.pi * u / x1 for u, _ in nodes]
-            bs = [_bose(q) for q in qs]
+    table = {pol: [] for pol in pols}
+    for T in ts:
+        x1, pref = _thermal_scales(a, T)
+        qs = [2 * math.pi * u / x1 for u, _ in nodes]
+        bs = [_bose(q) for q in qs]
+        for pol, h in hs.items():
             gamma = -2 / x1 * math.fsum([wt * hv * b for (_, wt), hv, b in zip(nodes, h, bs)])
             d_gamma = -2 / x1 * math.fsum([wt * hv * b * (1 + b) * q / T for (_, wt), hv, q, b
                                            in zip(nodes, h, qs, bs)])
-            pref = k.k_B * T / (8 * math.pi * a * a)
             table[pol].append((pref * gamma, pref * d_gamma))
     return table

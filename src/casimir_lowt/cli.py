@@ -173,7 +173,7 @@ def cmd_sweep(cfg: RunConfig, out: Output, check: bool = False) -> int:
     pols = Polarization(cfg.polarization).modes()
     records = diagnostics.r_curve(_system(cfg, 1.0), cfg.grid(), cfg.polarization)
     # only now: r_curve refuses some sweeps (sigma = 0, a resonance inside
-    # the table), and no data follows those
+    # the table, xm1 > 2), and no data follows those
     if "te" in pols and alpha_param(cfg.separation_m, cfg.material.four_pi_sigma) < mpf("0.05"):
         print("warning: TE R-diagnostic unfeasible at small alpha "
               "(correction terms nearly degenerate); data emitted anyway",
@@ -207,8 +207,8 @@ def _summary(cfg: RunConfig, curve, pol: str):
     regime, t <= 0.1, the first line says so.
     """
     th = curve[0].theory
-    sigma = cfg.material.four_pi_sigma
-    t_max = reduced_temperature(curve[-1].T, sigma) if sigma > 0 else 0
+    # r_curve's table has refused sigma = 0, so t is finite
+    t_max = reduced_temperature(curve[-1].T, cfg.material.four_pi_sigma)
     regime = (f"; grid reaches t = {_short(t_max)}, outside t <= 0.1"
               if t_max > asymptotics.T_REGIME_MAX else "")
     try:

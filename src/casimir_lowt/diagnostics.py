@@ -20,7 +20,6 @@ the predicted coefficients.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 from mpmath import mpf
@@ -84,29 +83,26 @@ def r_curve(template: PlateSystem, t_grid, pol: str) -> list:
     """SweepRecords over an ascending temperature grid: those of one
     polarization, or for "both" the TM records, then the TE records.
 
-    Each polarization's closed form is built once, at the grid's hottest
-    temperature, and each record carries it as `theory`: a closed form
-    that cannot exist (TM at sigma = 0, the ideal metal) raises ValueError
-    before any point is computed.  Then every dF_num and d(dF_num)/dT come
-    from one Abel-Plana table (`abel_plana.delta_f_table`) and F(0) from
-    one `zero_temperature_energies` pass, both float64 (dF_num kept a
-    float, F(0) stored as mpf) and both serving every polarization, in
-    this process; F_num is F(0) + dF_num.  A grid that leaves the
-    expansion regime gives one ValidityWarning per polarization, once the
-    table has accepted the grid.  No mode scan runs and no process starts.
+    Every dF_num and d(dF_num)/dT come from one Abel-Plana table
+    (`abel_plana.delta_f_table`), made first: it refuses with ValueError,
+    before any point is computed, every sweep that it or a closed form
+    cannot take (the ideal metal and sigma = 0 among them).  Then each
+    polarization's closed form is built once, at the grid's hottest
+    temperature, and each record carries it as `theory`; a grid that
+    leaves the expansion regime gives one ValidityWarning per polarization
+    there.  F(0) comes from one `zero_temperature_energies` pass.  Table
+    and F(0) are float64 (dF_num kept a float, F(0) stored as mpf), both
+    serve every polarization, in this process; F_num is F(0) + dF_num.
+    No mode scan runs and no process starts.
     """
     ts = list(t_grid)
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("temperature grid must be strictly ascending")
-    # T enters a closed form only through its regime check, and t grows with
-    # T; an empty grid is the table's to refuse
-    hottest = replace(template, temperature_T=float(max(ts, default=0.0)))
-    with warnings.catch_warnings(record=True) as regime:
-        theory = {p: theory_correction(hottest, p) for p in Polarization(pol).modes()}
     system = replace(template, polarization=Polarization(pol))
     table = delta_f_table(system, ts)
-    for w in regime:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    # T enters a closed form only through its regime check, and t grows with T
+    hottest = replace(template, temperature_T=float(ts[-1]))
+    theory = {p: theory_correction(hottest, p) for p in system.polarization.modes()}
     f0 = zero_temperature_energies(system)
     records = []
     for p, th in theory.items():

@@ -42,10 +42,11 @@ layout is matched to the known shape of the integrands (x-panels that
 halve from x = 1 towards the x lower limit, a y = v^2 substitution that
 turns the y^{3/2} and y^2 ln y endpoint behaviour of F(0)'s integrand into
 polynomials times ln v, doubling panels on the exponential tails in x, m
-and y; 12 Gauss-Legendre nodes per m- and y-panel).  F agrees with the
-33-digit scan it replaced (`tests/oracles.py`) within 6.2e-16 on si-paper
-and si-fig2 at 15 mK-1 K, at the same cut-off M, and F(0) with the
-oracle's y-integral within 3.8e-16.
+and y; 12 Gauss-Legendre nodes per m- and y-panel).  F(0) agrees with the
+oracle's y-integral (`tests/oracles.py`) within 3.8e-16.  F's error is
+the cut-off M's, not the x- or m-orders': against F at M = 240, F at the
+stock M is off by up to 1.5e-12 on si-fig2 TM at 0.3-1 K and 6.8e-12 at
+a = 10 um and 5 K, and by at most 8.9e-16 on si-paper up to 1 K.
 """
 
 from __future__ import annotations
@@ -167,11 +168,6 @@ def _sqrt_panel(top, gl) -> list:
     return [(v * v, 2 * v * wt) for v, wt in _panel(0.0, math.sqrt(top), gl)]
 
 
-def _real_axis_nodes(a, b, gl) -> list:
-    """(weight x, X, X^2, expm1(-X)) at the nodes of [a, b] on the real axis."""
-    return [(wt * x, x, x * x, math.expm1(-x)) for x, wt in _panel(a, b, gl)]
-
-
 def _halvings(top, lo) -> list:
     """Ascending panel edges lo, ..., top/4, top/2, top: each panel but the
     first is half of the next.  Just [top], no panel, when lo >= top."""
@@ -194,19 +190,34 @@ def _real_axis_edges(lo) -> list:
     return edges
 
 
-def _real_axis_panels(edges, gl, fixed: dict) -> list:
-    """`_real_axis_nodes` of the panels between consecutive edges.  `fixed`
-    keeps the panels whose edges do not depend on the lower limit (each a
-    power of 2 or _X_END), for the next call that shares it."""
+def _real_axis_panels(edges, rule, fixed: dict) -> list:
+    """(weight x, X, X^2, expm1(-X)) at the nodes of the real-axis panels
+    between consecutive edges, [a, b] on the Gauss-Legendre rule rule(a, b):
+    G's and the Abel-Plana table's one builder.  `fixed` keeps the panels
+    whose edges are each a power of 2 or _X_END, keyed by (a, b, order)."""
+    expm1, frexp = math.expm1, math.frexp
     nodes = []
     for a, b in zip(edges, edges[1:]):
-        panel = fixed.get((a, b))
+        gl = rule(a, b)
+        key = (a, b, len(gl))
+        panel = fixed.get(key)
         if panel is None:
-            panel = _real_axis_nodes(a, b, gl)
-            if all(e == _X_END or math.frexp(e)[0] == 0.5 for e in (a, b)):
-                fixed[(a, b)] = panel
+            h, mid = (b - a) / 2, (b + a) / 2
+            panel = []
+            for t, wt in gl:
+                x = mid + h * t
+                panel.append((h * wt * x, x, x * x, expm1(-x)))
+            if all(e == _X_END or frexp(e)[0] == 0.5 for e in (a, b)):
+                fixed[key] = panel
         nodes += panel
     return nodes
+
+
+def _thermal_scales(a: float, T: float) -> tuple:
+    """(xm1, k_B T / (8 pi a^2)) in float64, for F's sum and the Abel-Plana
+    table: xm1 = 4 pi a k_B T / (hbar c) is x_min of the mode m = 1."""
+    k = float_constants()
+    return 4 * math.pi * a * k.k_B * T / (k.hbar * k.c), k.k_B * T / (8 * math.pi * a * a)
 
 
 def _g_zero(system: PlateSystem, pol: str):
@@ -250,9 +261,7 @@ def _matsubara_sum(system: PlateSystem, pols) -> tuple[dict, int, int]:
     terms and the tail's weighted G are added with one `math.fsum` per
     polarization."""
     M = _truncation_m(system)
-    k = float_constants()
-    a, T = float(system.separation_a), float(system.temperature_T)
-    xm1 = 4 * math.pi * a * k.k_B * T / (k.hbar * k.c)
+    xm1, pref = _thermal_scales(float(system.separation_a), float(system.temperature_T))
     gl_geo = gauss_legendre(system.quadrature.nm_geo)
     tail, b = [], M
     while xm1 * b < _X_END:
@@ -262,7 +271,6 @@ def _matsubara_sum(system: PlateSystem, pols) -> tuple[dict, int, int]:
                        pols, "F")
     with mp.workprec(53):
         g0 = [float(_g_zero(system, pol)) for pol in pols]
-    pref = k.k_B * T / (8 * math.pi * a * a)
     per_mode = {}
     for i, pol in enumerate(pols):
         g = [g0[i]] + [v[i] for v in gs[:M + 3]]
@@ -301,9 +309,9 @@ def delta_f_direct(system: PlateSystem) -> dict:
     """Thermal correction per polarization, {pol: mpf J/m^2}, T > 0.
 
     A dielectric's is `abel_plana.delta_f_table` at the one temperature,
-    which raises ValueError, before any H is computed, at sigma = 0 and for
-    an oscillator resonance inside the table.  The ideal metal's is half of
-    `asymptotics.ideal_metal`'s dF per polarization, at the working precision.
+    which raises ValueError, before any H, on the inputs it refuses.  The
+    ideal metal's is half of `asymptotics.ideal_metal`'s dF per
+    polarization, at the working precision.
     """
     _require_positive_t(system)
     if system.material.mode is PermittivityMode.IDEAL_METAL:
@@ -402,7 +410,7 @@ def _g_real_axis(y: float, chi: float, pols, gl, fixed: dict) -> tuple:
     tm, te = "tm" in pols, "te" in pols
     g_tm = g_te = 0.0
     sqrt, exp, log, log1p = math.sqrt, math.exp, math.log, math.log1p
-    for wx, x, x2, em in _real_axis_panels(_real_axis_edges(y), gl, fixed):
+    for wx, x, x2, em in _real_axis_panels(_real_axis_edges(y), lambda a, b: gl, fixed):
         z = zfac / x2
         s = sqrt(1 + z)
         p = 1 + s

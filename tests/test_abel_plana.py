@@ -77,13 +77,16 @@ def test_table_is_float64_at_any_working_precision():
     (SI_PAPER, "tm", [-0.1, 0.1], "positive finite"),
     (SI_PAPER, "tm", [0.0, 0.1], "positive finite"),
     (SI_PAPER, "tm", [float("nan"), 0.1], "positive finite"),
-    (SI_PAPER, "tm", [0.1, float("inf")], "positive finite")],
+    (SI_PAPER, "tm", [0.1, float("inf")], "positive finite"),
+    (SI_PAPER, "both", [1.0, 547.0], r"xm1 = 3\.002 > 2 at the grid's hottest point")],
     ids=["ideal-metal", "sigma-0-te", "omega0-inside", "empty-grid", "negative-T", "zero-T",
-         "nan-T", "inf-T"])
+         "nan-T", "inf-T", "xm1-3"])
 def test_refused_before_any_h(material, pol, grid, match, monkeypatch):
     # 8 zeta_1 at 0.2 K is 1.3e12 s^-1, above omega0 = 1e12 s^-1.  A negative
     # or infinite T would otherwise double the u-panels forever, T = 0 divide
-    # by zero in eps and a NaN T give a silent NaN dF.
+    # by zero in eps and a NaN T give a silent NaN dF.  At xm1(T_max) = 3
+    # the u-panels would reach u = 24, and dF is off F - F(0) by 1.2-1.5e-12
+    # (TM) and 8.2-8.7e-11 (TE), growing to 3.7e-5 and 1.2e-3 at xm1 = 16.5.
     def no_h(*args):
         raise AssertionError("H computed")
 
@@ -95,6 +98,49 @@ def test_refused_before_any_h(material, pol, grid, match, monkeypatch):
 def test_nan_h_raises_precision_error(nan_table):
     with pytest.raises(PrecisionError, match=r"te: H\(u = .*\) = nan"):
         delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TE), GRID)
+
+
+@pytest.mark.parametrize("material", [SI_PAPER, SI_EPSBAR1], ids=["si-paper", "si-fig2"])
+@pytest.mark.parametrize("a, T", [(1e-6, 364.0), (1e-5, 36.4)], ids=["a-1um", "a-10um"])
+def test_table_keeps_its_digits_up_to_xm1_2(material, a, T, monkeypatch):
+    # xm1(T) = 1.998, just inside the refusal: against F - F(0) with F at
+    # M = 240, TM reads 2.0-9.4e-13 and TE 2.9e-15-2.8e-14
+    monkeypatch.setattr(lifshitz, "_truncation_m", lambda system: 240)
+    system = PlateSystem(a, T, material)
+    table = delta_f_table(system, [T])
+    f, f0 = free_energy(system).per_mode, zero_temperature_energies(system)
+    for pol in ("tm", "te"):
+        [(df, _)] = table[pol]
+        assert abs(df / (float(f[pol]) - float(f0[pol])) - 1) < 2e-12, pol
+
+
+# a change of node order, panel layout or rule that moves dF or d(dF)/dT by
+# one bit shows here: (T, TM (dF, d(dF)/dT), TE (dF, d(dF)/dT)), one table
+# per material over the three temperatures
+FROZEN_TABLES = {
+    "si-paper": (SI_PAPER, [
+        (0.02, (-9.7725130382973e-17, -9.676113742762493e-15),
+         (6.385859376502309e-23, 6.346394603635233e-21)),
+        (0.3, (-1.3873901102370711e-14, -7.180819969375648e-14),
+         (1.3269386958971245e-20, 8.676450001658197e-20)),
+        (1.0, (-7.562310289755416e-14, -9.692560017449483e-14),
+         (1.431810247659652e-19, 2.865079445775344e-19))]),
+    "si-fig2": (SI_EPSBAR1, [
+        (0.02, (-9.835727826906839e-17, -9.79688449868097e-15),
+         (6.381385317216624e-23, 6.33763140609648e-21)),
+        (0.3, (-1.9375627400830986e-14, -1.1925540057480708e-13),
+         (1.2281937508445319e-20, 7.591918257783376e-20)),
+        (1.0, (-1.533723557624821e-13, -2.398547797692549e-13),
+         (1.0321417803665791e-19, 1.717279556066006e-19))]),
+}
+
+
+@pytest.mark.parametrize("case", list(FROZEN_TABLES))
+def test_table_is_the_frozen_values(case):
+    material, rows = FROZEN_TABLES[case]
+    table = delta_f_table(PlateSystem(1e-6, 1.0, material), [T for T, _, _ in rows])
+    for k, (T, tm, te) in enumerate(rows):
+        assert (table["tm"][k], table["te"][k]) == (tm, te), T
 
 
 def _doubled_order_table(template, grid, monkeypatch):
@@ -201,6 +247,23 @@ def test_table_walks_at_most_56000_x_nodes_on_the_tm_sweep_grid(monkeypatch):
     monkeypatch.setattr(abel_plana, "_x_nodes", spy)
     delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
     assert count[0] <= 56_000
+
+
+def test_table_takes_its_real_axis_x_nodes_from_the_shared_builder(monkeypatch):
+    # one call of F's own real-axis panel builder per H, 142 on the TM sweep
+    # grid: the table builds no real-axis panel and keeps no cache rule of
+    # its own
+    assert abel_plana._real_axis_panels is lifshitz._real_axis_panels
+    panels = lifshitz._real_axis_panels
+    calls = []
+
+    def spy(edges, rule, fixed):
+        calls.append(edges[0])
+        return panels(edges, rule, fixed)
+
+    monkeypatch.setattr(abel_plana, "_real_axis_panels", spy)
+    delta_f_table(PlateSystem(1e-6, 1.0, SI_PAPER, Polarization.TM), [0.015, 0.05, 0.12])
+    assert len(calls) == 142
 
 
 @pytest.mark.parametrize("four_pi_sigma", [8.2e7, 8.2e5], ids=["t-1e4", "t-1e6"])

@@ -354,6 +354,19 @@ def test_refused_sweep_prints_only_its_error(source, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_sweep_past_xm1_2_prints_only_its_error(tmp_path, nan_table, capsys):
+    # xm1(547 K) = 3 at a = 1 um: the table refuses the grid before any H,
+    # and before any closed form warns that t is far outside its regime
+    p = tmp_path / "hot.ini"
+    p.write_text(CHEAP_TM.replace("temperatures = 0.5 0.7", "temperatures = 1 547"))
+    assert main(["sweep", "--config", str(p), "--pol", "both", "--no-timestamp"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: xm1 = 3.002 > 2 at the grid's hottest point")
+    assert "casimir-lowt energy" in captured.err
+
+
 def test_sweep_refused_by_the_table_prints_no_data_warning(tmp_path, capsys):
     # alpha = 6.7e-3 is small, the grid reaches t = 0.16, and omega0 = 1e12
     # s^-1 lies inside the table (8 zeta_1(0.2 K) = 1.3e12 s^-1): the table

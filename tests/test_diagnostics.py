@@ -6,7 +6,7 @@ import warnings
 import pytest
 from mpmath import mpf
 
-from casimir_lowt import cli, diagnostics, lifshitz
+from casimir_lowt import abel_plana, cli, diagnostics, lifshitz
 from casimir_lowt.abel_plana import delta_f_table
 from casimir_lowt.asymptotics import ValidityWarning, delta_f_te
 from casimir_lowt.diagnostics import (FitError, SweepRecord, fit_expansion, log_grid,
@@ -342,13 +342,16 @@ def test_r_curve_takes_df_from_the_table_and_f0_from_one_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("material, pol, match", [
-    (DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0), "tm", "sigma > 0"),
-    (IDEAL_METAL, "both", "ideal-metal")])
+    (DielectricModel(eps_bar=11.67, omega0=8e15, four_pi_sigma=0.0), "tm",
+     "the Abel-Plana table needs sigma > 0"),
+    (IDEAL_METAL, "both", "no Abel-Plana table for the ideal metal")],
+    ids=["sigma-0-tm", "ideal-metal"])
 def test_missing_closed_form_fails_before_any_point(material, pol, match, monkeypatch):
-    def no_table(*args, **kwargs):
-        raise AssertionError("delta_f_table called")
+    # the table refuses, before any H, every sweep that a closed form cannot take
+    def no_h(*args):
+        raise AssertionError("H computed")
 
-    monkeypatch.setattr(diagnostics, "delta_f_table", no_table)
+    monkeypatch.setattr(abel_plana, "_h", no_h)
     with pytest.raises(ValueError, match=match):
         r_curve(PlateSystem(1e-6, 1.0, material), [0.1, 0.2], pol)
 
